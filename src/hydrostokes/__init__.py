@@ -25,7 +25,6 @@ from .fields import (
     vertical_mean,
 )
 from .projection import (
-    ProjectionTables,
     check_solenoidal,
     helmholtz_2d,
     project_hydrostatic,
@@ -56,7 +55,6 @@ __all__ = [
     "vertical_mean",
     "vertical_integral_from_bottom",
     "norm_anisotropic",
-    "ProjectionTables",
     "helmholtz_2d",
     "project_hydrostatic",
     "check_solenoidal",

@@ -1,8 +1,14 @@
 """Grid geometry and the mixed Dirichlet/Neumann vertical sine basis."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -12,6 +18,10 @@ class Grid:
     N horizontal nodes per direction (Fourier), K vertical sine modes with
     collocation at the DST-IV midpoints, so the discrete sine transform is
     exactly orthogonal and vertical quadrature is the midpoint rule.
+
+    The spectral tables ``basis``, ``xi2`` and ``xi_hat`` depend only on the
+    grid; each is built on first use, then shared by every caller holding
+    this grid.  Their arrays are read-only: copy before modifying.
     """
 
     N: int
@@ -44,6 +54,26 @@ class Grid:
         xi = self.xi
         return xi[:, None] * np.ones(self.N), np.ones(self.N)[:, None] * xi
 
+    @cached_property
+    def basis(self) -> "VerticalBasis":
+        return VerticalBasis(self)
+
+    @cached_property
+    def xi2(self) -> np.ndarray:
+        """|xi|^2 per horizontal wavenumber, shape (N, N)."""
+        xix, xiy = self.xi_vectors()
+        return _read_only(xix**2 + xiy**2)
+
+    @cached_property
+    def xi_hat(self) -> np.ndarray:
+        """Unit wavevectors xi/|xi|, shape (2, N, N); the zero vector at xi = 0."""
+        xix, xiy = self.xi_vectors()
+        norm = np.sqrt(self.xi2)
+        norm[0, 0] = 1.0  # unused at xi = 0
+        xi_hat = np.stack([xix / norm, xiy / norm])
+        xi_hat[:, 0, 0] = 0.0
+        return _read_only(xi_hat)
+
 
 class VerticalBasis:
     """Sine modes phi_k(z) = sin(lambda_k (z+h)), lambda_k = (2k+1)pi/(2h).
@@ -57,11 +87,11 @@ class VerticalBasis:
     def __init__(self, grid: Grid):
         self.grid = grid
         k = np.arange(grid.K)
-        self.lambdas = (2 * k + 1) * np.pi / (2 * grid.h)
-        self.betas = 2.0 / (grid.h * self.lambdas)
+        self.lambdas = _read_only((2 * k + 1) * np.pi / (2 * grid.h))
+        self.betas = _read_only(2.0 / (grid.h * self.lambdas))
         self.sigmaK = (2.0 / grid.h**2) * np.sum(self.lambdas ** (-2.0))
         # renormalized expansion of 1: unit vertical mean in the truncation
-        self.betas_t = self.betas / self.sigmaK
+        self.betas_t = _read_only(self.betas / self.sigmaK)
 
     def sample(self, z):
         """phi_k evaluated at points z, shape (K, len(z))."""

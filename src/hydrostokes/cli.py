@@ -64,9 +64,11 @@ def _write_csv(path: str, header, rows):
     os.replace(tmp, path)
 
 
-def _report_csv(path: str, report: ScanReport):
+def _report_csv(path: str, report: ScanReport) -> bool:
+    """Write the report's ratios; return True when its sup ratio is not finite."""
     rows = [(report.estimate, repr(p), f"{r:.12e}") for p, r in zip(report.params, report.ratios)]
     _write_csv(path, ["estimate", "params", "ratio"], rows)
+    return not np.isfinite(report.sup_ratio)
 
 
 def cmd_simulate(args) -> int:
@@ -147,7 +149,7 @@ def cmd_verify(args) -> int:
                 rep = young_anisotropic_test(67, q, pp, seed=seed)
                 if rep.sup_ratio > 1 + 1e-10:
                     failed = True
-                _report_csv(os.path.join(outdir, f"young_{q}_{pp}.csv"), rep)
+                failed |= _report_csv(os.path.join(outdir, f"young_{q}_{pp}.csv"), rep)
         elif suite == "semigroup":
             t_grid = np.geomspace(1e-3, 1.0, 7)
             for combo in SEMIGROUP_COMBOS:
@@ -155,24 +157,24 @@ def cmd_verify(args) -> int:
                     lambda g, c=combo: semigroup_decay_scan(c, t_grid, 5, p, g, seed=seed),
                     grid,
                 )
-                _report_csv(os.path.join(outdir, f"semigroup_{combo}.csv"), rep)
+                failed |= _report_csv(os.path.join(outdir, f"semigroup_{combo}.csv"), rep)
         elif suite == "resolvent":
             rep = resolvent_scan(0.9 * np.pi, np.geomspace(0.1, 100, 7), 5, np.inf, p, grid, seed=seed)
-            _report_csv(os.path.join(outdir, "resolvent.csv"), rep)
+            failed |= _report_csv(os.path.join(outdir, "resolvent.csv"), rep)
             rep = resolvent_scan(
                 0.9 * np.pi, np.geomspace(0.1, 100, 7), 5, np.inf, p, grid, seed=seed,
                 derivative_datum=True,
             )
-            _report_csv(os.path.join(outdir, "resolvent_dz.csv"), rep)
+            failed |= _report_csv(os.path.join(outdir, "resolvent_dz.csv"), rep)
         elif suite == "multiplier":
             rep = horizontal_multiplier_scan(np.geomspace(1e-3, 1.0, 7), 10, seed=seed)
-            _report_csv(os.path.join(outdir, "multiplier.csv"), rep)
+            failed |= _report_csv(os.path.join(outdir, "multiplier.csv"), rep)
         elif suite == "interpolation":
             rep = interpolation_ratio(10, max(p, 2.5), 2, (0.1, 0.2, 0.3), grid, seed=seed)
-            _report_csv(os.path.join(outdir, "interpolation.csv"), rep)
+            failed |= _report_csv(os.path.join(outdir, "interpolation.csv"), rep)
         elif suite == "nonlinear":
             rep = nonlinear_estimate_scan(5, np.geomspace(1e-2, 1.0, 5), p, grid, seed=seed)
-            _report_csv(os.path.join(outdir, "nonlinear.csv"), rep)
+            failed |= _report_csv(os.path.join(outdir, "nonlinear.csv"), rep)
         elif suite == "recursion":
             cases = [(0.1, 1.0, 0.25), (0.0, 1.0, 0.5), (0.05, 2.0, 0.1)]
             if "recursion.a0" in cfg:

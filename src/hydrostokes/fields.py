@@ -1,6 +1,6 @@
 """Spectral and collocation fields, transforms and calculus on the layer.
 
-Normalization table (tested in tests/test_fields.py):
+Normalization table (tested in tests/test_basis_fields.py):
 
   horizontal forward   fft2 / N^2      -> classical Fourier coefficients
   horizontal inverse   ifft2 * N^2
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as sfft
 
-from .basis import Grid, VerticalBasis
+from .basis import Grid
 
 REALITY_TOL = 1e-12
 
@@ -51,13 +51,10 @@ class SpectralField:
     def reality_defect(self):
         """Max deviation from c(-m,-n,k) = conj(c(m,n,k))."""
         c = self.coeffs
-        flipped = np.conj(np.roll(c[:, ::-1, ::-1, :], shift=(1, 1), axis=(1, 2)))
-        return float(np.abs(c - flipped).max())
+        return float(np.abs(c - _conj_reflection(c)).max())
 
     def enforce_reality(self):
-        c = self.coeffs
-        flipped = np.conj(np.roll(c[:, ::-1, ::-1, :], shift=(1, 1), axis=(1, 2)))
-        self.coeffs = 0.5 * (c + flipped)
+        self.coeffs = hermitian_part(self.coeffs)
         return self
 
     def norm2(self):
@@ -92,6 +89,16 @@ class PhysicalField:
 
     def copy(self):
         return PhysicalField(self.values.copy(), self.grid)
+
+
+def _conj_reflection(c: np.ndarray) -> np.ndarray:
+    """conj(c(-m,-n,...)) for coefficients with FFT-ordered axes 1 and 2."""
+    return np.conj(np.roll(c[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2)))
+
+
+def hermitian_part(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the real part of the field: (c(m,n) + conj c(-m,-n)) / 2."""
+    return 0.5 * (c + _conj_reflection(c))
 
 
 def zero_nyquist(c: SpectralField) -> SpectralField:
@@ -148,8 +155,7 @@ def vertical_derivative(c: SpectralField) -> PhysicalField:
     The derivative of a sine series lives in the cosine span, so the result
     is returned as node values, not re-projected.
     """
-    basis = VerticalBasis(c.grid)
-    a = c.coeffs * basis.lambdas
+    a = c.coeffs * c.grid.basis.lambdas
     u = sfft.ifft2(a * c.grid.N**2, axes=(1, 2))
     vals = sfft.dct(u, type=4, axis=3) / 2.0
     return PhysicalField(vals.real, c.grid)
@@ -160,8 +166,7 @@ def vertical_mean(c: SpectralField) -> np.ndarray:
 
     Exact: the integral of phi_k is 1/lambda_k.  Returns shape (ncomp, N, N).
     """
-    basis = VerticalBasis(c.grid)
-    return np.sum(c.coeffs / basis.lambdas, axis=3) / c.grid.h
+    return np.sum(c.coeffs / c.grid.basis.lambdas, axis=3) / c.grid.h
 
 
 def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
@@ -172,30 +177,48 @@ def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
     """
     if c.ncomp != 1:
         raise ValueError(f"expected a scalar field, got ncomp={c.ncomp}")
-    basis = VerticalBasis(c.grid)
-    b = c.coeffs / basis.lambdas
+    b = c.coeffs / c.grid.basis.lambdas
     const = np.sum(b, axis=3, keepdims=True)
     prof = const - sfft.dct(b, type=4, axis=3) / 2.0
     u = sfft.ifft2(prof * c.grid.N**2, axes=(1, 2))
     return PhysicalField(u.real, c.grid)
 
 
+def gradient(v: SpectralField, check_reality: bool = True) -> PhysicalField:
+    """Node values of (dx v, dy v, dz v), stacked componentwise."""
+    parts = [
+        inverse_transform(horizontal_derivative(v, "x"), check_reality=check_reality).values,
+        inverse_transform(horizontal_derivative(v, "y"), check_reality=check_reality).values,
+        vertical_derivative(v).values,
+    ]
+    return PhysicalField(np.concatenate(parts, axis=0), v.grid)
+
+
+def weighted_lp(a: np.ndarray, p, weight: float, axis=None):
+    """(sum weight * a^p)^{1/p} of non-negative values a; the max for p = inf."""
+    if p == np.inf:
+        return a.max(axis=axis)
+    return (np.sum(a**p, axis=axis) * weight) ** (1.0 / p)
+
+
+def column_norms(f: PhysicalField, p) -> np.ndarray:
+    """L^p_z norm of each column of the pointwise magnitude, shape (N, N).
+
+    Vertical integrals use the midpoint rule (weight h/K).  For vector fields
+    the pointwise Euclidean magnitude is taken first.
+    """
+    g = f.grid
+    mag = np.sqrt(np.sum(f.values**2, axis=0))
+    return weighted_lp(mag, p, g.h / g.K, axis=2)
+
+
 def norm_anisotropic(f: PhysicalField, q, p) -> float:
     """Mixed norm L^q_H L^p_z: vertical L^p per column, then horizontal L^q.
 
-    Vertical integrals use the midpoint rule (weight h/K), horizontal ones
-    the node rule (weight 1/N^2); infinite exponents take node maxima.  For
-    vector fields the pointwise Euclidean magnitude is taken first.
+    Horizontal integrals use the node rule (weight 1/N^2); infinite exponents
+    take node maxima.
     """
     for e in (q, p):
         if e != np.inf and e < 1:
             raise ValueError(f"exponents must be in [1, inf], got {e}")
-    g = f.grid
-    mag = np.sqrt(np.sum(f.values**2, axis=0))
-    if p == np.inf:
-        col = mag.max(axis=2)
-    else:
-        col = (np.sum(mag**p, axis=2) * (g.h / g.K)) ** (1.0 / p)
-    if q == np.inf:
-        return float(col.max())
-    return float((np.sum(col**q) / g.N**2) ** (1.0 / q))
+    return float(weighted_lp(column_norms(f, p), q, 1.0 / f.grid.N**2))

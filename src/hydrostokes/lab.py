@@ -14,15 +14,18 @@ import numpy as np
 import scipy.fft as sfft
 from scipy.integrate import quad
 
-from .basis import Grid, VerticalBasis
+from .basis import Grid
 from .fields import (
     PhysicalField,
-    SpectralField,
+    column_norms,
     forward_transform,
+    gradient,
+    hermitian_part,
     horizontal_derivative,
     inverse_transform,
     norm_anisotropic,
     vertical_derivative,
+    weighted_lp,
 )
 from .projection import helmholtz_2d, project_hydrostatic
 from .sampling import random_field
@@ -81,33 +84,24 @@ def kernel_l1_norm(lam: complex):
 # -- anisotropic Young -----------------------------------------------------
 
 
-def _mixed_norm_3d(a: np.ndarray, q, p) -> float:
-    """Mixed norm of values on a unit 3-torus grid, z along the last axis."""
-    n = a.shape[-1]
-    mag = np.abs(a)
-    if p == np.inf:
-        col = mag.max(axis=-1)
-    else:
-        col = (np.sum(mag**p, axis=-1) / n) ** (1.0 / p)
-    if q == np.inf:
-        return float(col.max())
-    return float((np.sum(col**q) / col.size) ** (1.0 / q))
-
-
 def young_anisotropic_test(n_samples: int, q, p, n_grid: int = 8, seed: int = 0) -> ScanReport:
-    """Discrete periodic convolution: ||g*f||_{q,p} <= ||g||_1 ||f||_{q,p}."""
+    """Discrete periodic convolution: ||g*f||_{q,p} <= ||g||_1 ||f||_{q,p}.
+
+    Scalar samples live on the unit 3-torus, viewed as the unit-depth layer.
+    """
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
     vol = 1.0 / n_grid**3
+    cube = Grid(n_grid, n_grid, 1.0)
     for i in range(n_samples):
         f = rng.standard_normal((n_grid,) * 3)
         g = rng.standard_normal((n_grid,) * 3)
         conv = sfft.ifftn(sfft.fftn(f) * sfft.fftn(g)).real * vol
-        denom = np.sum(np.abs(g)) * vol * _mixed_norm_3d(f, q, p)
+        denom = np.sum(np.abs(g)) * vol * norm_anisotropic(PhysicalField(f[None], cube), q, p)
         if denom < DENOM_FLOOR:
             skipped += 1
             continue
-        ratios.append(_mixed_norm_3d(conv, q, p) / denom)
+        ratios.append(norm_anisotropic(PhysicalField(conv[None], cube), q, p) / denom)
         params.append(i)
     return ScanReport("young", params, ratios, skipped=skipped, notes=f"(q,p)=({q},{p})")
 
@@ -236,21 +230,7 @@ def resolvent_scan(
                 if derivative_datum:
                     lhs = np.sqrt(abs(lam)) * norm_anisotropic(vphys, q, p)
                 else:
-                    gphys = PhysicalField(
-                        np.concatenate(
-                            [
-                                inverse_transform(
-                                    horizontal_derivative(v, "x"), check_reality=False
-                                ).values,
-                                inverse_transform(
-                                    horizontal_derivative(v, "y"), check_reality=False
-                                ).values,
-                                vertical_derivative(v).values,
-                            ],
-                            axis=0,
-                        ),
-                        grid,
-                    )
+                    gphys = gradient(v, check_reality=False)
                     lhs = abs(lam) * norm_anisotropic(vphys, q, p) + np.sqrt(
                         abs(lam)
                     ) * norm_anisotropic(gphys, q, p)
@@ -273,14 +253,14 @@ def horizontal_multiplier_scan(
     """|tau|^{1/2} ||grad_H e^{tau Delta_H} Q f||_inf / ||f||_inf on the 2-torus."""
     grid = Grid(N, 1, 1.0)
     xix, xiy = grid.xi_vectors()
-    xi2 = xix**2 + xiy**2
+    xi2 = grid.xi2
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
     env = (1.0 + xi2 / (2 * np.pi) ** 2) ** (-1.0)
     for i in range(n_samples):
         ghat = (rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))) * env
         # enforce reality of the sample field
-        ghat = 0.5 * (ghat + np.conj(np.roll(ghat[:, ::-1, ::-1], (1, 1), axis=(1, 2))))
+        ghat = hermitian_part(ghat)
         fn = np.abs(np.linalg.norm(_phys2d(ghat, N).real, axis=0)).max()
         if fn < DENOM_FLOOR:
             skipped += 1
@@ -312,7 +292,7 @@ def q_linfty_growth(N_list, seed: int = 0, n_samples: int = 10):
         for _ in range(n_samples):
             # rough sample: flat spectrum stresses the unboundedness
             ghat = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
-            ghat = 0.5 * (ghat + np.conj(np.roll(ghat[:, ::-1, ::-1], (1, 1), axis=(1, 2))))
+            ghat = hermitian_part(ghat)
             f = np.linalg.norm(_phys2d(ghat, N).real, axis=0).max()
             qf = np.linalg.norm(_phys2d(helmholtz_2d(ghat, grid), N).real, axis=0).max()
             sup = max(sup, qf / f)
@@ -360,8 +340,8 @@ def interpolation_ratio(
             ),
             grid,
         )
-        vcol = _column_lq(vphys, q, grid)
-        gcol = _column_lq(gphys, q, grid)
+        vcol = column_norms(vphys, q)
+        gcol = column_norms(gphys, q)
         center = rng.random(2)
         for r in r_grid:
             mask = _disk_mask(grid, center, r)
@@ -369,8 +349,8 @@ def interpolation_ratio(
                 skipped += 1
                 continue
             lhs = vcol[mask].max()
-            vp = (np.sum(vcol[mask] ** p) / grid.N**2) ** (1.0 / p)
-            gp = (np.sum(gcol[mask] ** p) / grid.N**2) ** (1.0 / p)
+            vp = weighted_lp(vcol[mask], p, 1.0 / grid.N**2)
+            gp = weighted_lp(gcol[mask], p, 1.0 / grid.N**2)
             denom = r ** (-2.0 / p) * (vp + r * gp)
             if denom < DENOM_FLOOR:
                 skipped += 1
@@ -380,23 +360,15 @@ def interpolation_ratio(
     return ScanReport("interpolation", params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)
 
 
-def _column_lq(f: PhysicalField, q, grid: Grid) -> np.ndarray:
-    mag = np.sqrt(np.sum(f.values**2, axis=0))
-    if q == np.inf:
-        return mag.max(axis=2)
-    return (np.sum(mag**q, axis=2) * (grid.h / grid.K)) ** (1.0 / q)
-
-
 def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0) -> ScanReport:
     """||grad_H pi||_{L^p(B_r)} / (r^{2/p}(1+|log r|) ||F||_inf), Delta_H pi = div_H F."""
     grid = Grid(N, 1, 1.0)
-    xix, xiy = grid.xi_vectors()
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
-    env = (1.0 + (xix**2 + xiy**2) / (2 * np.pi) ** 2) ** (-0.75)
+    env = (1.0 + grid.xi2 / (2 * np.pi) ** 2) ** (-0.75)
     for i in range(n_samples):
         Fhat = (rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))) * env
-        Fhat = 0.5 * (Fhat + np.conj(np.roll(Fhat[:, ::-1, ::-1], (1, 1), axis=(1, 2))))
+        Fhat = hermitian_part(Fhat)
         # grad_H pi is the xi-parallel part of F
         grad = Fhat - helmholtz_2d(Fhat, grid)
         gphys = np.linalg.norm(_phys2d(grad, N).real, axis=0)

@@ -6,7 +6,10 @@ directions).  The vertical velocity w lives in the cosine/constant span and
 is carried as node values only.
 """
 
+from functools import cache
+
 import numpy as np
+import scipy.fft as sfft
 
 from .basis import Grid
 from .fields import (
@@ -21,6 +24,7 @@ from .fields import (
 )
 
 
+@cache
 def padded_grid(grid: Grid) -> Grid:
     Np = 3 * grid.N // 2
     Np += Np % 2
@@ -104,13 +108,8 @@ def vertical_velocity_top(v: SpectralField) -> np.ndarray:
     Per mode w(0) = -sum_k d_k / lambda_k with d the divergence coefficients,
     which vanishes identically on solenoidal fields.
     """
-    import scipy.fft as sfft
-
-    from .basis import VerticalBasis
-
     d = divergence_h(v)
-    basis = VerticalBasis(v.grid)
-    top = -np.sum(d.coeffs[0] / basis.lambdas, axis=2)
+    top = -np.sum(d.coeffs[0] / v.grid.basis.lambdas, axis=2)
     return sfft.ifft2(top * v.grid.N**2).real
 
 

@@ -8,31 +8,10 @@ the renormalized expansion betas/sigma_K so that P is exactly idempotent and
 the projected mean is exactly divergence-free.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .basis import Grid, VerticalBasis
+from .basis import Grid
 from .fields import SpectralField, vertical_mean
-
-
-@dataclass
-class ProjectionTables:
-    """Per-wavenumber projector directions and the z-constant expansion."""
-
-    xi_hat: np.ndarray  # (2, N, N); zero vector at xi = 0
-    betas_t: np.ndarray  # (K,), renormalized expansion of the constant 1
-    grid: Grid
-
-    @classmethod
-    def build(cls, grid: Grid):
-        xix, xiy = grid.xi_vectors()
-        norm = np.hypot(xix, xiy)
-        norm[0, 0] = 1.0  # unused at xi = 0
-        xi_hat = np.stack([xix / norm, xiy / norm])
-        xi_hat[:, 0, 0] = 0.0
-        basis = VerticalBasis(grid)
-        return cls(xi_hat, basis.betas_t, grid)
 
 
 def helmholtz_2d(ghat: np.ndarray, grid: Grid) -> np.ndarray:
@@ -41,12 +20,12 @@ def helmholtz_2d(ghat: np.ndarray, grid: Grid) -> np.ndarray:
     Per wavenumber xi != 0 removes the component along xi; the zero mode is
     untouched (constants are divergence-free).
     """
-    tab = ProjectionTables.build(grid)
-    par = np.einsum("cmn,cmn->mn", tab.xi_hat, ghat)
-    return ghat - tab.xi_hat * par[None, :, :]
+    xi_hat = grid.xi_hat
+    par = np.einsum("cmn,cmn->mn", xi_hat, ghat)
+    return ghat - xi_hat * par[None, :, :]
 
 
-def project_hydrostatic(f: SpectralField, tables: ProjectionTables | None = None) -> SpectralField:
+def project_hydrostatic(f: SpectralField) -> SpectralField:
     """Hydrostatic Helmholtz projection P f = f - (1-Q) fbar.
 
     Subtracts, per wavenumber xi != 0, the xi-parallel part of the vertical
@@ -55,10 +34,10 @@ def project_hydrostatic(f: SpectralField, tables: ProjectionTables | None = None
     """
     if f.ncomp != 2:
         raise ValueError(f"hydrostatic projection needs ncomp=2, got {f.ncomp}")
-    tab = tables if tables is not None else ProjectionTables.build(f.grid)
+    xi_hat = f.grid.xi_hat
     mean = vertical_mean(f)  # (2, N, N)
-    mpar = np.einsum("cmn,cmn->mn", tab.xi_hat, mean)
-    out = f.coeffs - np.einsum("cmn,k->cmnk", tab.xi_hat * mpar[None], tab.betas_t)
+    mpar = np.einsum("cmn,cmn->mn", xi_hat, mean)
+    out = f.coeffs - np.einsum("cmn,k->cmnk", xi_hat * mpar[None], f.grid.basis.betas_t)
     return SpectralField(out, f.grid)
 
 
@@ -82,12 +61,10 @@ def recover_pressure_gradient(v: SpectralField, f: SpectralField) -> np.ndarray:
     shear per mode is sum_k lambda_k c_k since phi_k'(-h) = lambda_k.
     """
     g = v.grid
-    basis = VerticalBasis(g)
-    tab = ProjectionTables.build(g)
-    shear = np.sum(v.coeffs * basis.lambdas, axis=3) / g.h  # (2, N, N)
+    shear = np.sum(v.coeffs * g.basis.lambdas, axis=3) / g.h  # (2, N, N)
     rhs = vertical_mean(f) - shear
-    par = np.einsum("cmn,cmn->mn", tab.xi_hat, rhs)
-    return tab.xi_hat * par[None, :, :]
+    par = np.einsum("cmn,cmn->mn", g.xi_hat, rhs)
+    return g.xi_hat * par[None, :, :]
 
 
 def recover_pressure(v: SpectralField, f: SpectralField) -> np.ndarray:
@@ -95,7 +72,7 @@ def recover_pressure(v: SpectralField, f: SpectralField) -> np.ndarray:
     g = v.grid
     grad = recover_pressure_gradient(v, f)
     xix, xiy = g.xi_vectors()
-    xi2 = xix**2 + xiy**2
+    xi2 = g.xi2.copy()
     xi2[0, 0] = 1.0
     # grad = i xi pihat  =>  pihat = -i xi . grad / |xi|^2
     pihat = -1j * (xix * grad[0] + xiy * grad[1]) / xi2

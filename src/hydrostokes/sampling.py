@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .basis import Grid, VerticalBasis
+from .basis import Grid
 from .fields import SpectralField, zero_nyquist
 from .projection import project_hydrostatic
 
@@ -22,9 +22,7 @@ def random_field(
     flat-spectrum component of size ``rough_amplitude`` models rough data.
     """
     rng = np.random.default_rng(seed)
-    basis = VerticalBasis(grid)
-    xix, xiy = grid.xi_vectors()
-    wave2 = (xix**2 + xiy**2)[:, :, None] + basis.lambdas**2
+    wave2 = grid.xi2[:, :, None] + grid.basis.lambdas**2
     envelope = (1.0 + wave2 / wave2.min()) ** (-decay / 2.0)
     shape = (ncomp, grid.N, grid.N, grid.K)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -19,7 +19,7 @@ from collections import OrderedDict
 import numpy as np
 from scipy.linalg import expm, null_space
 
-from .basis import Grid, VerticalBasis
+from .basis import Grid
 from .fields import SpectralField
 
 SINGULARITY_TOL = 1e-10
@@ -65,7 +65,7 @@ class StokesOperator:
 
     def __init__(self, grid: Grid, cache_size: int = 4096):
         self.grid = grid
-        self.basis = VerticalBasis(grid)
+        self.basis = grid.basis
         lam = self.basis.lambdas
         self.lam2 = lam**2
         # rank-one bottom-shear coupling, parallel component only
@@ -73,12 +73,8 @@ class StokesOperator:
         self.Mz = np.diag(-self.lam2) + self.R
         self.Mz_eigs = np.linalg.eigvals(self.Mz)
 
-        xix, xiy = grid.xi_vectors()
-        self.xi2 = xix**2 + xiy**2
-        norm = np.sqrt(self.xi2)
-        norm[0, 0] = 1.0
-        self.xi_hat = np.stack([xix / norm, xiy / norm])
-        self.xi_hat[:, 0, 0] = 0.0
+        self.xi2 = grid.xi2
+        self.xi_hat = grid.xi_hat
         self.xi_perp = np.stack([-self.xi_hat[1], self.xi_hat[0]])
         self.s_values = np.unique(self.xi2)
 

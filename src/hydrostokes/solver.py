@@ -13,16 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid
-from .fields import (
-    PhysicalField,
-    SpectralField,
-    horizontal_derivative,
-    inverse_transform,
-    norm_anisotropic,
-    vertical_derivative,
-)
+from .fields import SpectralField, gradient, inverse_transform, norm_anisotropic
 from .nonlinear import advection
-from .projection import ProjectionTables, check_solenoidal, project_hydrostatic
+from .projection import check_solenoidal, project_hydrostatic
 from .semigroup import StokesOperator
 
 
@@ -48,7 +41,6 @@ class SolverConfig:
     picard_tol: float = 1e-10
     dealias: bool = True
     reproject: bool = True
-    seed: int = 0
     snapshot_every: int = 1
 
     def __post_init__(self):
@@ -56,8 +48,13 @@ class SolverConfig:
             raise ValueError(f"norm exponent p must be > 3, got {self.p}")
         if not 0 < self.dt <= self.T:
             raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        # the time nodes are the multiples of dt, and the last one must be T
+        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
+            raise ValueError(f"T must be a multiple of dt, got dt={self.dt}, T={self.T}")
         if self.delta < 0:
             raise ValueError(f"smoothing time must be >= 0, got {self.delta}")
+        if self.snapshot_every < 1:
+            raise ValueError(f"snapshot interval must be >= 1, got {self.snapshot_every}")
 
     def grid(self) -> Grid:
         return Grid(self.N, self.K, self.h)
@@ -94,13 +91,7 @@ def mixed_norm(v: SpectralField, p: float) -> float:
 
 def grad_mixed_norm(v: SpectralField, p: float) -> float:
     """||grad v||_{L^inf_H L^p_z}, full gradient stacked componentwise."""
-    parts = [
-        inverse_transform(horizontal_derivative(v, "x")).values,
-        inverse_transform(horizontal_derivative(v, "y")).values,
-        vertical_derivative(v).values,
-    ]
-    stacked = PhysicalField(np.concatenate(parts, axis=0), v.grid)
-    return norm_anisotropic(stacked, np.inf, p)
+    return norm_anisotropic(gradient(v), np.inf, p)
 
 
 def _s_norm(v_list, times, p):
@@ -124,17 +115,34 @@ def split_data(op: StokesOperator, a: SpectralField, delta: float):
     return a_ref, a0
 
 
-def _nonlinearity(v, config, tables):
+def _nonlinearity(v, config):
     f = advection(v, dealias=config.dealias)
     f.coeffs = -f.coeffs
-    return project_hydrostatic(f, tables)
+    return project_hydrostatic(f)
+
+
+def _duhamel(op: StokesOperator, free, F, times):
+    """Trapezoidal Duhamel sums on a uniform time grid, one per node n >= 1.
+
+    ``free`` yields the coefficients of the free part e^{t_n A} a for
+    n = 1, 2, ...; each sum is e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds
+    with F given at every node.
+    """
+    for n, free_n in enumerate(free, start=1):
+        dt = times[1] - times[0]
+        acc = free_n.copy()
+        for j in range(n + 1):
+            w = 0.5 * dt if j in (0, n) else dt
+            tau = times[n] - times[j]
+            term = F[j] if tau == 0 else op.semigroup_apply(tau, F[j])
+            acc += w * term.coeffs
+        yield acc
 
 
 def reference_solve(
     op: StokesOperator, a_ref: SpectralField, T: float, dt: float, config: SolverConfig
 ) -> Trajectory:
     """Exponential-Euler integration v_{n+1} = e^{dtA} v_n + dt phi1(dtA) P F(v_n)."""
-    tables = ProjectionTables.build(op.grid)
     nsteps = int(round(T / dt))
     times = dt * np.arange(nsteps + 1)
     v = a_ref.copy()
@@ -142,11 +150,11 @@ def reference_solve(
     energy = [v.norm2()]
     guard = max(energy[0], 1e-300) * 1e6
     for _ in range(nsteps):
-        F = _nonlinearity(v, config, tables)
+        F = _nonlinearity(v, config)
         stepped = op.semigroup_apply(dt, v).coeffs + dt * op.phi1_apply(dt, F).coeffs
         v = SpectralField(stepped, op.grid)
         if config.reproject:
-            v = project_hydrostatic(v, tables)
+            v = project_hydrostatic(v)
         e = v.norm2()
         if not np.isfinite(e) or e > guard:
             raise SolverDivergenceError(
@@ -173,8 +181,6 @@ def picard_iterate(
     times = times[keep]
     vref = [s for s, k in zip(v_ref.snapshots, keep) if k]
     n_nodes = len(times)
-    dt = times[1] - times[0]
-    tables = ProjectionTables.build(op.grid)
     p = config.p
 
     free = [op.semigroup_apply(t, a0) for t in times]
@@ -192,16 +198,9 @@ def picard_iterate(
             f = advection(V[j], V[j], dealias=config.dealias).coeffs
             f += advection(V[j], vref[j], dealias=config.dealias).coeffs
             f += advection(vref[j], V[j], dealias=config.dealias).coeffs
-            F.append(project_hydrostatic(SpectralField(-f, op.grid), tables))
-        Vnew = [free[0].copy()]
-        for n in range(1, n_nodes):
-            acc = free[n].coeffs.copy()
-            for j in range(n + 1):
-                w = 0.5 * dt if j in (0, n) else dt
-                tau = times[n] - times[j]
-                term = F[j] if tau == 0 else op.semigroup_apply(tau, F[j])
-                acc += w * term.coeffs
-            Vnew.append(SpectralField(acc, op.grid))
+            F.append(project_hydrostatic(SpectralField(-f, op.grid)))
+        sums = _duhamel(op, (s.coeffs for s in free[1:]), F, times)
+        Vnew = [free[0].copy()] + [SpectralField(acc, op.grid) for acc in sums]
 
         diff = [SpectralField(a.coeffs - b.coeffs, op.grid) for a, b in zip(Vnew, V)]
         dS, _, _ = _s_norm(diff, times, p)
@@ -279,18 +278,10 @@ def mild_residual(op: StokesOperator, traj: Trajectory, config: SolverConfig) ->
     F(v) = -P (u . grad) v.
     """
     times = traj.times
-    tables = ProjectionTables.build(op.grid)
-    F = [_nonlinearity(s, config, tables) for s in traj.snapshots]
+    F = [_nonlinearity(s, config) for s in traj.snapshots]
+    a = traj.snapshots[0]
+    free = (op.semigroup_apply(t, a).coeffs for t in times[1:])
     res = np.zeros(len(times))
-    for n, t in enumerate(times):
-        if n == 0:
-            continue
-        dt = times[1] - times[0]
-        acc = op.semigroup_apply(t, traj.snapshots[0]).coeffs.copy()
-        for j in range(n + 1):
-            w = 0.5 * dt if j in (0, n) else dt
-            tau = t - times[j]
-            term = F[j] if tau == 0 else op.semigroup_apply(tau, F[j])
-            acc += w * term.coeffs
+    for n, acc in enumerate(_duhamel(op, free, F, times), start=1):
         res[n] = SpectralField(traj.snapshots[n].coeffs - acc, op.grid).norm2()
     return res

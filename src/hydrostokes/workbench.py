@@ -13,6 +13,8 @@ from .solver import SolverConfig
 
 SNAPSHOT_MAGIC = b"HSTK1"
 SNAPSHOT_VERSION = 1
+# version, ncomp, N, K, h, time
+SNAPSHOT_HEADER = struct.Struct("<IIIIdd")
 
 CONFIG_KEYS = {
     "grid.n": int,
@@ -94,7 +96,6 @@ def solver_config(cfg: dict) -> SolverConfig:
             picard_tol=cfg.get("picard.tol", 1e-10),
             dealias=cfg.get("dealias", True),
             reproject=cfg.get("reproject", True),
-            seed=cfg.get("seed", 0),
             snapshot_every=cfg.get("snapshot.every", 1),
         )
     except ValueError as exc:
@@ -138,8 +139,8 @@ def initial_data(cfg: dict, grid: Grid) -> SpectralField:
 def write_snapshot(path: str, field: SpectralField, time: float):
     """Binary snapshot, written to a temp file then renamed (no partial files)."""
     g = field.grid
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<IIIIdd", SNAPSHOT_VERSION, field.ncomp, g.N, g.K, g.h, time
+    header = SNAPSHOT_MAGIC + SNAPSHOT_HEADER.pack(
+        SNAPSHOT_VERSION, field.ncomp, g.N, g.K, g.h, time
     )
     payload = np.ascontiguousarray(field.coeffs, dtype=np.complex128)
     # interleaved (re, im) little-endian f64 in index order comp, m, n, k
@@ -162,9 +163,21 @@ def read_snapshot(path: str):
         magic = fh.read(5)
         if magic != SNAPSHOT_MAGIC:
             raise ConfigError(f"bad snapshot magic {magic!r} in {path}")
-        version, ncomp, N, K, h, time = struct.unpack("<IIIIdd", fh.read(struct.calcsize("<IIIIdd")))
+        header = fh.read(SNAPSHOT_HEADER.size)
+        if len(header) != SNAPSHOT_HEADER.size:
+            raise ConfigError(f"truncated snapshot header in {path}")
+        version, ncomp, N, K, h, time = SNAPSHOT_HEADER.unpack(header)
         if version != SNAPSHOT_VERSION:
             raise ConfigError(f"unsupported snapshot version {version}")
         body = fh.read()
+    try:
+        grid = Grid(N, K, h)
+    except ValueError as exc:
+        raise ConfigError(f"bad snapshot grid in {path}: {exc}") from exc
+    if ncomp < 1:
+        raise ConfigError(f"bad snapshot component count {ncomp} in {path}")
+    expect = ncomp * N * N * K * 16
+    if len(body) != expect:
+        raise ConfigError(f"snapshot body in {path} has {len(body)} bytes, header implies {expect}")
     coeffs = np.frombuffer(body, dtype="<c16").reshape(ncomp, N, N, K).astype(complex)
-    return SpectralField(coeffs, Grid(N, K, h)), time
+    return SpectralField(coeffs, grid), time

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydrostokes.basis
 from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import (
     PhysicalField,
@@ -17,7 +18,10 @@ from hydrostokes.fields import (
     vertical_integral_from_bottom,
     vertical_mean,
 )
+from hydrostokes.nonlinear import padded_grid
+from hydrostokes.projection import project_hydrostatic
 from hydrostokes.sampling import random_field
+from hydrostokes.semigroup import StokesOperator
 
 
 # -- grid validation ------------------------------------------------------
@@ -35,6 +39,29 @@ def test_grid_nodes(grid8):
     assert np.allclose(grid8.x, np.arange(8) / 8)
     # vertical midpoints: z_j = -h + (2j+1)h/(2K)
     assert np.allclose(grid8.z, -1.0 + (2 * np.arange(8) + 1) / 16)
+
+
+def test_grid_tables_built_once_and_read_only(monkeypatch):
+    builds = []
+
+    class CountingBasis(VerticalBasis):
+        def __init__(self, grid):
+            builds.append(grid)
+            super().__init__(grid)
+
+    monkeypatch.setattr(hydrostokes.basis, "VerticalBasis", CountingBasis)
+    g = Grid(8, 4, 1.0)
+    f = random_field(g, seed=0)
+    vertical_mean(f)
+    vertical_derivative(f)
+    project_hydrostatic(f)
+    op = StokesOperator(g)
+    assert builds == [g]
+    assert g.basis is op.basis and g.xi2 is g.xi2 is op.xi2 and g.xi_hat is g.xi_hat
+    assert padded_grid(g) is padded_grid(g)
+    for table in (g.xi2, g.xi_hat, g.basis.lambdas, g.basis.betas, g.basis.betas_t):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
 
 
 def test_vertical_basis_eigenvalues_and_orthogonality():

@@ -31,7 +31,16 @@ def op16():
 
 @pytest.mark.parametrize(
     "bad",
-    [dict(p=3.0), dict(p=2.0), dict(dt=0.2, T=0.1), dict(dt=0.0), dict(delta=-1.0)],
+    [
+        dict(p=3.0),
+        dict(p=2.0),
+        dict(dt=0.2, T=0.1),
+        dict(dt=0.0),
+        dict(delta=-1.0),
+        dict(snapshot_every=0),
+        dict(dt=0.003, T=0.01),
+        dict(dt=0.0035, T=0.01, delta=0.0),
+    ],
 )
 def test_config_validation(bad):
     with pytest.raises(ValueError):

@@ -2,13 +2,18 @@
 
 import csv
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hydrostokes.basis import Grid
+import hydrostokes.cli
 from hydrostokes.cli import main
 from hydrostokes.fields import PhysicalField, forward_transform
+from hydrostokes.lab import ScanReport
 from hydrostokes.sampling import random_field
 from hydrostokes.workbench import (
     ConfigError,
@@ -121,6 +126,31 @@ def test_snapshot_rejects_garbage(tmp_path):
         read_snapshot(path)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.sampled_from([4, 6, 8]),
+    K=st.integers(1, 4),
+    h=st.floats(0.1, 10.0),
+    time=st.floats(0.0, 100.0),
+    seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_snapshot_round_trip_and_truncation(N, K, h, time, seed, data):
+    f = random_field(Grid(N, K, h), ncomp=2, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.hstk")
+        write_snapshot(path, f, time)
+        g, t = read_snapshot(path)
+        assert t == time and g.grid == f.grid
+        assert np.array_equal(g.coeffs, f.coeffs)
+        raw = open(path, "rb").read()
+        cut = data.draw(st.integers(1, len(raw)))
+        with open(path, "wb") as fh:
+            fh.write(raw[:-cut])
+        with pytest.raises(ConfigError):
+            read_snapshot(path)
+
+
 # -- CLI ------------------------------------------------------------------
 
 
@@ -185,6 +215,19 @@ def test_cli_norms_constant_one_snapshot(tmp_path, capsys):
     assert float(line.split("=")[1]) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
+def test_cli_norms_corrupt_snapshot_exit_2(tmp_path):
+    snap = str(tmp_path / "a.hstk")
+    write_snapshot(snap, random_field(Grid(8, 4, 1.0), seed=0), 0.0)
+    raw = open(snap, "rb").read()
+    with open(snap, "wb") as fh:
+        fh.write(raw[:-16])
+    assert run_cli(["norms", snap]) == 2
+    # zero N in the header: magic (5 bytes), then version and ncomp as u32
+    with open(snap, "wb") as fh:
+        fh.write(raw[:13] + bytes(4) + raw[17:])
+    assert run_cli(["norms", snap]) == 2
+
+
 def test_cli_corrupt_config_exit_2(tmp_path):
     cfg = write(tmp_path, "grid.n = 15\n")
     assert run_cli(["simulate", "--config", cfg]) == 2
@@ -214,6 +257,16 @@ def test_cli_verify_recursion_violation_exit_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write(tmp_path, "recursion.a0 = 0.2\nrecursion.c1 = 1.0\nrecursion.c2 = 0.25\n")
     assert run_cli(["verify", "recursion", "--config", cfg]) == 1
+
+
+def test_cli_verify_non_finite_sup_exit_1(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(
+        hydrostokes.cli,
+        "resolvent_scan",
+        lambda *args, **kwargs: ScanReport("resolvent", [0], [np.nan]),
+    )
+    assert run_cli(["verify", "resolvent"]) == 1
 
 
 def test_cli_verify_unknown_suite():
