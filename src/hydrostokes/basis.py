@@ -33,8 +33,8 @@ class Grid:
             raise ValueError(f"N must be even and >= 4, got {self.N}")
         if self.K < 1:
             raise ValueError(f"K must be >= 1, got {self.K}")
-        if not self.h > 0:
-            raise ValueError(f"h must be positive, got {self.h}")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"h must be positive and finite, got {self.h}")
 
     @property
     def x(self):

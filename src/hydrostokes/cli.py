@@ -64,6 +64,24 @@ def _write_csv(path: str, header, rows):
     os.replace(tmp, path)
 
 
+def _config_grid(cfg: dict) -> Grid:
+    """The grid a config names; ConfigError when it is not a valid grid."""
+    try:
+        return Grid(cfg.get("grid.n", 16), cfg.get("grid.k", 16), cfg.get("grid.h", 1.0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _exponent(text: str) -> float:
+    """A norm exponent given on the command line: a number >= 1 or 'inf'."""
+    try:
+        if float(text) >= 1:
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"exponent must be a number >= 1 or 'inf', got {text!r}")
+
+
 def _report_csv(path: str, report: ScanReport) -> bool:
     """Write the report's ratios; return True when its sup ratio is not finite."""
     rows = [(report.estimate, repr(p), f"{r:.12e}") for p, r in zip(report.params, report.ratios)]
@@ -112,21 +130,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = {}
-    if args.config:
-        try:
-            cfg = parse_config(args.config)
-        except (ConfigError, OSError) as exc:
-            _err(f"config: {exc}")
-            return EXIT_CONFIG
+    try:
+        cfg = parse_config(args.config) if args.config else {}
+        grid = _config_grid(cfg)
+        p = cfg.get("norm.p", 4.0)
+        if not p >= 1:
+            raise ConfigError(f"norm.p must be >= 1, got {p}")
+    except (ConfigError, OSError) as exc:
+        _err(f"config: {exc}")
+        return EXIT_CONFIG
     if args.suite not in VERIFY_SUITES:
         _err(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
         return EXIT_CONFIG
     outdir = cfg.get("output.dir", ".")
     os.makedirs(outdir, exist_ok=True)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
-    grid = Grid(cfg.get("grid.n", 16), cfg.get("grid.k", 16), cfg.get("grid.h", 1.0))
-    p = cfg.get("norm.p", 4.0)
     seed = cfg.get("seed", 0)
     failed = False
     for suite in suites:
@@ -203,24 +221,20 @@ def cmd_norms(args) -> int:
         _err(f"snapshot: {exc}")
         return EXIT_CONFIG
     phys = inverse_transform(field)
-    q = np.inf if args.q == "inf" else float(args.q)
-    p = np.inf if args.p == "inf" else float(args.p)
     print(f"time = {time:.10g}")
-    print(f"L^{args.q}_H L^{args.p}_z = {norm_anisotropic(phys, q, p):.12e}")
+    print(f"L^{args.q:g}_H L^{args.p:g}_z = {norm_anisotropic(phys, args.q, args.p):.12e}")
     print(f"L^2 = {field.norm2():.12e}")
     print(f"sup = {norm_anisotropic(phys, np.inf, np.inf):.12e}")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    cfg = {}
-    if args.config:
-        try:
-            cfg = parse_config(args.config)
-        except (ConfigError, OSError) as exc:
-            _err(f"config: {exc}")
-            return EXIT_CONFIG
-    grid = Grid(cfg.get("grid.n", 16), cfg.get("grid.k", 16), cfg.get("grid.h", 1.0))
+    try:
+        cfg = parse_config(args.config) if args.config else {}
+        grid = _config_grid(cfg)
+    except (ConfigError, OSError) as exc:
+        _err(f"config: {exc}")
+        return EXIT_CONFIG
     outdir = cfg.get("output.dir", ".")
     os.makedirs(outdir, exist_ok=True)
     rows = []
@@ -251,8 +265,8 @@ def main(argv=None) -> int:
 
     p_norm = sub.add_parser("norms", help="print norms of a snapshot file")
     p_norm.add_argument("snapshot")
-    p_norm.add_argument("--q", default="inf")
-    p_norm.add_argument("--p", default="2")
+    p_norm.add_argument("--q", default="inf", type=_exponent, help="horizontal, >= 1 or inf")
+    p_norm.add_argument("--p", default="2", type=_exponent, help="vertical, >= 1 or inf")
     p_norm.set_defaults(fn=cmd_norms)
 
     p_spec = sub.add_parser("spectrum", help="eigenvalue report per mode")

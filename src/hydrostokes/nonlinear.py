@@ -6,7 +6,7 @@ directions).  The vertical velocity w lives in the cosine/constant span and
 is carried as node values only.
 """
 
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.fft as sfft
@@ -113,28 +113,76 @@ def vertical_velocity_top(v: SpectralField) -> np.ndarray:
     return sfft.ifft2(top * v.grid.N**2).real
 
 
-def _advective_product(v1: SpectralField, v2: SpectralField) -> np.ndarray:
-    """Node values of (v1 . grad_H) v2 + w1 dz v2 on v1's grid."""
-    V1 = inverse_transform(v1).values
-    dxV2 = inverse_transform(horizontal_derivative(v2, "x")).values
-    dyV2 = inverse_transform(horizontal_derivative(v2, "y")).values
-    dzV2 = vertical_derivative(v2).values
-    w1 = vertical_velocity(v1).values[0]
-    return V1[0] * dxV2 + V1[1] * dyV2 + w1 * dzV2
+class _NodeSet:
+    """Node values on the product grid gp of one velocity field: u, its
+    derivatives dx u, dy u, dz u and its vertical velocity w.
+
+    Each is transformed on first use, so a field that only advects (u, w) or
+    is only advected (the derivatives) costs just those transforms.
+    """
+
+    def __init__(self, v: SpectralField, gp: Grid):
+        if v.ncomp != 2:
+            raise ValueError(f"products need 2-component velocity fields, got ncomp={v.ncomp}")
+        self.v = pad_coeffs(v, gp)
+
+    @cached_property
+    def u(self):
+        return inverse_transform(self.v).values
+
+    @cached_property
+    def dx(self):
+        return inverse_transform(horizontal_derivative(self.v, "x")).values
+
+    @cached_property
+    def dy(self):
+        return inverse_transform(horizontal_derivative(self.v, "y")).values
+
+    @cached_property
+    def dz(self):
+        return vertical_derivative(self.v).values
+
+    @cached_property
+    def w(self):
+        return vertical_velocity(self.v).values[0]
+
+
+def _advective_product(a: _NodeSet, b: _NodeSet) -> np.ndarray:
+    """Node values of (u_a . grad_H) v_b + w_a dz v_b."""
+    return a.u[0] * b.dx + a.u[1] * b.dy + a.w * b.dz
+
+
+def _node_sets(v1: SpectralField, v2: SpectralField | None, dealias: bool):
+    """Product grid and node sets of v1 and v2, shared when v2 is v1 or None."""
+    gp = padded_grid(v1.grid) if dealias else v1.grid
+    n1 = _NodeSet(v1, gp)
+    return gp, n1, n1 if v2 is None or v2 is v1 else _NodeSet(v2, gp)
+
+
+def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
+    """Coefficients of product node values on gp, truncated to grid."""
+    return truncate_coeffs(forward_transform(PhysicalField(prod, gp)), grid)
 
 
 def advection(
     v1: SpectralField, v2: SpectralField | None = None, dealias: bool = True
 ) -> SpectralField:
     """Dealiased (u1 . grad) v2 in convective form; v2 defaults to v1."""
-    if v2 is None:
-        v2 = v1
-    if v1.ncomp != 2 or v2.ncomp != 2:
-        raise ValueError("advection needs two 2-component fields")
-    gp = padded_grid(v1.grid) if dealias else v1.grid
-    v1p, v2p = pad_coeffs(v1, gp), pad_coeffs(v2, gp)
-    prod = PhysicalField(_advective_product(v1p, v2p), gp)
-    return truncate_coeffs(forward_transform(prod), v1.grid)
+    gp, n1, n2 = _node_sets(v1, v2, dealias)
+    return _truncated(_advective_product(n1, n2), gp, v1.grid)
+
+
+def coupled_advection(V: SpectralField, r: SpectralField, dealias: bool = True) -> SpectralField:
+    """Dealiased (V.grad)V + (V.grad)r + (r.grad)V, the Picard coupling term.
+
+    Equals advection(V, V) + advection(V, r) + advection(r, V) up to round-off,
+    but transforms V and r once each and does one forward transform.  The
+    three products are formed separately, not as B(V+r, V+r) - B(r, r),
+    which would cancel badly when V is small.
+    """
+    gp, nV, nr = _node_sets(V, r, dealias)
+    prod = _advective_product(nV, nV) + _advective_product(nV, nr) + _advective_product(nr, nV)
+    return _truncated(prod, gp, V.grid)
 
 
 def divergence_form(
@@ -147,22 +195,12 @@ def divergence_form(
     z-derivative of w1 is exactly -div_H v1 by construction (the product
     w1 v2 itself has no exact representation in the mixed basis).
     """
-    if v2 is None:
-        v2 = v1
-    if v1.ncomp != 2 or v2.ncomp != 2:
-        raise ValueError("divergence_form needs two 2-component fields")
-    grid = v1.grid
-    gp = padded_grid(grid) if dealias else grid
-    v1p, v2p = pad_coeffs(v1, gp), pad_coeffs(v2, gp)
-    V1 = inverse_transform(v1p).values
-    V2 = inverse_transform(v2p).values
+    gp, n1, n2 = _node_sets(v1, v2, dealias)
     out = np.zeros((2, gp.N, gp.N, gp.K), dtype=complex)
     for i, axis in enumerate(("x", "y")):
-        flux = forward_transform(PhysicalField(V1[i] * V2, gp))
+        flux = forward_transform(PhysicalField(n1.u[i] * n2.u, gp))
         out += horizontal_derivative(flux, axis).coeffs
-    divV1 = inverse_transform(divergence_h(v1p)).values[0]
-    dzV2 = vertical_derivative(v2p).values
-    w1 = vertical_velocity(v1p).values[0]
-    vert = forward_transform(PhysicalField(-divV1 * V2 + w1 * dzV2, gp))
+    divV1 = inverse_transform(divergence_h(n1.v)).values[0]
+    vert = forward_transform(PhysicalField(-divV1 * n2.u + n1.w * n2.dz, gp))
     out += vert.coeffs
-    return truncate_coeffs(SpectralField(out, gp), grid)
+    return truncate_coeffs(SpectralField(out, gp), v1.grid)

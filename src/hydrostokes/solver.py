@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import Grid
 from .fields import SpectralField, gradient, inverse_transform, norm_anisotropic
-from .nonlinear import advection
+from .nonlinear import advection, coupled_advection
 from .projection import check_solenoidal, project_hydrostatic
 from .semigroup import StokesOperator
 
@@ -44,15 +44,22 @@ class SolverConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
+        self.grid()  # raises ValueError on an invalid grid
         if not self.p > 3:
             raise ValueError(f"norm exponent p must be > 3, got {self.p}")
         if not 0 < self.dt <= self.T:
             raise ValueError(f"need 0 < dt <= T, got dt={self.dt}, T={self.T}")
         # the time nodes are the multiples of dt, and the last one must be T
-        if abs(round(self.T / self.dt) * self.dt - self.T) > 1e-9 * self.T:
-            raise ValueError(f"T must be a multiple of dt, got dt={self.dt}, T={self.T}")
-        if self.delta < 0:
+        steps = self.T / self.dt
+        if not np.isfinite(steps) or abs(round(steps) * self.dt - self.T) > 1e-9 * self.T:
+            raise ValueError(f"T must be a finite multiple of dt, got dt={self.dt}, T={self.T}")
+        # comparisons written so that NaN fails them
+        if not self.delta >= 0:
             raise ValueError(f"smoothing time must be >= 0, got {self.delta}")
+        if self.eps0 is not None and not self.eps0 >= 0:
+            raise ValueError(f"rough-part threshold must be >= 0, got {self.eps0}")
+        if not self.picard_tol >= 0:
+            raise ValueError(f"Picard tolerance must be >= 0, got {self.picard_tol}")
         if self.snapshot_every < 1:
             raise ValueError(f"snapshot interval must be >= 1, got {self.snapshot_every}")
 
@@ -121,22 +128,29 @@ def _nonlinearity(v, config):
     return project_hydrostatic(f)
 
 
-def _duhamel(op: StokesOperator, free, F, times):
-    """Trapezoidal Duhamel sums on a uniform time grid, one per node n >= 1.
+def _duhamel(op: StokesOperator, a: SpectralField, F, times):
+    """Trapezoidal Duhamel sums S_n = e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds.
 
-    ``free`` yields the coefficients of the free part e^{t_n A} a for
-    n = 1, 2, ...; each sum is e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds
-    with F given at every node.
+    F is given at every node of the uniform grid ``times``; yields S_n for
+    every node in turn, S_0 = a.  The trapezoid weights obey the recurrence
+
+        G_0 = a,  G_n = e^{dt A}(G_{n-1} + w_{n-1} F_{n-1}),  S_n = G_n + (dt/2) F_n
+
+    with w_0 = dt/2 and w_j = dt for j >= 1, so all n sums together cost one
+    semigroup apply per node.  Raises ValueError, when iteration starts,
+    unless the steps agree to 1e-9 dt: on a non-uniform grid the recurrence
+    would be silently wrong.
     """
-    for n, free_n in enumerate(free, start=1):
-        dt = times[1] - times[0]
-        acc = free_n.copy()
-        for j in range(n + 1):
-            w = 0.5 * dt if j in (0, n) else dt
-            tau = times[n] - times[j]
-            term = F[j] if tau == 0 else op.semigroup_apply(tau, F[j])
-            acc += w * term.coeffs
-        yield acc
+    steps = np.diff(times)
+    dt = steps[0] if len(steps) else 0.0
+    if np.any(np.abs(steps - dt) > 1e-9 * dt):
+        raise ValueError("Duhamel sums need uniformly spaced time nodes")
+    yield a.copy()
+    G = a.coeffs
+    for n in range(1, len(times)):
+        w = 0.5 * dt if n == 1 else dt
+        G = op.semigroup_apply(dt, SpectralField(G + w * F[n - 1].coeffs, op.grid)).coeffs
+        yield SpectralField(G + 0.5 * dt * F[n].coeffs, op.grid)
 
 
 def reference_solve(
@@ -172,7 +186,11 @@ def picard_iterate(
 
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
     F_m = -P( (U_m.grad)V_m + (U_m.grad)v_ref + (u_ref.grad)V_m ),
-    the integral by trapezoidal quadrature on the shared time grid.
+    the integral by trapezoidal quadrature on the shared time grid, which
+    must be uniform.  Per iteration each node costs one
+    :func:`coupled_advection` call and one semigroup apply (the recurrence
+    in :func:`_duhamel`); v_ref's node values are rebuilt every iteration
+    rather than held, which keeps peak memory flat.
     """
     times = v_ref.times
     if times[-1] < T - 1e-12:
@@ -180,11 +198,9 @@ def picard_iterate(
     keep = times <= T + 1e-12
     times = times[keep]
     vref = [s for s, k in zip(v_ref.snapshots, keep) if k]
-    n_nodes = len(times)
     p = config.p
 
-    free = [op.semigroup_apply(t, a0) for t in times]
-    V = [s.copy() for s in free]
+    V = [op.semigroup_apply(t, a0) for t in times]
 
     report = IterationReport()
     S, Kw, H = _s_norm(V, times, p)
@@ -193,14 +209,13 @@ def picard_iterate(
     report.S_m.append(S)
 
     for m in range(config.max_picard):
-        F = []
-        for j in range(n_nodes):
-            f = advection(V[j], V[j], dealias=config.dealias).coeffs
-            f += advection(V[j], vref[j], dealias=config.dealias).coeffs
-            f += advection(vref[j], V[j], dealias=config.dealias).coeffs
-            F.append(project_hydrostatic(SpectralField(-f, op.grid)))
-        sums = _duhamel(op, (s.coeffs for s in free[1:]), F, times)
-        Vnew = [free[0].copy()] + [SpectralField(acc, op.grid) for acc in sums]
+        F = [
+            project_hydrostatic(
+                SpectralField(-coupled_advection(v, r, config.dealias).coeffs, op.grid)
+            )
+            for v, r in zip(V, vref)
+        ]
+        Vnew = list(_duhamel(op, a0, F, times))
 
         diff = [SpectralField(a.coeffs - b.coeffs, op.grid) for a, b in zip(Vnew, V)]
         dS, _, _ = _s_norm(diff, times, p)
@@ -274,14 +289,12 @@ def full_solve(a: SpectralField, config: SolverConfig, op: StokesOperator | None
 def mild_residual(op: StokesOperator, traj: Trajectory, config: SolverConfig) -> np.ndarray:
     """Defect in the Duhamel identity per time node, in L^2.
 
-    Uses the same trapezoidal quadrature as the Picard iteration, with
-    F(v) = -P (u . grad) v.
+    Uses the same trapezoidal quadrature, and the same O(n) recurrence, as
+    the Picard iteration, with F(v) = -P (u . grad) v.  The time nodes must
+    be uniform; residual[0] is 0 by construction.
     """
-    times = traj.times
     F = [_nonlinearity(s, config) for s in traj.snapshots]
-    a = traj.snapshots[0]
-    free = (op.semigroup_apply(t, a).coeffs for t in times[1:])
-    res = np.zeros(len(times))
-    for n, acc in enumerate(_duhamel(op, free, F, times), start=1):
-        res[n] = SpectralField(traj.snapshots[n].coeffs - acc, op.grid).norm2()
-    return res
+    sums = _duhamel(op, traj.snapshots[0], F, traj.times)
+    return np.array(
+        [SpectralField(v.coeffs - s.coeffs, op.grid).norm2() for v, s in zip(traj.snapshots, sums)]
+    )

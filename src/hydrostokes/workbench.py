@@ -61,23 +61,27 @@ def _parse_bool(s: str) -> bool:
 
 def parse_config(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment; unknown keys rejected."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            kind = CONFIG_KEYS[key]
-            try:
-                out[key] = _parse_bool(val) if kind is bool else kind(val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        kind = CONFIG_KEYS[key]
+        try:
+            out[key] = _parse_bool(val) if kind is bool else kind(val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return out
 
 

@@ -27,7 +27,9 @@ from hydrostokes.semigroup import StokesOperator
 # -- grid validation ------------------------------------------------------
 
 
-@pytest.mark.parametrize("bad", [dict(N=15), dict(N=2), dict(K=0), dict(h=0.0), dict(h=-1.0)])
+@pytest.mark.parametrize(
+    "bad", [dict(N=15), dict(N=2), dict(K=0), dict(h=0.0), dict(h=-1.0), dict(h=np.inf)]
+)
 def test_grid_rejects_bad_parameters(bad):
     kw = dict(N=8, K=8, h=1.0)
     kw.update(bad)

@@ -8,6 +8,7 @@ from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import SpectralField
 from hydrostokes.nonlinear import (
     advection,
+    coupled_advection,
     divergence_form,
     pad_coeffs,
     padded_grid,
@@ -118,6 +119,19 @@ def test_advection_matches_divergence_form(grid16):
         d = divergence_form(v)
         scale = np.abs(a.coeffs).max()
         assert np.abs(a.coeffs - d.coeffs).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_coupled_advection_matches_three_terms(grid16, dealias):
+    V = random_field(grid16, ncomp=2, seed=11, solenoidal=True, amplitude=0.1)
+    r = random_field(grid16, ncomp=2, seed=12, solenoidal=True)
+    ref = (
+        advection(V, V, dealias=dealias).coeffs
+        + advection(V, r, dealias=dealias).coeffs
+        + advection(r, V, dealias=dealias).coeffs
+    )
+    fused = coupled_advection(V, r, dealias=dealias)
+    assert np.abs(fused.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_advection_bilinear_consistency(grid8):

@@ -11,6 +11,7 @@ from hydrostokes.solver import (
     SolverConfig,
     SolverDivergenceError,
     Trajectory,
+    _duhamel,
     full_solve,
     grad_mixed_norm,
     mild_residual,
@@ -40,6 +41,13 @@ def op16():
         dict(snapshot_every=0),
         dict(dt=0.003, T=0.01),
         dict(dt=0.0035, T=0.01, delta=0.0),
+        dict(N=5),
+        dict(h=np.inf),
+        dict(T=np.inf),
+        dict(dt=1e-320),
+        dict(delta=np.nan),
+        dict(eps0=np.nan),
+        dict(picard_tol=np.nan),
     ],
 )
 def test_config_validation(bad):
@@ -162,6 +170,38 @@ def test_picard_contraction_small_data(op16):
     assert all(r <= 0.5 for r in report.ratios[1:])
 
 
+def test_picard_rejects_non_uniform_reference(op16):
+    # the Duhamel recurrence assumes one step size; a non-uniform grid must
+    # raise rather than give silently wrong sums
+    cfg = SolverConfig(dt=0.01, T=0.05)
+    a0 = random_field(op16.grid, ncomp=2, seed=12, solenoidal=True, amplitude=0.01)
+    vref = _zero_traj(op16, [0.0, 0.01, 0.02, 0.035, 0.05])
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        picard_iterate(op16, a0, vref, 0.05, cfg)
+
+
+def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
+    # one apply per node for the free part, one per node per iteration: the
+    # old from-scratch Duhamel sums made O(n^2) applies per iteration
+    op = StokesOperator(Grid(8, 8, 1.0))
+    calls = []
+    apply = StokesOperator.semigroup_apply
+
+    def counted(self, t, v):
+        calls.append(t)
+        return apply(self, t, v)
+
+    monkeypatch.setattr(StokesOperator, "semigroup_apply", counted)
+    n = 11
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.1, max_picard=3, picard_tol=0.0)
+    a0 = random_field(op.grid, ncomp=2, seed=13, solenoidal=True, amplitude=0.01)
+    vref = Trajectory(np.arange(n) * 0.01, [SpectralField.zeros(op.grid)] * n)
+    _, report = picard_iterate(op, a0, vref, 0.1, cfg)
+    m = report.iterations
+    assert m == 3
+    assert len(calls) <= (m + 2) * n
+
+
 def test_picard_divergence_raises(op16):
     cfg = SolverConfig(dt=0.02, T=0.4, max_picard=6)
     a0 = random_field(op16.grid, ncomp=2, seed=1, solenoidal=True, amplitude=50.0)
@@ -204,6 +244,24 @@ def test_full_solve_rough_diagnostics(op16):
     assert rel_growth.max() <= 1e-10
     assert max(diag["sol_drift"]) <= 1e-10
     assert np.all(np.isfinite(diag["residual"]))
+
+
+def test_duhamel_recurrence_matches_direct_sum(op16):
+    # oracle: the trapezoid sum written out, each term its own semigroup apply
+    n, dt = 9, 0.0125
+    times = dt * np.arange(n)
+    a = random_field(op16.grid, ncomp=2, seed=14, solenoidal=True)
+    F = [random_field(op16.grid, ncomp=2, seed=20 + j, solenoidal=True) for j in range(n)]
+    sums = list(_duhamel(op16, a, F, times))
+    assert len(sums) == n
+    assert np.array_equal(sums[0].coeffs, a.coeffs)
+    for k in range(1, n):
+        direct = op16.semigroup_apply(times[k], a).coeffs.copy()
+        for j in range(k + 1):
+            w = 0.5 * dt if j in (0, k) else dt
+            direct += w * op16.semigroup_apply(times[k] - times[j], F[j]).coeffs
+        err = np.abs(sums[k].coeffs - direct).max()
+        assert err <= 1e-12 * np.abs(direct).max()
 
 
 def test_mild_residual_linear_trajectory(op16):

@@ -16,6 +16,7 @@ from hydrostokes.fields import PhysicalField, forward_transform
 from hydrostokes.lab import ScanReport
 from hydrostokes.sampling import random_field
 from hydrostokes.workbench import (
+    CONFIG_KEYS,
     ConfigError,
     initial_data,
     parse_config,
@@ -71,6 +72,35 @@ def test_solver_config_roundtrip(tmp_path):
     sc = solver_config(parse_config(path))
     assert sc.grid() == Grid(8, 4, 1.0)
     assert sc.dt == 0.01 and sc.T == 0.05
+
+
+_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-(10**6), 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["inf", "-inf", "nan", "1e400", "1e-320", "0", "-1", "1e300", "true", ""]),
+)
+_KEY_LINES = st.lists(st.tuples(st.sampled_from(sorted(CONFIG_KEYS)), _VALUES).map(" = ".join))
+_CONFIG_TEXT = st.tuples(_KEY_LINES, st.lists(st.text(max_size=30), max_size=1)).map(
+    lambda parts: "\n".join(parts[0] + parts[1])
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(body=st.one_of(_CONFIG_TEXT.map(str.encode), st.binary()))
+def test_config_fuzz_parses_or_config_error(body):
+    # any file either yields a solver config with a valid grid and no NaN,
+    # or raises ConfigError: never another exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        with open(path, "wb") as fh:
+            fh.write(body)
+        try:
+            sc = solver_config(parse_config(path))
+        except ConfigError:
+            return
+        sc.grid()
+        assert not any(isinstance(v, float) and np.isnan(v) for v in vars(sc).values())
 
 
 # -- initial data generators ----------------------------------------------
@@ -226,6 +256,38 @@ def test_cli_norms_corrupt_snapshot_exit_2(tmp_path):
     with open(snap, "wb") as fh:
         fh.write(raw[:13] + bytes(4) + raw[17:])
     assert run_cli(["norms", snap]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--q", "abc"), ("--q", "0.5"), ("--p", "-1"), ("--p", "nan")]
+)
+def test_cli_norms_bad_exponent_exit_2(tmp_path, capsys, flag, value):
+    snap = str(tmp_path / "a.hstk")
+    write_snapshot(snap, random_field(Grid(8, 4, 1.0), seed=0), 0.0)
+    assert run_cli(["norms", snap, flag, value]) == 2
+    assert "exponent must be" in capsys.readouterr().err
+
+
+def test_cli_norms_exponents(tmp_path, capsys):
+    snap = str(tmp_path / "a.hstk")
+    write_snapshot(snap, random_field(Grid(8, 4, 1.0), seed=0), 0.0)
+    assert run_cli(["norms", snap, "--q", "1", "--p", "inf"]) == 0
+    assert "L^1_H L^inf_z = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (["verify", "kernel"], "grid.n = 5\n"),
+        (["spectrum"], "grid.n = 5\n"),
+        (["verify", "nonlinear"], "norm.p = 0.5\n"),
+    ],
+)
+def test_cli_verify_spectrum_bad_config_exit_2(tmp_path, monkeypatch, capsys, command, text):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, text)
+    assert run_cli(command + ["--config", cfg]) == 2
+    assert "error: config:" in capsys.readouterr().err
 
 
 def test_cli_corrupt_config_exit_2(tmp_path):
