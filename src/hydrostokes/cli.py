@@ -72,6 +72,16 @@ def _config_grid(cfg: dict) -> Grid:
         raise ConfigError(str(exc)) from exc
 
 
+def _output_dir(cfg: dict) -> str:
+    """Create the config's output directory; ConfigError when that fails."""
+    outdir = cfg.get("output.dir", ".")
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.dir {outdir!r}: {exc}") from exc
+    return outdir
+
+
 def _exponent(text: str) -> float:
     """A norm exponent given on the command line: a number >= 1 or 'inf'."""
     try:
@@ -95,11 +105,10 @@ def cmd_simulate(args) -> int:
         sc = solver_config(cfg)
         grid = sc.grid()
         a = initial_data(cfg, grid)
+        outdir = _output_dir(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         _err(f"config: {exc}")
         return EXIT_CONFIG
-    outdir = cfg.get("output.dir", ".")
-    os.makedirs(outdir, exist_ok=True)
     try:
         traj = full_solve(a, sc)
     except SolverDivergenceError as exc:
@@ -130,20 +139,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite not in VERIFY_SUITES:
+        _err(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
+        return EXIT_CONFIG
     try:
         cfg = parse_config(args.config) if args.config else {}
         grid = _config_grid(cfg)
         p = cfg.get("norm.p", 4.0)
         if not p >= 1:
             raise ConfigError(f"norm.p must be >= 1, got {p}")
+        outdir = _output_dir(cfg)
     except (ConfigError, OSError) as exc:
         _err(f"config: {exc}")
         return EXIT_CONFIG
-    if args.suite not in VERIFY_SUITES:
-        _err(f"unknown suite {args.suite!r}; choose from {VERIFY_SUITES}")
-        return EXIT_CONFIG
-    outdir = cfg.get("output.dir", ".")
-    os.makedirs(outdir, exist_ok=True)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     seed = cfg.get("seed", 0)
     failed = False
@@ -232,11 +240,10 @@ def cmd_spectrum(args) -> int:
     try:
         cfg = parse_config(args.config) if args.config else {}
         grid = _config_grid(cfg)
+        outdir = _output_dir(cfg)
     except (ConfigError, OSError) as exc:
         _err(f"config: {exc}")
         return EXIT_CONFIG
-    outdir = cfg.get("output.dir", ".")
-    os.makedirs(outdir, exist_ok=True)
     rows = []
     for subspace in ("full", "solenoidal"):
         bound, report = spectral_bound(grid, subspace)

@@ -11,6 +11,12 @@ the truncated form of (1/h)(1-Q) dz v at z = -h.  Since R is independent of
 xi and the diagonal shift is a multiple of the identity, a single K x K
 matrix exponential of M_z = diag(-lambda^2) + R serves all wavenumbers at a
 given time, scaled by exp(-t |xi|^2).
+
+Because M_z is diagonal plus rank one, the shifted system (mu - M_z) x = y
+has the Sherman-Morrison solution, evaluated for all modes at once.  The
+resolvent is that solve at mu = lambda + |xi|^2, and phi1 follows from the
+identity t phi1(t B) = B^{-1}(e^{t B} - I) with B = M_z - |xi|^2, which needs
+only the same exponential block as the semigroup.
 """
 
 import threading
@@ -30,7 +36,7 @@ class SingularityError(ValueError):
 
 
 class SemigroupCache:
-    """Thread-safe LRU memo for exponential and phi1 blocks."""
+    """Thread-safe LRU memo for the exponential blocks e^{t M_z}, keyed by t."""
 
     def __init__(self, maxsize: int = 4096):
         self.maxsize = maxsize
@@ -51,15 +57,6 @@ class SemigroupCache:
         return val
 
 
-def _phi1_matrix(A: np.ndarray) -> np.ndarray:
-    """phi1(A) = A^{-1}(e^A - I) via the augmented-matrix exponential."""
-    n = A.shape[0]
-    aug = np.zeros((2 * n, 2 * n), dtype=complex)
-    aug[:n, :n] = A
-    aug[:n, n:] = np.eye(n)
-    return expm(aug)[:n, n:]
-
-
 class StokesOperator:
     """Discrete hydrostatic Stokes operator A = Delta + B on a grid."""
 
@@ -68,8 +65,9 @@ class StokesOperator:
         self.basis = grid.basis
         lam = self.basis.lambdas
         self.lam2 = lam**2
-        # rank-one bottom-shear coupling, parallel component only
-        self.R = np.outer(self.basis.betas_t / grid.h, lam)
+        # rank-one bottom-shear coupling b lambda^T, parallel component only
+        self.b = self.basis.betas_t / grid.h
+        self.R = np.outer(self.b, lam)
         self.Mz = np.diag(-self.lam2) + self.R
         self.Mz_eigs = np.linalg.eigvals(self.Mz)
 
@@ -111,11 +109,19 @@ class StokesOperator:
     def _exp_block(self, t: float) -> np.ndarray:
         return self.cache.get_or_compute(("exp", t), lambda: expm(t * self.Mz))
 
-    def _phi1_block(self, t: float, s: float) -> np.ndarray:
-        key = ("phi1", t, float(s))
-        return self.cache.get_or_compute(
-            key, lambda: _phi1_matrix(t * (self.Mz - s * np.eye(self.grid.K)))
-        )
+    def _solve_parallel(self, mu, y):
+        """(mu - M_z)^{-1} y per mode by Sherman-Morrison; mu is (N, N), y (N, N, K).
+
+        With d = mu + lambda^2, mu - M_z = diag(d) - b lambda^T.  The caller
+        keeps mu off the spectrum; the origin is assembled separately.  The
+        relative round-off grows like eps / min|d|, so mu within 1e-8 of some
+        -lambda_k^2 (a perpendicular eigenvalue) costs about 8 digits here.
+        """
+        lam = self.basis.lambdas
+        d = mu[:, :, None] + self.lam2
+        yd = y / d
+        bd = self.b / d
+        return yd + bd * ((yd @ lam) / (1.0 - bd @ lam))[:, :, None]
 
     def semigroup_apply(self, t: float, v: SpectralField) -> SpectralField:
         """e^{tA} v via per-mode exponentials."""
@@ -142,11 +148,14 @@ class StokesOperator:
             raise ValueError(f"phi1_apply needs ncomp=2, got {g.ncomp}")
         c = g.coeffs
         cpar, cperp = self._split(c)
-        out_par = np.empty_like(cpar)
-        for s in self.s_values:
-            mask = self.xi2 == s
-            P = self._phi1_block(t, s)
-            out_par[mask] = cpar[mask] @ P.T
+        # with B = M_z - s, t phi1(tB) y = (s - M_z)^{-1}(y - e^{-ts} e^{t M_z} y)
+        decay_h = np.exp(-t * self.xi2)[:, :, None]
+        rhs = cpar - decay_h * np.einsum("kj,mnj->mnk", self._exp_block(t), cpar)
+        # at s = 0 the block is singular (M_z has a zero eigenvalue); the
+        # origin is assembled below, so it gets a dummy unit shift
+        shift = self.xi2.copy()
+        shift[0, 0] = 1.0
+        out_par = self._solve_parallel(shift, rhs) / t
         a = -t * (self.xi2[:, :, None] + self.lam2)
         out_perp = np.expm1(a) / a * cperp
         a0 = -t * self.lam2
@@ -154,18 +163,13 @@ class StokesOperator:
         return SpectralField(self._assemble(out_par, out_perp, origin), g.grid)
 
     def resolvent_apply(self, lam: complex, f: SpectralField) -> SpectralField:
-        """(lam - A)^{-1} f by dense per-mode solves."""
+        """(lam - A)^{-1} f, closed-form on every mode block."""
         if f.ncomp != 2:
             raise ValueError(f"resolvent_apply needs ncomp=2, got {f.ncomp}")
         self._check_not_spectrum(lam)
         c = f.coeffs
         cpar, cperp = self._split(c)
-        out_par = np.empty_like(cpar)
-        eye = np.eye(self.grid.K)
-        for s in self.s_values:
-            mask = self.xi2 == s
-            A = (lam + s) * eye - self.Mz
-            out_par[mask] = np.linalg.solve(A, cpar[mask].T).T
+        out_par = self._solve_parallel(lam + self.xi2, cpar)
         out_perp = cperp / (lam + self.xi2[:, :, None] + self.lam2)
         origin = c[:, 0, 0, :] / (lam + self.lam2)
         return SpectralField(self._assemble(out_par, out_perp, origin), f.grid)

@@ -18,6 +18,10 @@ from .nonlinear import advection, coupled_advection
 from .projection import check_solenoidal, project_hydrostatic
 from .semigroup import StokesOperator
 
+# Most time steps round(T/dt) a solve may take.  The trajectory keeps every
+# node's snapshot; at 16^3 (131 kB each) this many already take 13 GB.
+MAX_TIME_STEPS = 100_000
+
 
 class SolverDivergenceError(RuntimeError):
     """Blow-up guard tripped or Picard iteration diverged."""
@@ -53,6 +57,8 @@ class SolverConfig:
         steps = self.T / self.dt
         if not np.isfinite(steps) or abs(round(steps) * self.dt - self.T) > 1e-9 * self.T:
             raise ValueError(f"T must be a finite multiple of dt, got dt={self.dt}, T={self.T}")
+        if round(steps) > MAX_TIME_STEPS:
+            raise ValueError(f"T/dt = {round(steps)} steps exceeds the limit of {MAX_TIME_STEPS}")
         # comparisons written so that NaN fails them
         if not self.delta >= 0:
             raise ValueError(f"smoothing time must be >= 0, got {self.delta}")

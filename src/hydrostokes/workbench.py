@@ -82,6 +82,8 @@ def parse_config(path: str) -> dict:
             out[key] = _parse_bool(val) if kind is bool else kind(val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if key == "seed" and out[key] < 0:
+            raise ConfigError(f"{path}:{lineno}: seed must be >= 0, got {out[key]}")
     return out
 
 

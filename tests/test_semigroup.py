@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+
+import hydrostokes.semigroup
 
 from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import SpectralField
@@ -200,7 +203,74 @@ def test_exponential_euler_exact_for_constant_forcing(grid8):
     assert np.abs(got - expect).max() <= 1e-9 * np.abs(expect).max()
 
 
+def _phi1_matrix(A):
+    """phi1(A) = A^{-1}(e^A - I) via the augmented-matrix exponential."""
+    n = A.shape[0]
+    aug = np.zeros((2 * n, 2 * n), dtype=complex)
+    aug[:n, :n] = A
+    aug[:n, n:] = np.eye(n)
+    return expm(aug)[:n, n:]
+
+
+def _mode_unit_vectors(grid):
+    """(i, j, s, e) per horizontal mode, e = xi/|xi| (zero at the origin)."""
+    xix, xiy = grid.xi_vectors()
+    for i in range(grid.N):
+        for j in range(grid.N):
+            s = xix[i, j] ** 2 + xiy[i, j] ** 2
+            e = np.array([xix[i, j], xiy[i, j]]) / np.sqrt(s) if s > 0 else np.zeros(2)
+            yield i, j, s, e
+
+
+@pytest.mark.parametrize("N,K,h", [(8, 8, 1.0), (16, 64, 0.7)])
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.005, 1.0])
+def test_phi1_matches_augmented_expm(N, K, h, t):
+    grid = Grid(N, K, h)
+    op = StokesOperator(grid)
+    basis = VerticalBasis(grid)
+    lam2 = basis.lambdas**2
+    Mz = np.diag(-lam2) + np.outer(basis.betas_t / h, basis.lambdas)
+    g = random_field(grid, ncomp=2, seed=10)
+    got = op.phi1_apply(t, g).coeffs
+    blocks = {}
+    expect = np.empty_like(g.coeffs)
+    for i, j, s, e in _mode_unit_vectors(grid):
+        c = g.coeffs[:, i, j, :]
+        perp_phi1 = -np.expm1(-t * (s + lam2)) / (t * (s + lam2))
+        if s == 0:
+            expect[:, i, j, :] = perp_phi1 * c
+            continue
+        if s not in blocks:
+            blocks[s] = _phi1_matrix(t * (Mz - s * np.eye(K)))
+        cpar = e @ c
+        cperp = c - np.outer(e, cpar)
+        expect[:, i, j, :] = perp_phi1 * cperp + np.outer(e, blocks[s] @ cpar)
+    assert np.abs(got - expect).max() <= 1e-11 * np.abs(expect).max()
+
+
 # -- resolvent ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N,K,h", [(8, 8, 1.0), (16, 64, 0.7)])
+@pytest.mark.parametrize("lam", [1.0, 0.3 + 2.0j, 100 * np.exp(0.9j * np.pi), -2.0 + 0.5j])
+def test_resolvent_matches_dense_solve(N, K, h, lam):
+    # per mode, A acts on the 2K coefficients (both components) as
+    # -(s + lambda^2) plus e e^T (x) R; solve (lam - A) x = f densely
+    grid = Grid(N, K, h)
+    op = StokesOperator(grid)
+    basis = VerticalBasis(grid)
+    lam2 = basis.lambdas**2
+    R = np.outer(basis.betas_t / h, basis.lambdas)
+    f = random_field(grid, ncomp=2, seed=11)
+    got = op.resolvent_apply(lam, f).coeffs
+    expect = np.empty_like(f.coeffs)
+    for i, j, s, e in _mode_unit_vectors(grid):
+        A = -np.diag(np.tile(s + lam2, 2)) + np.kron(np.outer(e, e), R)
+        x = np.linalg.solve(lam * np.eye(2 * K) - A, f.coeffs[:, i, j, :].ravel())
+        expect[:, i, j, :] = x.reshape(2, K)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 
 
 def test_resolvent_diagonal_mode(grid8):
@@ -266,6 +336,24 @@ def test_origin_rows_are_vertical_heat():
     evs = sorted(r[3].real for r in rows)
     expect = sorted(np.concatenate([-basis.lambdas**2] * 2))
     assert np.allclose(evs, expect, atol=1e-10)
+
+
+def test_one_exponential_block_per_time(grid8, monkeypatch):
+    # phi1 and the semigroup share the block e^{t M_z}; the resolvent needs none
+    calls = []
+
+    def counting_expm(a):
+        calls.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(hydrostokes.semigroup, "expm", counting_expm)
+    op = StokesOperator(grid8)
+    v = random_field(grid8, ncomp=2, seed=12)
+    op.phi1_apply(0.02, v)
+    op.semigroup_apply(0.02, v)
+    assert calls == [(8, 8)]
+    op.resolvent_apply(0.3 + 2.0j, v)
+    assert calls == [(8, 8)]
 
 
 def test_semigroup_cache_reuse(grid8):

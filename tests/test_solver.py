@@ -48,6 +48,7 @@ def op16():
         dict(delta=np.nan),
         dict(eps0=np.nan),
         dict(picard_tol=np.nan),
+        dict(dt=1.0, T=1e300),
     ],
 )
 def test_config_validation(bad):

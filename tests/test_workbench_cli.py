@@ -290,6 +290,32 @@ def test_cli_verify_spectrum_bad_config_exit_2(tmp_path, monkeypatch, capsys, co
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "kernel"], ["spectrum"]])
+def test_cli_uncreatable_output_dir_exit_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    cfg = write(tmp_path, "grid.n = 8\ngrid.k = 4\ntime.horizon = 0.01\noutput.dir = afile/sub\n")
+    assert run_cli(command + ["--config", cfg]) == 2
+    assert "error: config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "young"], ["verify", "semigroup"]])
+def test_cli_negative_seed_exit_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "seed = -1\n")
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    assert run_cli(command + ["--config", cfg]) == 2
+    assert "error: config:" in capsys.readouterr().err
+
+
+def test_cli_huge_horizon_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "time.horizon = 1e300\ntime.dt = 1\n")
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "error: config:" in capsys.readouterr().err
+
+
 def test_cli_corrupt_config_exit_2(tmp_path):
     cfg = write(tmp_path, "grid.n = 15\n")
     assert run_cli(["simulate", "--config", cfg]) == 2
