@@ -3,7 +3,7 @@
 Normalization table (tested in tests/test_basis_fields.py):
 
   horizontal forward   fft2 / N^2      -> classical Fourier coefficients
-  horizontal inverse   ifft2 * N^2
+  horizontal inverse   irfft2 of the half spectrum * N^2
   vertical forward     DST-IV / K      -> coefficients of phi_k
   vertical inverse     DST-IV / 2      -> node values
   cosine evaluation    DCT-IV / 2      -> sum a_k cos(lambda_k (z_j+h))
@@ -122,21 +122,47 @@ def forward_transform(f: PhysicalField) -> SpectralField:
     return SpectralField(c, g)
 
 
-def inverse_transform(c: SpectralField, check_reality: bool = True) -> PhysicalField:
+def _irfft2(a: np.ndarray, N: int) -> np.ndarray:
+    """Horizontal inverse of Hermitian coefficients, from the half spectrum n <= N/2.
+
+    Accepts the full or the half spectrum along axis 2; the columns n > N/2
+    are never read (unscaled sum, i.e. ifft2 * N^2).
+    """
+    return sfft.irfft2(a[:, :, : N // 2 + 1], s=(N, N), axes=(1, 2), norm="forward")
+
+
+def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a(m) - conj b(-m)| over the m axis (axis 1), from views only."""
+    return max(
+        float(np.abs(a[:, 0] - np.conj(b[:, 0])).max()),
+        float(np.abs(a[:, 1:] - np.conj(b[:, :0:-1])).max()),
+    )
+
+
+def inverse_transform(c: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`.
 
-    Raises if the coefficients violate the reality constraint beyond
-    ``REALITY_TOL`` (relative), since the result is returned as a real field.
+    The horizontal step reads only the half spectrum n <= N/2, so the guard
+    checks what that drops: columns n = N/2+1..N-1 against the conjugates of
+    columns N/2-1..1 reflected in m, and columns 0 and N/2 for Hermitian
+    symmetry in m.  Raises if that defect times N^2 exceeds ``REALITY_TOL``
+    times the field scale, since the result is returned as a real field.
     """
     g = c.grid
-    u = sfft.ifft2(c.coeffs * g.N**2, axes=(1, 2))
+    N = g.N
+    a = c.coeffs
+    u = _irfft2(a, N)
+    defect = max(
+        _mirror_defect(a[:, :, N // 2 + 1 :], a[:, :, N // 2 - 1 : 0 : -1]),
+        _mirror_defect(a[:, :, :: N // 2], a[:, :, :: N // 2]),
+    )
     scale = np.abs(u).max()
-    if check_reality and scale > 0 and np.abs(u.imag).max() > REALITY_TOL * scale:
+    if defect * N**2 > REALITY_TOL * scale:
         raise ValueError(
-            "coefficients violate the reality constraint: imaginary residue "
-            f"{np.abs(u.imag).max():.3e} vs field scale {scale:.3e}"
+            "coefficients violate the reality constraint: Hermitian defect "
+            f"{defect:.3e} x N^2 vs field scale {scale:.3e}"
         )
-    v = sfft.dst(u.real, type=4, axis=3) / 2.0
+    v = sfft.dst(u, type=4, axis=3) / 2.0
     return PhysicalField(v, g)
 
 
@@ -153,12 +179,12 @@ def vertical_derivative(c: SpectralField) -> PhysicalField:
     """d/dz evaluated at the nodes via the cosine series.
 
     The derivative of a sine series lives in the cosine span, so the result
-    is returned as node values, not re-projected.
+    is returned as node values, not re-projected.  Only the half spectrum
+    is read; unlike :func:`inverse_transform` there is no reality guard.
     """
-    a = c.coeffs * c.grid.basis.lambdas
-    u = sfft.ifft2(a * c.grid.N**2, axes=(1, 2))
-    vals = sfft.dct(u, type=4, axis=3) / 2.0
-    return PhysicalField(vals.real, c.grid)
+    N = c.grid.N
+    u = _irfft2(c.coeffs[:, :, : N // 2 + 1] * c.grid.basis.lambdas, N)
+    return PhysicalField(sfft.dct(u, type=4, axis=3) / 2.0, c.grid)
 
 
 def vertical_mean(c: SpectralField) -> np.ndarray:
@@ -177,18 +203,18 @@ def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
     """
     if c.ncomp != 1:
         raise ValueError(f"expected a scalar field, got ncomp={c.ncomp}")
-    b = c.coeffs / c.grid.basis.lambdas
+    N = c.grid.N
+    b = c.coeffs[:, :, : N // 2 + 1] / c.grid.basis.lambdas
     const = np.sum(b, axis=3, keepdims=True)
     prof = const - sfft.dct(b, type=4, axis=3) / 2.0
-    u = sfft.ifft2(prof * c.grid.N**2, axes=(1, 2))
-    return PhysicalField(u.real, c.grid)
+    return PhysicalField(_irfft2(prof, N), c.grid)
 
 
-def gradient(v: SpectralField, check_reality: bool = True) -> PhysicalField:
+def gradient(v: SpectralField) -> PhysicalField:
     """Node values of (dx v, dy v, dz v), stacked componentwise."""
     parts = [
-        inverse_transform(horizontal_derivative(v, "x"), check_reality=check_reality).values,
-        inverse_transform(horizontal_derivative(v, "y"), check_reality=check_reality).values,
+        inverse_transform(horizontal_derivative(v, "x")).values,
+        inverse_transform(horizontal_derivative(v, "y")).values,
         vertical_derivative(v).values,
     ]
     return PhysicalField(np.concatenate(parts, axis=0), v.grid)

@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from .basis import Grid
 from .fields import (
     PhysicalField,
+    SpectralField,
     column_norms,
     forward_transform,
     gradient,
@@ -205,7 +206,12 @@ def resolvent_scan(
     derivative_datum: bool = False,
     op: StokesOperator | None = None,
 ) -> ScanReport:
-    """Sectorial resolvent estimate ratios over lambda in Sigma_theta."""
+    """Sectorial resolvent estimate ratios over lambda in Sigma_theta.
+
+    Only the real part Re (lambda - A)^{-1} f enters the left-hand side, and
+    |Re v| <= |v| pointwise, so for complex lambda the ratios can understate
+    the sectorial bound.
+    """
     if op is None:
         op = StokesOperator(grid)
     psis = np.array([0.0, 0.5, 0.9]) * theta
@@ -226,11 +232,14 @@ def resolvent_scan(
                 except SingularityError:
                     skipped += 1
                     continue
-                vphys = inverse_transform(v, check_reality=False)
+                # for complex lambda the resolvent is complex; the ratios
+                # measure its real part, Re ifft2(c) = ifft2(hermitian_part(c))
+                v = SpectralField(hermitian_part(v.coeffs), v.grid)
+                vphys = inverse_transform(v)
                 if derivative_datum:
                     lhs = np.sqrt(abs(lam)) * norm_anisotropic(vphys, q, p)
                 else:
-                    gphys = gradient(v, check_reality=False)
+                    gphys = gradient(v)
                     lhs = abs(lam) * norm_anisotropic(vphys, q, p) + np.sqrt(
                         abs(lam)
                     ) * norm_anisotropic(gphys, q, p)

@@ -7,7 +7,7 @@ import tempfile
 import numpy as np
 
 from .basis import Grid
-from .fields import SpectralField
+from .fields import REALITY_TOL, SpectralField
 from .sampling import random_field, single_mode_field
 from .solver import SolverConfig
 
@@ -116,13 +116,16 @@ def initial_data(cfg: dict, grid: Grid) -> SpectralField:
     if kind == "zero":
         return SpectralField.zeros(grid)
     if kind == "single-mode":
-        a = single_mode_field(
-            grid,
-            m=cfg.get("data.mode_m", 1),
-            n=cfg.get("data.mode_n", 0),
-            k=cfg.get("data.mode_k", 0),
-            amplitude=amp,
-        )
+        m = cfg.get("data.mode_m", 1)
+        n = cfg.get("data.mode_n", 0)
+        k = cfg.get("data.mode_k", 0)
+        # the Nyquist mode |m| = N/2 has no conjugate partner; larger ones alias
+        if not (abs(m) < grid.N // 2 and abs(n) < grid.N // 2 and 0 <= k < grid.K):
+            raise ConfigError(
+                f"single mode (m, n, k) = ({m}, {n}, {k}) is not on the grid: "
+                f"need |m|, |n| < {grid.N // 2} and 0 <= k < {grid.K}"
+            )
+        a = single_mode_field(grid, m=m, n=n, k=k, amplitude=amp)
         from .projection import project_hydrostatic
 
         return project_hydrostatic(a)
@@ -186,4 +189,13 @@ def read_snapshot(path: str):
     if len(body) != expect:
         raise ConfigError(f"snapshot body in {path} has {len(body)} bytes, header implies {expect}")
     coeffs = np.frombuffer(body, dtype="<c16").reshape(ncomp, N, N, K).astype(complex)
-    return SpectralField(coeffs, grid), time
+    if not np.all(np.isfinite(coeffs)):
+        raise ConfigError(f"snapshot {path} holds non-finite coefficients")
+    field = SpectralField(coeffs, grid)
+    defect, scale = field.reality_defect(), float(np.abs(coeffs).max())
+    if defect > REALITY_TOL * scale:
+        raise ConfigError(
+            f"snapshot {path} violates the reality constraint: defect {defect:.3e} "
+            f"vs coefficient scale {scale:.3e}"
+        )
+    return field, time

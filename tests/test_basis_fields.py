@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +127,48 @@ def test_inverse_rejects_reality_violation(grid8):
     c[0, 1, 0, 0] = 1.0  # no conjugate partner at (-1, 0)
     with pytest.raises(ValueError):
         inverse_transform(SpectralField(c, grid8))
+
+
+@pytest.mark.parametrize("column", [7, 4], ids=["n=N-1", "n=N/2"])
+def test_inverse_rejects_violation_in_one_column(grid8, column):
+    # c(1, N-1) sits where the half-spectrum transform never reads; c(1, N/2)
+    # in the Nyquist column, whose partner (-1, -N/2) is the same column
+    c = np.zeros((1, 8, 8, 8), dtype=complex)
+    c[0, 1, column, 0] = 1.0
+    with pytest.raises(ValueError):
+        inverse_transform(SpectralField(c, grid8))
+
+
+def _oracle_horizontal(c, N):
+    """Real part of the complex inverse DFT, the transform before half spectra."""
+    return scipy.fft.ifft2(c * N**2, axes=(1, 2)).real
+
+
+@pytest.mark.parametrize("N", [8, 12, 16, 24])
+def test_half_spectrum_transforms_match_complex_oracle(N):
+    grid = Grid(N, 6, 0.8)
+    rng = np.random.default_rng(N)
+    # forward transforms of real node values: every column, Nyquist included
+    f = forward_transform(PhysicalField(rng.standard_normal((2, N, N, 6)), grid))
+    lam = grid.basis.lambdas
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    close(
+        inverse_transform(f).values,
+        scipy.fft.dst(_oracle_horizontal(f.coeffs, N), type=4, axis=3) / 2.0,
+    )
+    close(
+        vertical_derivative(f).values,
+        scipy.fft.dct(_oracle_horizontal(f.coeffs * lam, N), type=4, axis=3) / 2.0,
+    )
+    b = f.coeffs[:1] / lam
+    prof = np.sum(b, axis=3, keepdims=True) - scipy.fft.dct(b, type=4, axis=3) / 2.0
+    close(
+        vertical_integral_from_bottom(SpectralField(f.coeffs[:1], grid)).values,
+        _oracle_horizontal(prof, N),
+    )
 
 
 def test_enforced_reality_round_trips(grid8):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hydrostokes.solver
 from hydrostokes.basis import Grid
 from hydrostokes.fields import SpectralField
 from hydrostokes.sampling import random_field, single_mode_field
@@ -295,3 +296,21 @@ def test_mixed_norm_positive_homogeneous(op16):
         3.0 * mixed_norm(v, 4.0), rel=1e-12
     )
     assert grad_mixed_norm(v, 4.0) > 0
+
+
+def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
+    # delta = 0 leaves no rough part, so the residual reuses the reference F
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, delta=0.0)
+    a = random_field(cfg.grid(), ncomp=2, seed=4, solenoidal=True, amplitude=0.05)
+    op = StokesOperator(cfg.grid())
+    calls = []
+    real_advection = hydrostokes.solver.advection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_advection(*args, **kwargs)
+
+    monkeypatch.setattr(hydrostokes.solver, "advection", counted)
+    traj = full_solve(a, cfg, op)
+    assert len(calls) == len(traj.times)
+    assert np.array_equal(traj.diagnostics["residual"], mild_residual(op, traj, cfg))

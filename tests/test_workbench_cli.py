@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hydrostokes.basis import Grid
 import hydrostokes.cli
 from hydrostokes.cli import main
-from hydrostokes.fields import PhysicalField, forward_transform
+from hydrostokes.fields import PhysicalField, SpectralField, forward_transform
 from hydrostokes.lab import ScanReport
 from hydrostokes.sampling import random_field
 from hydrostokes.workbench import (
@@ -258,6 +258,19 @@ def test_cli_norms_corrupt_snapshot_exit_2(tmp_path):
     assert run_cli(["norms", snap]) == 2
 
 
+@pytest.mark.parametrize("defect", ["no-partner", "nan"])
+def test_cli_norms_bad_coefficients_exit_2(tmp_path, capsys, defect):
+    c = np.zeros((2, 8, 8, 4), dtype=complex)
+    if defect == "no-partner":
+        c[0, 1, 0, 0] = 1.0  # c(1, 0) without c(-1, 0) = conj c(1, 0)
+    else:
+        c[0, 0, 0, 0] = np.nan
+    snap = str(tmp_path / "a.hstk")
+    write_snapshot(snap, SpectralField(c, Grid(8, 4, 1.0)), 0.0)
+    assert run_cli(["norms", snap]) == 2
+    assert "error: snapshot:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--q", "abc"), ("--q", "0.5"), ("--p", "-1"), ("--p", "nan")]
 )
@@ -307,6 +320,28 @@ def test_cli_negative_seed_exit_2(tmp_path, monkeypatch, capsys, command):
         parse_config(cfg)
     assert run_cli(command + ["--config", cfg]) == 2
     assert "error: config:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [
+        "data.mode_m = 4",  # the Nyquist mode at N = 8
+        "data.mode_n = -4",
+        "data.mode_m = 9",
+        "data.mode_k = 8",
+        "data.mode_k = 9",
+        "data.mode_k = -1",
+    ],
+)
+def test_cli_single_mode_off_grid_exit_2(tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(
+        tmp_path,
+        "grid.n = 8\ngrid.k = 8\ntime.dt = 0.01\ntime.horizon = 0.01\n"
+        f"data.kind = single-mode\n{mode}\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "not on the grid" in capsys.readouterr().err
 
 
 def test_cli_huge_horizon_exit_2(tmp_path, monkeypatch, capsys):
