@@ -34,6 +34,12 @@ from .semigroup import SingularityError, StokesOperator
 from .solver import grad_mixed_norm, mixed_norm
 
 DENOM_FLOOR = 1e-14
+# side of the periodic cube the Young samples live on (even, >= 4)
+YOUNG_GRID = 8
+# iterations of the recursion a_{m+1} = a0 + c1 a_m^2 + c2 a_m that are checked
+RECURSION_STEPS = 50
+# largest relative change of a sup ratio under resolution doubling that counts as stable
+STABILITY_REL_TOL = 0.10
 
 
 @dataclass
@@ -85,18 +91,18 @@ def kernel_l1_norm(lam: complex):
 # -- anisotropic Young -----------------------------------------------------
 
 
-def young_anisotropic_test(n_samples: int, q, p, n_grid: int = 8, seed: int = 0) -> ScanReport:
+def young_anisotropic_test(n_samples: int, q, p, seed: int = 0) -> ScanReport:
     """Discrete periodic convolution: ||g*f||_{q,p} <= ||g||_1 ||f||_{q,p}.
 
     Scalar samples live on the unit 3-torus, viewed as the unit-depth layer.
     """
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
-    vol = 1.0 / n_grid**3
-    cube = Grid(n_grid, n_grid, 1.0)
+    vol = 1.0 / YOUNG_GRID**3
+    cube = Grid(YOUNG_GRID, YOUNG_GRID, 1.0)
     for i in range(n_samples):
-        f = rng.standard_normal((n_grid,) * 3)
-        g = rng.standard_normal((n_grid,) * 3)
+        f = rng.standard_normal((YOUNG_GRID,) * 3)
+        g = rng.standard_normal((YOUNG_GRID,) * 3)
         conv = sfft.ifftn(sfft.fftn(f) * sfft.fftn(g)).real * vol
         denom = np.sum(np.abs(g)) * vol * norm_anisotropic(PhysicalField(f[None], cube), q, p)
         if denom < DENOM_FLOOR:
@@ -133,22 +139,13 @@ def _boundary_flat_sample(grid: Grid, seed: int):
 
 
 def semigroup_decay_scan(
-    combo: str,
-    t_grid,
-    n_samples: int,
-    p: float,
-    grid: Grid,
-    seed: int = 0,
-    beta: float | None = None,
-    op: StokesOperator | None = None,
+    combo: str, t_grid, n_samples: int, p: float, grid: Grid, seed: int = 0
 ) -> ScanReport:
     """Weighted decay ratios for derivative/projection/semigroup compositions."""
     if combo not in SEMIGROUP_COMBOS:
         raise ValueError(f"unknown combo {combo!r}; choose from {SEMIGROUP_COMBOS}")
-    if op is None:
-        op = StokesOperator(grid)
-    if beta is None:
-        beta = op.spectral_bound_value("solenoidal")
+    op = StokesOperator(grid)
+    beta = op.spectral_bound_value("solenoidal")
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
         if combo == "grad_sg":
@@ -177,17 +174,15 @@ def semigroup_decay_scan(
     return ScanReport(combo, params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)
 
 
-def smoothing_trend(grid: Grid, p: float, t_grid=None, seed: int = 0, op=None):
+def smoothing_trend(grid: Grid, p: float, seed: int = 0):
     """t^{1/2} ||grad e^{tA} f|| on a geometric small-t grid, smooth solenoidal f.
 
     For data in the solenoidal space this quantity tends to 0 with t.
     """
-    if op is None:
-        op = StokesOperator(grid)
-    if t_grid is None:
-        t_grid = np.geomspace(1e-5, 1e-1, 9)
+    op = StokesOperator(grid)
+    t_grid = np.geomspace(1e-5, 1e-1, 9)
     f = random_field(grid, seed=seed, decay=4.0, solenoidal=True)
-    return np.asarray(t_grid), np.array(
+    return t_grid, np.array(
         [np.sqrt(t) * grad_mixed_norm(op.semigroup_apply(t, f), p) for t in t_grid]
     )
 
@@ -204,7 +199,6 @@ def resolvent_scan(
     grid: Grid,
     seed: int = 0,
     derivative_datum: bool = False,
-    op: StokesOperator | None = None,
 ) -> ScanReport:
     """Sectorial resolvent estimate ratios over lambda in Sigma_theta.
 
@@ -212,8 +206,7 @@ def resolvent_scan(
     |Re v| <= |v| pointwise, so for complex lambda the ratios can understate
     the sectorial bound.
     """
-    if op is None:
-        op = StokesOperator(grid)
+    op = StokesOperator(grid)
     psis = np.array([0.0, 0.5, 0.9]) * theta
     psis = np.unique(np.concatenate([psis, -psis]))
     ratios, params, skipped = [], [], 0
@@ -402,18 +395,12 @@ def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0
 
 
 def nonlinear_estimate_scan(
-    n_pairs: int,
-    t_grid,
-    p: float,
-    grid: Grid,
-    seed: int = 0,
-    op: StokesOperator | None = None,
+    n_pairs: int, t_grid, p: float, grid: Grid, seed: int = 0
 ) -> ScanReport:
     """Ratios for the four semigroup-nonlinearity estimates."""
     from .nonlinear import advection
 
-    if op is None:
-        op = StokesOperator(grid)
+    op = StokesOperator(grid)
     ratios, params, skipped = [], [], 0
     for i in range(n_pairs):
         v1 = random_field(grid, seed=seed + 2 * i, solenoidal=True)
@@ -443,7 +430,7 @@ def nonlinear_estimate_scan(
 # -- recursion lemma -------------------------------------------------------
 
 
-def recursion_bound_check(a0: float, c1: float, c2: float, M: int = 50):
+def recursion_bound_check(a0: float, c1: float, c2: float):
     """Iterate a_{m+1} = a0 + c1 a_m^2 + c2 a_m and check a_m < 2 a0/(1-c2)."""
     if not c1 > 0:
         raise ValueError(f"c1 must be positive, got {c1}")
@@ -454,7 +441,7 @@ def recursion_bound_check(a0: float, c1: float, c2: float, M: int = 50):
             f"hypothesis violated: 4*c1*a0 = {4 * c1 * a0:.6g} >= (1-c2)^2 = {(1 - c2) ** 2:.6g}"
         )
     seq = [a0]
-    for _ in range(M):
+    for _ in range(RECURSION_STEPS):
         a = seq[-1]
         seq.append(a0 + c1 * a * a + c2 * a)
     bound = 2.0 * a0 / (1.0 - c2)
@@ -465,11 +452,11 @@ def recursion_bound_check(a0: float, c1: float, c2: float, M: int = 50):
 # -- stability helper ------------------------------------------------------
 
 
-def resolution_stability(scan_at_grid, grid: Grid, rel_tol: float = 0.10):
+def resolution_stability(scan_at_grid, grid: Grid):
     """Run a grid-parametrized scan at (N,K) and (2N,2K); compare sups."""
     base = scan_at_grid(grid)
     fine = scan_at_grid(Grid(2 * grid.N, 2 * grid.K, grid.h))
     drift = abs(fine.sup_ratio - base.sup_ratio) / max(base.sup_ratio, DENOM_FLOOR)
-    base.stable = drift <= rel_tol
+    base.stable = drift <= STABILITY_REL_TOL
     base.notes = (base.notes + f" drift={drift:.3f} vs ({fine.resolutions})").strip()
     return base, fine

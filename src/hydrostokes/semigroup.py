@@ -60,7 +60,7 @@ class SemigroupCache:
 class StokesOperator:
     """Discrete hydrostatic Stokes operator A = Delta + B on a grid."""
 
-    def __init__(self, grid: Grid, cache_size: int = 4096):
+    def __init__(self, grid: Grid):
         self.grid = grid
         self.basis = grid.basis
         lam = self.basis.lambdas
@@ -78,7 +78,7 @@ class StokesOperator:
 
         # orthonormal basis of the solenoidal constraint sum c_k/lambda_k = 0
         self.deflation = null_space(np.atleast_2d(1.0 / lam))
-        self.cache = SemigroupCache(cache_size)
+        self.cache = SemigroupCache()
 
     # -- component split ---------------------------------------------------
 

@@ -88,8 +88,6 @@ class Trajectory:
 class IterationReport:
     """Per-Picard-iteration S(T)-norm bookkeeping."""
 
-    K_m: list = field(default_factory=list)  # arrays over time nodes
-    H_m: list = field(default_factory=list)
     S_m: list = field(default_factory=list)  # scalars, S(T)-norm per iterate
     diff_S: list = field(default_factory=list)  # ||V_{m+1} - V_m||_{S(T)}
     ratios: list = field(default_factory=list)  # contraction factors, m >= 1
@@ -108,17 +106,13 @@ def grad_mixed_norm(v: SpectralField, p: float) -> float:
 
 
 def _s_norm(v_list, times, p):
-    """S(T)-norm of a discrete trajectory, plus the K and H node series."""
-    H = np.zeros(len(times))
-    Kw = np.zeros(len(times))
-    running_h, running_k = 0.0, 0.0
-    for n, t in enumerate(times):
-        running_h = max(running_h, mixed_norm(v_list[n], p))
+    """S(T)-norm max(sup ||v||, sup_{t>0} t^{1/2} ||grad v||) of a discrete trajectory."""
+    s = 0.0
+    for v, t in zip(v_list, times):
+        s = max(s, mixed_norm(v, p))
         if t > 0:
-            running_k = max(running_k, np.sqrt(t) * grad_mixed_norm(v_list[n], p))
-        H[n] = running_h
-        Kw[n] = running_k
-    return max(running_h, running_k), Kw, H
+            s = max(s, np.sqrt(t) * grad_mixed_norm(v, p))
+    return s
 
 
 def split_data(op: StokesOperator, a: SpectralField, delta: float):
@@ -214,11 +208,7 @@ def picard_iterate(
 
     V = [op.semigroup_apply(t, a0) for t in times]
 
-    report = IterationReport()
-    S, Kw, H = _s_norm(V, times, p)
-    report.K_m.append(Kw)
-    report.H_m.append(H)
-    report.S_m.append(S)
+    report = IterationReport(S_m=[_s_norm(V, times, p)])
 
     for m in range(config.max_picard):
         F = [
@@ -230,15 +220,12 @@ def picard_iterate(
         Vnew = list(_duhamel(op, a0, F, times))
 
         diff = [SpectralField(a.coeffs - b.coeffs, op.grid) for a, b in zip(Vnew, V)]
-        dS, _, _ = _s_norm(diff, times, p)
+        dS = _s_norm(diff, times, p)
         report.diff_S.append(dS)
         if len(report.diff_S) >= 2 and report.diff_S[-2] > 0:
             report.ratios.append(dS / report.diff_S[-2])
         V = Vnew
-        S, Kw, H = _s_norm(V, times, p)
-        report.K_m.append(Kw)
-        report.H_m.append(H)
-        report.S_m.append(S)
+        report.S_m.append(_s_norm(V, times, p))
         report.iterations = m + 1
         if dS < config.picard_tol:
             report.converged = True

@@ -87,22 +87,29 @@ def parse_config(path: str) -> dict:
     return out
 
 
+# config key -> SolverConfig field; a key absent from the config keeps the field's default
+SOLVER_KEYS = {
+    "grid.n": "N", "grid.k": "K", "grid.h": "h", "norm.p": "p",
+    "time.dt": "dt", "time.horizon": "T", "split.delta": "delta", "split.eps0": "eps0",
+    "picard.max_iter": "max_picard", "picard.tol": "picard_tol",
+    "dealias": "dealias", "reproject": "reproject", "snapshot.every": "snapshot_every",
+}
+
+
 def solver_config(cfg: dict) -> SolverConfig:
     try:
-        return SolverConfig(
-            N=cfg.get("grid.n", 16),
-            K=cfg.get("grid.k", 16),
-            h=cfg.get("grid.h", 1.0),
-            p=cfg.get("norm.p", 4.0),
-            dt=cfg.get("time.dt", 0.005),
-            T=cfg.get("time.horizon", 0.1),
-            delta=cfg.get("split.delta", 0.01),
-            eps0=cfg.get("split.eps0"),
-            max_picard=cfg.get("picard.max_iter", 20),
-            picard_tol=cfg.get("picard.tol", 1e-10),
-            dealias=cfg.get("dealias", True),
-            reproject=cfg.get("reproject", True),
-            snapshot_every=cfg.get("snapshot.every", 1),
+        return SolverConfig(**{name: cfg[key] for key, name in SOLVER_KEYS.items() if key in cfg})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def config_grid(cfg: dict) -> Grid:
+    """The grid a config names; ConfigError when it is not a valid grid."""
+    try:
+        return Grid(
+            cfg.get("grid.n", SolverConfig.N),
+            cfg.get("grid.k", SolverConfig.K),
+            cfg.get("grid.h", SolverConfig.h),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

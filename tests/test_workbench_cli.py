@@ -392,6 +392,49 @@ def test_cli_verify_non_finite_sup_exit_1(tmp_path, monkeypatch):
     assert run_cli(["verify", "resolvent"]) == 1
 
 
+def test_cli_verify_all_reports_each_suite_from_its_own_result(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    called = set()
+
+    def stub(name, sup):
+        def scan(*args, **kwargs):
+            called.add(name)
+            return ScanReport(name, [0], [sup])
+
+        return scan
+
+    scans = {
+        "young_anisotropic_test": 0.5,
+        "semigroup_decay_scan": 1.0,
+        "resolvent_scan": 1.0,
+        "horizontal_multiplier_scan": np.nan,
+        "interpolation_ratio": np.inf,
+        "nonlinear_estimate_scan": 1.0,
+    }
+    for name, sup in scans.items():
+        monkeypatch.setattr(hydrostokes.cli, name, stub(name, sup))
+    real_stability = hydrostokes.cli.resolution_stability
+
+    def stability(*args, **kwargs):
+        called.add("resolution_stability")
+        return real_stability(*args, **kwargs)
+
+    monkeypatch.setattr(hydrostokes.cli, "resolution_stability", stability)
+    assert run_cli(["verify", "all"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "verify kernel: ok",
+        "verify young: ok",
+        "verify semigroup: ok",
+        "verify resolvent: ok",
+        "verify multiplier: FAIL",
+        "verify interpolation: FAIL",
+        "verify nonlinear: ok",
+        "verify recursion: ok",
+    ]
+    # the suites look each scan up in cli at call time, so every stub ran
+    assert called == set(scans) | {"resolution_stability"}
+
+
 def test_cli_verify_unknown_suite():
     assert run_cli(["verify", "frobnicate"]) == 2
 
