@@ -49,9 +49,17 @@ class SpectralField:
         return SpectralField(self.coeffs.copy(), self.grid)
 
     def reality_defect(self):
-        """Max deviation from c(-m,-n,k) = conj(c(m,n,k))."""
-        c = self.coeffs
-        return float(np.abs(c - _conj_reflection(c)).max())
+        """Max deviation from c(-m,-n,k) = conj(c(m,n,k)), from views only.
+
+        Columns n = N/2+1..N-1 are compared with the conjugates of columns
+        N/2-1..1 reflected in m, and columns 0 and N/2 with themselves; by
+        the symmetry of the pairing that covers every (m, n).
+        """
+        a, N = self.coeffs, self.grid.N
+        return max(
+            _mirror_defect(a[:, :, N // 2 + 1 :], a[:, :, N // 2 - 1 : 0 : -1]),
+            _mirror_defect(a[:, :, :: N // 2], a[:, :, :: N // 2]),
+        )
 
     def enforce_reality(self):
         self.coeffs = hermitian_part(self.coeffs)
@@ -91,14 +99,9 @@ class PhysicalField:
         return PhysicalField(self.values.copy(), self.grid)
 
 
-def _conj_reflection(c: np.ndarray) -> np.ndarray:
-    """conj(c(-m,-n,...)) for coefficients with FFT-ordered axes 1 and 2."""
-    return np.conj(np.roll(c[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2)))
-
-
 def hermitian_part(c: np.ndarray) -> np.ndarray:
     """Coefficients of the real part of the field: (c(m,n) + conj c(-m,-n)) / 2."""
-    return 0.5 * (c + _conj_reflection(c))
+    return 0.5 * (c + np.conj(np.roll(c[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2))))
 
 
 def zero_nyquist(c: SpectralField) -> SpectralField:
@@ -143,19 +146,15 @@ def inverse_transform(c: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`.
 
     The horizontal step reads only the half spectrum n <= N/2, so the guard
-    checks what that drops: columns n = N/2+1..N-1 against the conjugates of
-    columns N/2-1..1 reflected in m, and columns 0 and N/2 for Hermitian
-    symmetry in m.  Raises if that defect times N^2 exceeds ``REALITY_TOL``
-    times the field scale, since the result is returned as a real field.
+    checks that the columns it drops mirror the rest: it raises if the
+    Hermitian defect (:meth:`SpectralField.reality_defect`) times N^2
+    exceeds ``REALITY_TOL`` times the field scale, since the result is
+    returned as a real field.
     """
     g = c.grid
     N = g.N
-    a = c.coeffs
-    u = _irfft2(a, N)
-    defect = max(
-        _mirror_defect(a[:, :, N // 2 + 1 :], a[:, :, N // 2 - 1 : 0 : -1]),
-        _mirror_defect(a[:, :, :: N // 2], a[:, :, :: N // 2]),
-    )
+    u = _irfft2(c.coeffs, N)
+    defect = c.reality_defect()
     scale = np.abs(u).max()
     if defect * N**2 > REALITY_TOL * scale:
         raise ValueError(

@@ -28,9 +28,10 @@ from .fields import (
     vertical_derivative,
     weighted_lp,
 )
+from .nonlinear import advection
 from .projection import helmholtz_2d, project_hydrostatic
 from .sampling import random_field
-from .semigroup import SingularityError, StokesOperator
+from .semigroup import SingularityError, StokesOperator, spectral_bound
 from .solver import grad_mixed_norm, mixed_norm
 
 DENOM_FLOOR = 1e-14
@@ -145,7 +146,7 @@ def semigroup_decay_scan(
     if combo not in SEMIGROUP_COMBOS:
         raise ValueError(f"unknown combo {combo!r}; choose from {SEMIGROUP_COMBOS}")
     op = StokesOperator(grid)
-    beta = op.spectral_bound_value("solenoidal")
+    beta = spectral_bound(grid)[0]
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
         if combo == "grad_sg":
@@ -398,8 +399,6 @@ def nonlinear_estimate_scan(
     n_pairs: int, t_grid, p: float, grid: Grid, seed: int = 0
 ) -> ScanReport:
     """Ratios for the four semigroup-nonlinearity estimates."""
-    from .nonlinear import advection
-
     op = StokesOperator(grid)
     ratios, params, skipped = [], [], 0
     for i in range(n_pairs):

@@ -1,16 +1,23 @@
 """Per-mode hydrostatic Stokes operator, its semigroup and resolvent.
 
 For each horizontal wavenumber xi the operator acts on the K sine
-coefficients of the xi-parallel and xi-perpendicular velocity components.
+coefficients of the xi-parallel and xi-perpendicular velocity components,
+c_par = x c_0 + y c_1 and c_perp = x c_1 - y c_0 with xi/|xi| = (x, y).
 The perpendicular part is diagonal, -(|xi|^2 + lambda_k^2).  The parallel
-part additionally carries the rank-one bottom-shear coupling
+part additionally carries the rank-one bottom-shear coupling b lambda^T,
 
-    R_{kj} = (betas_t_k / h) * lambda_j,
+    b_k = betas_t_k / h,
 
-the truncated form of (1/h)(1-Q) dz v at z = -h.  Since R is independent of
-xi and the diagonal shift is a multiple of the identity, a single K x K
-matrix exponential of M_z = diag(-lambda^2) + R serves all wavenumbers at a
-given time, scaled by exp(-t |xi|^2).
+the truncated form of (1/h)(1-Q) dz v at z = -h, applied as the rank-one
+update b (lambda . c_par).  Since it is independent of xi and the diagonal
+shift is a multiple of the identity, a single K x K matrix exponential of
+M_z = diag(-lambda^2) + b lambda^T serves all wavenumbers at a given time,
+scaled by exp(-t |xi|^2).
+
+1/lambda is a left null vector of M_z, so M_z maps into the solenoidal space
+{sum c_k/lambda_k = 0}, which is therefore invariant, and acts as 0 on the
+one-dimensional quotient.  The solenoidal spectrum of the parallel block is
+the spectrum of M_z with one zero eigenvalue removed (Golub, SIAM Rev. 1973).
 
 Because M_z is diagonal plus rank one, the shifted system (mu - M_z) x = y
 has the Sherman-Morrison solution, evaluated for all modes at once.  The
@@ -23,7 +30,7 @@ import threading
 from collections import OrderedDict
 
 import numpy as np
-from scipy.linalg import expm, null_space
+from scipy.linalg import expm
 
 from .basis import Grid
 from .fields import SpectralField
@@ -67,29 +74,23 @@ class StokesOperator:
         self.lam2 = lam**2
         # rank-one bottom-shear coupling b lambda^T, parallel component only
         self.b = self.basis.betas_t / grid.h
-        self.R = np.outer(self.b, lam)
-        self.Mz = np.diag(-self.lam2) + self.R
+        self.Mz = np.diag(-self.lam2) + np.outer(self.b, lam)
         self.Mz_eigs = np.linalg.eigvals(self.Mz)
 
         self.xi2 = grid.xi2
         self.xi_hat = grid.xi_hat
-        self.xi_perp = np.stack([-self.xi_hat[1], self.xi_hat[0]])
         self.s_values = np.unique(self.xi2)
-
-        # orthonormal basis of the solenoidal constraint sum c_k/lambda_k = 0
-        self.deflation = null_space(np.atleast_2d(1.0 / lam))
         self.cache = SemigroupCache()
 
     # -- component split ---------------------------------------------------
 
     def _split(self, coeffs):
-        cpar = np.einsum("cmn,cmnk->mnk", self.xi_hat, coeffs)
-        cperp = np.einsum("cmn,cmnk->mnk", self.xi_perp, coeffs)
-        return cpar, cperp
+        x, y = self.xi_hat[:, :, :, None]
+        return x * coeffs[0] + y * coeffs[1], x * coeffs[1] - y * coeffs[0]
 
     def _assemble(self, cpar, cperp, origin):
-        out = np.einsum("cmn,mnk->cmnk", self.xi_hat, cpar)
-        out += np.einsum("cmn,mnk->cmnk", self.xi_perp, cperp)
+        x, y = self.xi_hat[:, :, :, None]
+        out = np.stack([x * cpar - y * cperp, y * cpar + x * cperp])
         out[:, 0, 0, :] = origin
         return out
 
@@ -102,8 +103,8 @@ class StokesOperator:
         c = v.coeffs
         out = -(self.xi2[None, :, :, None] + self.lam2) * c
         cpar, _ = self._split(c)
-        bpar = np.einsum("kj,mnj->mnk", self.R, cpar)
-        out += np.einsum("cmn,mnk->cmnk", self.xi_hat, bpar)
+        bpar = (cpar @ self.basis.lambdas)[:, :, None] * self.b
+        out += self.xi_hat[:, :, :, None] * bpar
         return SpectralField(out, v.grid)
 
     def _exp_block(self, t: float) -> np.ndarray:
@@ -135,7 +136,7 @@ class StokesOperator:
         cpar, cperp = self._split(c)
         E = self._exp_block(t)
         decay_h = np.exp(-t * self.xi2)[:, :, None]
-        cpar = decay_h * np.einsum("kj,mnj->mnk", E, cpar)
+        cpar = decay_h * (cpar @ E.T)
         cperp = decay_h * np.exp(-t * self.lam2) * cperp
         origin = c[:, 0, 0, :] * np.exp(-t * self.lam2)
         return SpectralField(self._assemble(cpar, cperp, origin), v.grid)
@@ -150,7 +151,7 @@ class StokesOperator:
         cpar, cperp = self._split(c)
         # with B = M_z - s, t phi1(tB) y = (s - M_z)^{-1}(y - e^{-ts} e^{t M_z} y)
         decay_h = np.exp(-t * self.xi2)[:, :, None]
-        rhs = cpar - decay_h * np.einsum("kj,mnj->mnk", self._exp_block(t), cpar)
+        rhs = cpar - decay_h * (cpar @ self._exp_block(t).T)
         # at s = 0 the block is singular (M_z has a zero eigenvalue); the
         # origin is assembled below, so it gets a dummy unit shift
         shift = self.xi2.copy()
@@ -190,19 +191,17 @@ class StokesOperator:
         """Eigenvalues of every mode block.
 
         Returns a list of rows (m, n, index, eigenvalue).  For the solenoidal
-        subspace the parallel block is deflated onto {sum c_k/lambda_k = 0};
-        the perpendicular diagonal and the xi = 0 block are solenoidal as is.
+        subspace the parallel block is restricted to {sum c_k/lambda_k = 0},
+        whose spectrum is that of M_z without its zero eigenvalue (the one of
+        least modulus); the perpendicular diagonal and the xi = 0 block are
+        solenoidal as is.
         """
         if subspace not in ("full", "solenoidal"):
             raise ValueError(f"unknown subspace {subspace!r}")
-        K, N = self.grid.K, self.grid.N
-        if subspace == "solenoidal" and self.deflation.shape[1] > 0:
-            W = self.deflation
-            par_eigs = np.linalg.eigvals(W.T @ self.Mz @ W)
-        elif subspace == "solenoidal":
-            par_eigs = np.array([])  # K = 1: parallel solenoidal space is {0}
-        else:
-            par_eigs = self.Mz_eigs
+        N = self.grid.N
+        par_eigs = self.Mz_eigs
+        if subspace == "solenoidal":
+            par_eigs = np.delete(par_eigs, np.argmin(np.abs(par_eigs)))
         rows = []
         ms = np.fft.fftfreq(N, d=1.0 / N).astype(int)
         for im, m in enumerate(ms):
@@ -215,10 +214,6 @@ class StokesOperator:
                 for idx, ev in enumerate(eigs):
                     rows.append((m, n, idx, complex(ev)))
         return rows
-
-    def spectral_bound_value(self, subspace: str = "solenoidal") -> float:
-        rows = self.eigenvalue_report(subspace)
-        return max(ev.real for _, _, _, ev in rows)
 
 
 def spectral_bound(grid: Grid, subspace: str = "solenoidal"):

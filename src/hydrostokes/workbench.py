@@ -8,6 +8,7 @@ import numpy as np
 
 from .basis import Grid
 from .fields import REALITY_TOL, SpectralField
+from .projection import project_hydrostatic
 from .sampling import random_field, single_mode_field
 from .solver import SolverConfig
 
@@ -132,24 +133,22 @@ def initial_data(cfg: dict, grid: Grid) -> SpectralField:
                 f"single mode (m, n, k) = ({m}, {n}, {k}) is not on the grid: "
                 f"need |m|, |n| < {grid.N // 2} and 0 <= k < {grid.K}"
             )
-        a = single_mode_field(grid, m=m, n=n, k=k, amplitude=amp)
-        from .projection import project_hydrostatic
-
-        return project_hydrostatic(a)
-    if kind == "random-decay":
-        return random_field(
-            grid, seed=seed, decay=cfg.get("data.decay", 3.0), solenoidal=True, amplitude=amp
-        )
-    if kind == "rough-perturbation":
-        return random_field(
+        f = project_hydrostatic(single_mode_field(grid, m=m, n=n, k=k, amplitude=amp))
+    elif kind in ("random-decay", "rough-perturbation"):
+        f = random_field(
             grid,
             seed=seed,
             decay=cfg.get("data.decay", 3.0),
-            rough_amplitude=cfg.get("data.rough", 0.1),
+            rough_amplitude=cfg.get("data.rough", 0.1) if kind == "rough-perturbation" else 0.0,
             solenoidal=True,
             amplitude=amp,
         )
-    raise ConfigError(f"unknown data.kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown data.kind {kind!r}")
+    # inf/nan amplitudes or decays, or fields too large to square, end here
+    if not np.isfinite(f.norm2()):
+        raise ConfigError(f"initial data ({kind}) has a non-finite L^2 norm")
+    return f
 
 
 def write_snapshot(path: str, field: SpectralField, time: float):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 
 import hydrostokes.semigroup
 
@@ -336,6 +336,45 @@ def test_origin_rows_are_vertical_heat():
     evs = sorted(r[3].real for r in rows)
     expect = sorted(np.concatenate([-basis.lambdas**2] * 2))
     assert np.allclose(evs, expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("K", [1, 8, 64])
+@pytest.mark.parametrize("h", [0.7, 1.0])
+def test_solenoidal_eigenvalues_match_deflation(K, h):
+    # oracle: M_z restricted to an orthonormal basis of {sum c_k/lambda_k = 0}
+    op = StokesOperator(Grid(4, K, h))
+    W = null_space(np.atleast_2d(1.0 / op.basis.lambdas))
+    expect = np.sort_complex(np.linalg.eigvals(W.T @ op.Mz @ W)) if K > 1 else np.array([])
+    rows = op.eigenvalue_report("solenoidal")
+    # mode (m, n) = (1, 0): K - 1 parallel rows, then K perpendicular ones
+    par = [ev for m, n, idx, ev in rows if (m, n) == (1, 0) and idx < K - 1]
+    got = np.sort_complex(np.array(par) + op.xi2[1, 0])
+    assert len([r for r in rows if (r[0], r[1]) == (1, 0)]) == 2 * K - 1
+    assert got.shape == expect.shape
+    if K > 1:
+        assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("N, K, h", [(8, 8, 1.0), (16, 12, 0.7)])
+def test_apply_A_matches_dense_coupling(N, K, h):
+    # oracle: the stored dense coupling R = b lambda^T, contracted by einsum
+    grid = Grid(N, K, h)
+    op = StokesOperator(grid)
+    v = random_field(grid, ncomp=2, seed=N + K)
+    c = v.coeffs
+    R = np.outer(op.basis.betas_t / h, op.basis.lambdas)
+    expect = -(grid.xi2[None, :, :, None] + op.basis.lambdas**2) * c
+    cpar = np.einsum("cmn,cmnk->mnk", grid.xi_hat, c)
+    expect += np.einsum("cmn,mnk->cmnk", grid.xi_hat, np.einsum("kj,mnj->mnk", R, cpar))
+    got = op.apply_A(v).coeffs
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_split_assemble_round_trip(grid8):
+    op = StokesOperator(grid8)
+    c = random_field(grid8, ncomp=2, seed=21).coeffs
+    back = op._assemble(*op._split(c), c[:, 0, 0, :])
+    assert np.abs(back - c).max() <= 1e-15 * np.abs(c).max()
 
 
 def test_one_exponential_block_per_time(grid8, monkeypatch):

@@ -344,6 +344,26 @@ def test_cli_single_mode_off_grid_exit_2(tmp_path, monkeypatch, capsys, mode):
     assert "not on the grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        "data.amplitude = inf",
+        "data.amplitude = nan",
+        "data.amplitude = 1e200",  # finite coefficients whose squares overflow
+        "data.decay = nan",
+        "data.kind = rough-perturbation\ndata.rough = inf",
+        "data.kind = single-mode\ndata.amplitude = nan",
+    ],
+)
+def test_cli_non_finite_initial_data_exit_2(tmp_path, monkeypatch, capsys, data):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(
+        tmp_path, f"grid.n = 8\ngrid.k = 4\ntime.dt = 0.01\ntime.horizon = 0.02\n{data}\n"
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "non-finite L^2 norm" in capsys.readouterr().err
+
+
 def test_cli_huge_horizon_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = write(tmp_path, "time.horizon = 1e300\ntime.dt = 1\n")
