@@ -5,7 +5,10 @@ smooth and a_0 small.  The reference part is advanced by an exponential-Euler
 integrator; the remainder V = v - v_ref is constructed by Picard iteration on
 the Duhamel integral with the coupling nonlinearity, monitored in the
 S(T)-norm max(sup ||V||, sup t^{1/2} ||grad V||) with mixed L^inf_H L^p_z
-norms.
+norms.  Every nonlinear term is dealiased (2/3 rule) and every forcing and
+reference step is re-projected.  :class:`SolverConfig` is the one source of
+parameters: the grid, the uniform time grid (dt, T) and the split and Picard
+settings.
 """
 
 from dataclasses import dataclass, field
@@ -43,8 +46,6 @@ class SolverConfig:
     eps0: float | None = None  # rough-part threshold; default 0.05 * ||a||
     max_picard: int = 20
     picard_tol: float = 1e-10
-    dealias: bool = True
-    reproject: bool = True
     snapshot_every: int = 1
 
     def __post_init__(self):
@@ -105,13 +106,19 @@ def grad_mixed_norm(v: SpectralField, p: float) -> float:
     return norm_anisotropic(gradient(v), np.inf, p)
 
 
+def _node_norms(v_list, times, p):
+    """(||v_n||, t_n^{1/2} ||grad v_n||) per node; the second is 0 at t = 0."""
+    return [
+        (mixed_norm(v, p), np.sqrt(t) * grad_mixed_norm(v, p) if t > 0 else 0.0)
+        for v, t in zip(v_list, times)
+    ]
+
+
 def _s_norm(v_list, times, p):
     """S(T)-norm max(sup ||v||, sup_{t>0} t^{1/2} ||grad v||) of a discrete trajectory."""
     s = 0.0
-    for v, t in zip(v_list, times):
-        s = max(s, mixed_norm(v, p))
-        if t > 0:
-            s = max(s, np.sqrt(t) * grad_mixed_norm(v, p))
+    for norm, grad in _node_norms(v_list, times, p):
+        s = max(s, norm, grad)
     return s
 
 
@@ -122,10 +129,9 @@ def split_data(op: StokesOperator, a: SpectralField, delta: float):
     return a_ref, a0
 
 
-def _nonlinearity(v, config):
-    f = advection(v, dealias=config.dealias)
-    f.coeffs = -f.coeffs
-    return project_hydrostatic(f)
+def _forcing(f: SpectralField) -> SpectralField:
+    """-P f, the forcing that the transport term f contributes to the mild equation."""
+    return project_hydrostatic(SpectralField(-f.coeffs, f.grid))
 
 
 def _duhamel(op: StokesOperator, a: SpectralField, F, times):
@@ -153,15 +159,15 @@ def _duhamel(op: StokesOperator, a: SpectralField, F, times):
         yield SpectralField(G + 0.5 * dt * F[n].coeffs, op.grid)
 
 
-def reference_solve(
-    op: StokesOperator, a_ref: SpectralField, T: float, dt: float, config: SolverConfig
-) -> Trajectory:
-    """Exponential-Euler integration v_{n+1} = e^{dtA} v_n + dt phi1(dtA) P F(v_n).
+def reference_solve(op: StokesOperator, a_ref: SpectralField, config: SolverConfig) -> Trajectory:
+    """Exponential-Euler integration v_{n+1} = P(e^{dtA} v_n + dt phi1(dtA) F(v_n)).
 
-    ``diagnostics["F"]`` keeps F(v_n) for the nodes 0..n-1, which
-    :func:`mild_residual` can reuse instead of forming them again.
+    F(v) = -P (u . grad) v; the nodes are the multiples of ``config.dt`` up to
+    ``config.T``.  ``diagnostics["F"]`` keeps F(v_n) for the nodes 0..n-1,
+    which :func:`mild_residual` can reuse instead of forming them again.
     """
-    nsteps = int(round(T / dt))
+    dt = config.dt
+    nsteps = int(round(config.T / dt))
     times = dt * np.arange(nsteps + 1)
     v = a_ref.copy()
     snaps = [v.copy()]
@@ -169,12 +175,10 @@ def reference_solve(
     guard = max(energy[0], 1e-300) * 1e6
     F_list = []
     for _ in range(nsteps):
-        F = _nonlinearity(v, config)
+        F = _forcing(advection(v))
         F_list.append(F)
         stepped = op.semigroup_apply(dt, v).coeffs + dt * op.phi1_apply(dt, F).coeffs
-        v = SpectralField(stepped, op.grid)
-        if config.reproject:
-            v = project_hydrostatic(v)
+        v = project_hydrostatic(SpectralField(stepped, op.grid))
         e = v.norm2()
         if not np.isfinite(e) or e > guard:
             raise SolverDivergenceError(
@@ -185,25 +189,18 @@ def reference_solve(
     return Trajectory(times, snaps, {"energy": np.array(energy), "F": F_list})
 
 
-def picard_iterate(
-    op: StokesOperator, a0: SpectralField, v_ref: Trajectory, T: float, config: SolverConfig
-):
+def picard_iterate(op: StokesOperator, a0: SpectralField, v_ref: Trajectory, config: SolverConfig):
     """Duhamel fixed-point iteration for the rough remainder V.
 
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
     F_m = -P( (U_m.grad)V_m + (U_m.grad)v_ref + (u_ref.grad)V_m ),
-    the integral by trapezoidal quadrature on the shared time grid, which
-    must be uniform.  Per iteration each node costs one
+    the integral by trapezoidal quadrature on the time grid ``v_ref.times``,
+    which must be uniform.  Per iteration each node costs one
     :func:`coupled_advection` call and one semigroup apply (the recurrence
     in :func:`_duhamel`); v_ref's node values are rebuilt every iteration
     rather than held, which keeps peak memory flat.
     """
     times = v_ref.times
-    if times[-1] < T - 1e-12:
-        raise ValueError("reference trajectory does not cover [0, T]")
-    keep = times <= T + 1e-12
-    times = times[keep]
-    vref = [s for s, k in zip(v_ref.snapshots, keep) if k]
     p = config.p
 
     V = [op.semigroup_apply(t, a0) for t in times]
@@ -211,12 +208,7 @@ def picard_iterate(
     report = IterationReport(S_m=[_s_norm(V, times, p)])
 
     for m in range(config.max_picard):
-        F = [
-            project_hydrostatic(
-                SpectralField(-coupled_advection(v, r, config.dealias).coeffs, op.grid)
-            )
-            for v, r in zip(V, vref)
-        ]
+        F = [_forcing(coupled_advection(v, r)) for v, r in zip(V, v_ref.snapshots)]
         Vnew = list(_duhamel(op, a0, F, times))
 
         diff = [SpectralField(a.coeffs - b.coeffs, op.grid) for a, b in zip(Vnew, V)]
@@ -253,12 +245,11 @@ def _shrink_delta(op, a, config):
     return a_ref, a0, delta
 
 
-def full_solve(a: SpectralField, config: SolverConfig, op: StokesOperator | None = None):
+def full_solve(a: SpectralField, config: SolverConfig):
     """Reference solve plus Picard remainder: v = v_ref + V on [0, T]."""
-    if op is None:
-        op = StokesOperator(config.grid())
+    op = StokesOperator(config.grid())
     a_ref, a0, delta = _shrink_delta(op, a, config)
-    vref = reference_solve(op, a_ref, config.T, config.dt, config)
+    vref = reference_solve(op, a_ref, config)
     known_F = vref.diagnostics.pop("F")
     if float(np.abs(a0.coeffs).max()) == 0.0:
         # the snapshots below are v_ref + 0, so F(v_ref) is their F
@@ -266,31 +257,26 @@ def full_solve(a: SpectralField, config: SolverConfig, op: StokesOperator | None
         report = IterationReport(converged=True)
     else:
         known_F = ()  # F(v_ref + V) must be formed from the sum
-        V, report = picard_iterate(op, a0, vref, config.T, config)
+        V, report = picard_iterate(op, a0, vref, config)
     snaps = [
         SpectralField(r.coeffs + s.coeffs, op.grid)
         for r, s in zip(vref.snapshots, V.snapshots)
     ]
-    times = V.times
-    traj = Trajectory(times, snaps)
-    p = config.p
+    traj = Trajectory(V.times, snaps)
+    norm_inf_p, t_sqrt_grad_norm = np.array(_node_norms(snaps, traj.times, config.p)).T
     traj.diagnostics = {
         "energy": np.array([s.norm2() for s in snaps]),
         "sol_drift": np.array([check_solenoidal(s) for s in snaps]),
-        "norm_inf_p": np.array([mixed_norm(s, p) for s in snaps]),
-        "t_sqrt_grad_norm": np.array(
-            [np.sqrt(t) * grad_mixed_norm(s, p) if t > 0 else 0.0 for t, s in zip(times, snaps)]
-        ),
-        "residual": mild_residual(op, traj, config, known_F),
+        "norm_inf_p": norm_inf_p,
+        "t_sqrt_grad_norm": t_sqrt_grad_norm,
+        "residual": mild_residual(op, traj, known_F),
         "delta": delta,
         "picard": report,
     }
     return traj
 
 
-def mild_residual(
-    op: StokesOperator, traj: Trajectory, config: SolverConfig, known_F=()
-) -> np.ndarray:
+def mild_residual(op: StokesOperator, traj: Trajectory, known_F=()) -> np.ndarray:
     """Defect in the Duhamel identity per time node, in L^2.
 
     Uses the same trapezoidal quadrature, and the same O(n) recurrence, as
@@ -299,7 +285,7 @@ def mild_residual(
     :func:`reference_solve` does); only the remaining nodes are computed.
     The time nodes must be uniform; residual[0] is 0 by construction.
     """
-    F = list(known_F) + [_nonlinearity(s, config) for s in traj.snapshots[len(known_F) :]]
+    F = list(known_F) + [_forcing(advection(s)) for s in traj.snapshots[len(known_F) :]]
     sums = _duhamel(op, traj.snapshots[0], F, traj.times)
     return np.array(
         [SpectralField(v.coeffs - s.coeffs, op.grid).norm2() for v, s in zip(traj.snapshots, sums)]

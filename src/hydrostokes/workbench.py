@@ -28,8 +28,6 @@ CONFIG_KEYS = {
     "split.eps0": float,
     "picard.max_iter": int,
     "picard.tol": float,
-    "dealias": bool,
-    "reproject": bool,
     "seed": int,
     "output.dir": str,
     # initial-data generator selection
@@ -52,14 +50,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(s: str) -> bool:
-    if s.lower() in ("true", "1", "yes", "on"):
-        return True
-    if s.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
-
-
 def parse_config(path: str) -> dict:
     """Read `key = value` lines; '#' starts a comment; unknown keys rejected."""
     try:
@@ -78,9 +68,8 @@ def parse_config(path: str) -> dict:
         key, val = key.strip(), val.strip()
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = CONFIG_KEYS[key]
         try:
-            out[key] = _parse_bool(val) if kind is bool else kind(val)
+            out[key] = CONFIG_KEYS[key](val)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         if key == "seed" and out[key] < 0:
@@ -93,7 +82,7 @@ SOLVER_KEYS = {
     "grid.n": "N", "grid.k": "K", "grid.h": "h", "norm.p": "p",
     "time.dt": "dt", "time.horizon": "T", "split.delta": "delta", "split.eps0": "eps0",
     "picard.max_iter": "max_picard", "picard.tol": "picard_tol",
-    "dealias": "dealias", "reproject": "reproject", "snapshot.every": "snapshot_every",
+    "snapshot.every": "snapshot_every",
 }
 
 
@@ -116,13 +105,29 @@ def config_grid(cfg: dict) -> Grid:
         raise ConfigError(str(exc)) from exc
 
 
+# data.kind -> the float parameters that generator reads, with their defaults
+DATA_PARAMS = {
+    "zero": {},
+    "single-mode": {"data.amplitude": 1.0},
+    "random-decay": {"data.amplitude": 1.0, "data.decay": 3.0},
+    "rough-perturbation": {"data.amplitude": 1.0, "data.decay": 3.0, "data.rough": 0.1},
+}
+
+
 def initial_data(cfg: dict, grid: Grid) -> SpectralField:
     """Named generators: random-decay, single-mode, rough-perturbation, zero."""
     kind = cfg.get("data.kind", "random-decay")
-    amp = cfg.get("data.amplitude", 1.0)
-    seed = cfg.get("seed", 0)
+    if kind not in DATA_PARAMS:
+        raise ConfigError(f"unknown data.kind {kind!r}")
+    par = {key: cfg.get(key, default) for key, default in DATA_PARAMS[kind].items()}
+    for key, val in par.items():
+        if not np.isfinite(val):
+            raise ConfigError(
+                f"initial data ({kind}) would have a non-finite L^2 norm: {key} = {val}"
+            )
     if kind == "zero":
         return SpectralField.zeros(grid)
+    amp = par["data.amplitude"]
     if kind == "single-mode":
         m = cfg.get("data.mode_m", 1)
         n = cfg.get("data.mode_n", 0)
@@ -134,19 +139,19 @@ def initial_data(cfg: dict, grid: Grid) -> SpectralField:
                 f"need |m|, |n| < {grid.N // 2} and 0 <= k < {grid.K}"
             )
         f = project_hydrostatic(single_mode_field(grid, m=m, n=n, k=k, amplitude=amp))
-    elif kind in ("random-decay", "rough-perturbation"):
+    else:
         f = random_field(
             grid,
-            seed=seed,
-            decay=cfg.get("data.decay", 3.0),
-            rough_amplitude=cfg.get("data.rough", 0.1) if kind == "rough-perturbation" else 0.0,
+            seed=cfg.get("seed", 0),
+            decay=par["data.decay"],
+            rough_amplitude=par.get("data.rough", 0.0),
             solenoidal=True,
             amplitude=amp,
         )
-    else:
-        raise ConfigError(f"unknown data.kind {kind!r}")
-    # inf/nan amplitudes or decays, or fields too large to square, end here
-    if not np.isfinite(f.norm2()):
+    # finite parameters can still give a field too large to square (1e200)
+    with np.errstate(over="ignore"):
+        norm = f.norm2()
+    if not np.isfinite(norm):
         raise ConfigError(f"initial data ({kind}) has a non-finite L^2 norm")
     return f
 

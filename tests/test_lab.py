@@ -98,10 +98,10 @@ def test_smoothing_trend_decreasing(grid8):
 
 def test_decay_scan_resolution_stability(grid8):
     t_grid = np.geomspace(1e-2, 1.0, 4)
-    rep, stable = resolution_stability(
+    rep, _ = resolution_stability(
         lambda g: semigroup_decay_scan("grad_sg", t_grid, 3, 4.0, g, seed=0), grid8
     )
-    assert stable
+    assert rep.stable
 
 
 # -- resolvent and multiplier scans ---------------------------------------

@@ -93,7 +93,7 @@ def test_split_single_mode_scalar_formula(op16):
 def test_reference_solve_zero(op16):
     a = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    traj = reference_solve(op16, a, 0.05, 0.01, cfg)
+    traj = reference_solve(op16, a, cfg)
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
 
 
@@ -102,7 +102,7 @@ def test_reference_solve_linear_regime(op16):
     # trajectory reduces to the semigroup
     a = random_field(op16.grid, ncomp=2, seed=2, solenoidal=True, amplitude=1e-10)
     cfg = SolverConfig(dt=0.005, T=0.05)
-    traj = reference_solve(op16, a, 0.05, 0.005, cfg)
+    traj = reference_solve(op16, a, cfg)
     ref = op16.semigroup_apply(0.05, a)
     err = np.abs(traj.snapshots[-1].coeffs - ref.coeffs).max()
     assert err <= 1e-12 * np.abs(ref.coeffs).max()
@@ -114,7 +114,7 @@ def test_reference_solve_self_convergence(op16):
     end = {}
     for dt in (0.02, 0.01, 0.005):
         c = SolverConfig(dt=dt, T=0.08)
-        end[dt] = reference_solve(op16, a, 0.08, dt, c).snapshots[-1].coeffs
+        end[dt] = reference_solve(op16, a, c).snapshots[-1].coeffs
     e1 = np.abs(end[0.02] - end[0.005]).max()
     e2 = np.abs(end[0.01] - end[0.005]).max()
     order = np.log2(e1 / e2) - 0.0
@@ -124,7 +124,7 @@ def test_reference_solve_self_convergence(op16):
 def test_trajectory_times_strictly_increasing(op16):
     a = random_field(op16.grid, ncomp=2, seed=2, solenoidal=True, amplitude=0.01)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    traj = reference_solve(op16, a, 0.05, 0.01, cfg)
+    traj = reference_solve(op16, a, cfg)
     assert np.all(np.diff(traj.times) > 0)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0, 0.1]), traj.snapshots[:3])
@@ -142,7 +142,7 @@ def test_picard_zero_data_zero_reference(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a0 = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
     vref = _zero_traj(op16, np.arange(6) * 0.01)
-    traj, report = picard_iterate(op16, a0, vref, 0.05, cfg)
+    traj, report = picard_iterate(op16, a0, vref, cfg)
     assert report.converged
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
 
@@ -152,8 +152,8 @@ def test_picard_zero_data_nonzero_reference(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a0 = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
     avr = random_field(op16.grid, ncomp=2, seed=5, solenoidal=True, amplitude=0.1)
-    vref = reference_solve(op16, avr, 0.05, 0.01, cfg)
-    traj, report = picard_iterate(op16, a0, vref, 0.05, cfg)
+    vref = reference_solve(op16, avr, cfg)
+    traj, report = picard_iterate(op16, a0, vref, cfg)
     assert report.converged
     assert report.iterations <= 2
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
@@ -166,8 +166,8 @@ def test_picard_contraction_small_data(op16):
     scale = 0.01 / mixed_norm(a0, cfg.p)
     a0 = SpectralField(a0.coeffs * scale, op16.grid)
     a_ref = SpectralField(a_ref.coeffs * scale, op16.grid)
-    vref = reference_solve(op16, a_ref, cfg.T, cfg.dt, cfg)
-    traj, report = picard_iterate(op16, a0, vref, cfg.T, cfg)
+    vref = reference_solve(op16, a_ref, cfg)
+    traj, report = picard_iterate(op16, a0, vref, cfg)
     assert report.converged
     assert all(r <= 0.5 for r in report.ratios[1:])
 
@@ -179,7 +179,7 @@ def test_picard_rejects_non_uniform_reference(op16):
     a0 = random_field(op16.grid, ncomp=2, seed=12, solenoidal=True, amplitude=0.01)
     vref = _zero_traj(op16, [0.0, 0.01, 0.02, 0.035, 0.05])
     with pytest.raises(ValueError, match="uniformly spaced"):
-        picard_iterate(op16, a0, vref, 0.05, cfg)
+        picard_iterate(op16, a0, vref, cfg)
 
 
 def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
@@ -198,7 +198,7 @@ def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.1, max_picard=3, picard_tol=0.0)
     a0 = random_field(op.grid, ncomp=2, seed=13, solenoidal=True, amplitude=0.01)
     vref = Trajectory(np.arange(n) * 0.01, [SpectralField.zeros(op.grid)] * n)
-    _, report = picard_iterate(op, a0, vref, 0.1, cfg)
+    _, report = picard_iterate(op, a0, vref, cfg)
     m = report.iterations
     assert m == 3
     assert len(calls) <= (m + 2) * n
@@ -209,7 +209,7 @@ def test_picard_divergence_raises(op16):
     a0 = random_field(op16.grid, ncomp=2, seed=1, solenoidal=True, amplitude=50.0)
     vref = _zero_traj(op16, np.arange(21) * 0.02)
     with pytest.raises(SolverDivergenceError):
-        picard_iterate(op16, a0, vref, 0.4, cfg)
+        picard_iterate(op16, a0, vref, cfg)
 
 
 # -- full solve and residual ----------------------------------------------
@@ -218,7 +218,7 @@ def test_picard_divergence_raises(op16):
 def test_full_solve_zero(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
-    traj = full_solve(a, cfg, op16)
+    traj = full_solve(a, cfg)
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
     assert np.all(np.asarray(traj.diagnostics["energy"]) == 0.0)
 
@@ -228,8 +228,8 @@ def test_full_solve_smooth_degenerate_split(op16):
     # composite solve reduces to the reference integrator
     cfg = SolverConfig(dt=0.01, T=0.05, delta=0.0)
     a = random_field(op16.grid, ncomp=2, seed=7, solenoidal=True, amplitude=0.01)
-    traj = full_solve(a, cfg, op16)
-    ref = reference_solve(op16, a, 0.05, 0.01, cfg)
+    traj = full_solve(a, cfg)
+    ref = reference_solve(op16, a, cfg)
     err = np.abs(traj.snapshots[-1].coeffs - ref.snapshots[-1].coeffs).max()
     assert err <= 1e-12 * np.abs(ref.snapshots[-1].coeffs).max()
 
@@ -239,7 +239,7 @@ def test_full_solve_rough_diagnostics(op16):
     a = random_field(
         op16.grid, ncomp=2, seed=8, solenoidal=True, amplitude=0.02, rough_amplitude=0.005
     )
-    traj = full_solve(a, cfg, op16)
+    traj = full_solve(a, cfg)
     diag = traj.diagnostics
     energy = np.asarray(diag["energy"])
     rel_growth = np.diff(energy) / energy[:-1]
@@ -273,7 +273,7 @@ def test_mild_residual_linear_trajectory(op16):
     snaps = [op16.semigroup_apply(t, a) for t in times]
     traj = Trajectory(times, snaps)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    res = mild_residual(op16, traj, cfg)
+    res = mild_residual(op16, traj)
     # the defect is quadratic in the amplitude: ~1e-10 relative at 1e-8
     assert res.max() <= 1e-9 * a.norm2()
 
@@ -281,12 +281,12 @@ def test_mild_residual_linear_trajectory(op16):
 def test_mild_residual_detects_corruption(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a = random_field(op16.grid, ncomp=2, seed=10, solenoidal=True, amplitude=0.05)
-    traj = reference_solve(op16, a, 0.05, 0.01, cfg)
-    clean = mild_residual(op16, traj, cfg)
+    traj = reference_solve(op16, a, cfg)
+    clean = mild_residual(op16, traj)
     k = 3
     snaps = list(traj.snapshots)
     snaps[k] = SpectralField(np.zeros_like(snaps[k].coeffs), op16.grid)
-    bad = mild_residual(op16, Trajectory(traj.times, snaps), cfg)
+    bad = mild_residual(op16, Trajectory(traj.times, snaps))
     assert bad[k] > 100 * max(clean[k], 1e-30)
 
 
@@ -311,6 +311,6 @@ def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
         return real_advection(*args, **kwargs)
 
     monkeypatch.setattr(hydrostokes.solver, "advection", counted)
-    traj = full_solve(a, cfg, op)
+    traj = full_solve(a, cfg)
     assert len(calls) == len(traj.times)
-    assert np.array_equal(traj.diagnostics["residual"], mild_residual(op, traj, cfg))
+    assert np.array_equal(traj.diagnostics["residual"], mild_residual(op, traj))

@@ -2,7 +2,9 @@
 
 import csv
 import os
+import re
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -44,7 +46,6 @@ def test_parse_config_basic(tmp_path):
         grid.k = 4     # trailing comment
         time.dt = 0.01
         data.kind = random-decay
-        dealias = true
         """,
     )
     cfg = parse_config(path)
@@ -52,7 +53,6 @@ def test_parse_config_basic(tmp_path):
     assert cfg["grid.k"] == 4
     assert cfg["time.dt"] == 0.01
     assert cfg["data.kind"] == "random-decay"
-    assert cfg["dealias"] is True
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -65,6 +65,23 @@ def test_parse_config_bad_value(tmp_path):
     path = write(tmp_path, "grid.n = eight\n")
     with pytest.raises(ConfigError):
         parse_config(path)
+
+
+@pytest.mark.parametrize("key", ["dealias", "reproject"])
+def test_parse_config_rejects_solver_switches(tmp_path, key):
+    # the solver always dealiases and re-projects; there is no switch
+    path = write(tmp_path, f"{key} = true\n")
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(path)
+
+
+def test_readme_config_example_is_valid(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (example,) = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+    cfg = parse_config(write(tmp_path, example))
+    assert "data.kind" in cfg
+    solver_config(cfg)
 
 
 def test_solver_config_roundtrip(tmp_path):
@@ -128,6 +145,27 @@ def test_initial_data_single_mode_is_solenoidal():
 def test_initial_data_unknown_kind():
     with pytest.raises(ConfigError):
         initial_data({"data.kind": "perlin-noise"}, Grid(8, 8, 1.0))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"data.amplitude": np.inf},
+        {"data.amplitude": 1e200},  # finite coefficients whose squares overflow
+        {"data.kind": "rough-perturbation", "data.rough": np.inf},
+    ],
+)
+def test_initial_data_non_finite_without_warning(cfg):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="non-finite L\\^2 norm"):
+            initial_data(cfg, Grid(8, 4, 1.0))
+
+
+def test_initial_data_ignores_parameters_its_kind_does_not_read():
+    # random-decay has no rough part, so data.rough is never read
+    a = initial_data({"data.kind": "random-decay", "data.rough": np.inf}, Grid(8, 4, 1.0))
+    assert np.isfinite(a.norm2()) and a.norm2() > 0
 
 
 # -- snapshots ------------------------------------------------------------
