@@ -19,9 +19,10 @@ class Grid:
     collocation at the DST-IV midpoints, so the discrete sine transform is
     exactly orthogonal and vertical quadrature is the midpoint rule.
 
-    The spectral tables ``basis``, ``xi2`` and ``xi_hat`` depend only on the
-    grid; each is built on first use, then shared by every caller holding
-    this grid.  Their arrays are read-only: copy before modifying.
+    The spectral tables ``basis``, ``xi2`` and ``xi_hat`` and the Stokes
+    operator ``stokes`` depend only on the grid; each is built on first use,
+    then shared by every caller holding this grid.  The tables' arrays are
+    read-only: copy before modifying.
     """
 
     N: int
@@ -57,6 +58,13 @@ class Grid:
     @cached_property
     def basis(self) -> "VerticalBasis":
         return VerticalBasis(self)
+
+    @cached_property
+    def stokes(self) -> "StokesOperator":
+        # imported here: semigroup imports this module, so a top-level import is circular
+        from .semigroup import StokesOperator
+
+        return StokesOperator(self)
 
     @cached_property
     def xi2(self) -> np.ndarray:

@@ -31,7 +31,7 @@ from .fields import (
 from .nonlinear import advection
 from .projection import helmholtz_2d, project_hydrostatic
 from .sampling import random_field
-from .semigroup import SingularityError, StokesOperator, spectral_bound
+from .semigroup import SingularityError, spectral_bound
 from .solver import grad_mixed_norm, mixed_norm
 
 DENOM_FLOOR = 1e-14
@@ -145,7 +145,7 @@ def semigroup_decay_scan(
     """Weighted decay ratios for derivative/projection/semigroup compositions."""
     if combo not in SEMIGROUP_COMBOS:
         raise ValueError(f"unknown combo {combo!r}; choose from {SEMIGROUP_COMBOS}")
-    op = StokesOperator(grid)
+    op = grid.stokes
     beta = spectral_bound(grid)[0]
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
@@ -180,7 +180,7 @@ def smoothing_trend(grid: Grid, p: float, seed: int = 0):
 
     For data in the solenoidal space this quantity tends to 0 with t.
     """
-    op = StokesOperator(grid)
+    op = grid.stokes
     t_grid = np.geomspace(1e-5, 1e-1, 9)
     f = random_field(grid, seed=seed, decay=4.0, solenoidal=True)
     return t_grid, np.array(
@@ -207,7 +207,7 @@ def resolvent_scan(
     |Re v| <= |v| pointwise, so for complex lambda the ratios can understate
     the sectorial bound.
     """
-    op = StokesOperator(grid)
+    op = grid.stokes
     psis = np.array([0.0, 0.5, 0.9]) * theta
     psis = np.unique(np.concatenate([psis, -psis]))
     ratios, params, skipped = [], [], 0
@@ -399,7 +399,7 @@ def nonlinear_estimate_scan(
     n_pairs: int, t_grid, p: float, grid: Grid, seed: int = 0
 ) -> ScanReport:
     """Ratios for the four semigroup-nonlinearity estimates."""
-    op = StokesOperator(grid)
+    op = grid.stokes
     ratios, params, skipped = [], [], 0
     for i in range(n_pairs):
         v1 = random_field(grid, seed=seed + 2 * i, solenoidal=True)

@@ -20,10 +20,15 @@ def random_field(
 
     Amplitudes fall off like (1 + |xi|^2 + lambda_k^2)^{-decay/2}; an optional
     flat-spectrum component of size ``rough_amplitude`` models rough data.
+    Raises ValueError when that envelope overflows somewhere or underflows
+    to 0 everywhere.
     """
     rng = np.random.default_rng(seed)
     wave2 = grid.xi2[:, :, None] + grid.basis.lambdas**2
-    envelope = (1.0 + wave2 / wave2.min()) ** (-decay / 2.0)
+    with np.errstate(over="ignore"):
+        envelope = (1.0 + wave2 / wave2.min()) ** (-decay / 2.0)
+    if not (np.all(np.isfinite(envelope)) and envelope.any()):
+        raise ValueError(f"decay = {decay} puts the spectral envelope out of floating-point range")
     shape = (ncomp, grid.N, grid.N, grid.K)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rough = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -23,7 +23,8 @@ Because M_z is diagonal plus rank one, the shifted system (mu - M_z) x = y
 has the Sherman-Morrison solution, evaluated for all modes at once.  The
 resolvent is that solve at mu = lambda + |xi|^2, and phi1 follows from the
 identity t phi1(t B) = B^{-1}(e^{t B} - I) with B = M_z - |xi|^2, which needs
-only the same exponential block as the semigroup.
+only the same exponential block as the semigroup.  There is one operator per
+grid, ``Grid.stokes``, shared with its exponential memo by every caller.
 """
 
 import threading
@@ -218,6 +219,5 @@ class StokesOperator:
 
 def spectral_bound(grid: Grid, subspace: str = "solenoidal"):
     """Max real part of the discrete spectrum plus the per-mode report."""
-    op = StokesOperator(grid)
-    rows = op.eigenvalue_report(subspace)
+    rows = grid.stokes.eigenvalue_report(subspace)
     return max(ev.real for _, _, _, ev in rows), rows

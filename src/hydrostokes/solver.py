@@ -8,7 +8,8 @@ S(T)-norm max(sup ||V||, sup t^{1/2} ||grad V||) with mixed L^inf_H L^p_z
 norms.  Every nonlinear term is dealiased (2/3 rule) and every forcing and
 reference step is re-projected.  :class:`SolverConfig` is the one source of
 parameters: the grid, the uniform time grid (dt, T) and the split and Picard
-settings.
+settings.  Each function takes the Stokes operator from the grid of the
+field it is given (``Grid.stokes``).
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +20,6 @@ from .basis import Grid
 from .fields import SpectralField, gradient, inverse_transform, norm_anisotropic
 from .nonlinear import advection, coupled_advection
 from .projection import check_solenoidal, project_hydrostatic
-from .semigroup import StokesOperator
 
 # Most time steps round(T/dt) a solve may take.  The trajectory keeps every
 # node's snapshot; at 16^3 (131 kB each) this many already take 13 GB.
@@ -122,9 +122,9 @@ def _s_norm(v_list, times, p):
     return s
 
 
-def split_data(op: StokesOperator, a: SpectralField, delta: float):
+def split_data(a: SpectralField, delta: float):
     """a = a_ref + a_0 with a_ref = e^{delta A} a in the operator's domain."""
-    a_ref = op.semigroup_apply(delta, a)
+    a_ref = a.grid.stokes.semigroup_apply(delta, a)
     a0 = SpectralField(a.coeffs - a_ref.coeffs, a.grid)
     return a_ref, a0
 
@@ -134,7 +134,7 @@ def _forcing(f: SpectralField) -> SpectralField:
     return project_hydrostatic(SpectralField(-f.coeffs, f.grid))
 
 
-def _duhamel(op: StokesOperator, a: SpectralField, F, times):
+def _duhamel(a: SpectralField, F, times):
     """Trapezoidal Duhamel sums S_n = e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds.
 
     F is given at every node of the uniform grid ``times``; yields S_n for
@@ -152,21 +152,21 @@ def _duhamel(op: StokesOperator, a: SpectralField, F, times):
     if np.any(np.abs(steps - dt) > 1e-9 * dt):
         raise ValueError("Duhamel sums need uniformly spaced time nodes")
     yield a.copy()
-    G = a.coeffs
+    grid, G = a.grid, a.coeffs
     for n in range(1, len(times)):
         w = 0.5 * dt if n == 1 else dt
-        G = op.semigroup_apply(dt, SpectralField(G + w * F[n - 1].coeffs, op.grid)).coeffs
-        yield SpectralField(G + 0.5 * dt * F[n].coeffs, op.grid)
+        G = grid.stokes.semigroup_apply(dt, SpectralField(G + w * F[n - 1].coeffs, grid)).coeffs
+        yield SpectralField(G + 0.5 * dt * F[n].coeffs, grid)
 
 
-def reference_solve(op: StokesOperator, a_ref: SpectralField, config: SolverConfig) -> Trajectory:
+def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     """Exponential-Euler integration v_{n+1} = P(e^{dtA} v_n + dt phi1(dtA) F(v_n)).
 
     F(v) = -P (u . grad) v; the nodes are the multiples of ``config.dt`` up to
     ``config.T``.  ``diagnostics["F"]`` keeps F(v_n) for the nodes 0..n-1,
     which :func:`mild_residual` can reuse instead of forming them again.
     """
-    dt = config.dt
+    dt, op = config.dt, a_ref.grid.stokes
     nsteps = int(round(config.T / dt))
     times = dt * np.arange(nsteps + 1)
     v = a_ref.copy()
@@ -189,7 +189,7 @@ def reference_solve(op: StokesOperator, a_ref: SpectralField, config: SolverConf
     return Trajectory(times, snaps, {"energy": np.array(energy), "F": F_list})
 
 
-def picard_iterate(op: StokesOperator, a0: SpectralField, v_ref: Trajectory, config: SolverConfig):
+def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig):
     """Duhamel fixed-point iteration for the rough remainder V.
 
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
@@ -203,15 +203,15 @@ def picard_iterate(op: StokesOperator, a0: SpectralField, v_ref: Trajectory, con
     times = v_ref.times
     p = config.p
 
-    V = [op.semigroup_apply(t, a0) for t in times]
+    V = [a0.grid.stokes.semigroup_apply(t, a0) for t in times]
 
     report = IterationReport(S_m=[_s_norm(V, times, p)])
 
     for m in range(config.max_picard):
         F = [_forcing(coupled_advection(v, r)) for v, r in zip(V, v_ref.snapshots)]
-        Vnew = list(_duhamel(op, a0, F, times))
+        Vnew = list(_duhamel(a0, F, times))
 
-        diff = [SpectralField(a.coeffs - b.coeffs, op.grid) for a, b in zip(Vnew, V)]
+        diff = [SpectralField(a.coeffs - b.coeffs, a0.grid) for a, b in zip(Vnew, V)]
         dS = _s_norm(diff, times, p)
         report.diff_S.append(dS)
         if len(report.diff_S) >= 2 and report.diff_S[-2] > 0:
@@ -232,13 +232,13 @@ def picard_iterate(op: StokesOperator, a0: SpectralField, v_ref: Trajectory, con
     return Trajectory(times, V), report
 
 
-def _shrink_delta(op, a, config):
+def _shrink_delta(a, config):
     """Halve the smoothing time until the rough part is below the threshold."""
     scale = mixed_norm(a, config.p)
     eps0 = config.eps0 if config.eps0 is not None else 0.05 * scale
     delta = config.delta
     for _ in range(60):
-        a_ref, a0 = split_data(op, a, delta)
+        a_ref, a0 = split_data(a, delta)
         if mixed_norm(a0, config.p) <= eps0 or delta == 0.0:
             return a_ref, a0, delta
         delta /= 2.0
@@ -247,36 +247,36 @@ def _shrink_delta(op, a, config):
 
 def full_solve(a: SpectralField, config: SolverConfig):
     """Reference solve plus Picard remainder: v = v_ref + V on [0, T]."""
-    op = StokesOperator(config.grid())
-    a_ref, a0, delta = _shrink_delta(op, a, config)
-    vref = reference_solve(op, a_ref, config)
+    if a.grid != config.grid():
+        raise ValueError(f"initial data on {a.grid}, but the config is for {config.grid()}")
+    a_ref, a0, delta = _shrink_delta(a, config)
+    vref = reference_solve(a_ref, config)
     known_F = vref.diagnostics.pop("F")
     if float(np.abs(a0.coeffs).max()) == 0.0:
-        # the snapshots below are v_ref + 0, so F(v_ref) is their F
-        V = Trajectory(vref.times, [SpectralField.zeros(op.grid) for _ in vref.times])
+        # no rough part: v = v_ref, whose F is already known
+        snaps = vref.snapshots
         report = IterationReport(converged=True)
     else:
         known_F = ()  # F(v_ref + V) must be formed from the sum
-        V, report = picard_iterate(op, a0, vref, config)
-    snaps = [
-        SpectralField(r.coeffs + s.coeffs, op.grid)
-        for r, s in zip(vref.snapshots, V.snapshots)
-    ]
-    traj = Trajectory(V.times, snaps)
+        V, report = picard_iterate(a0, vref, config)
+        snaps = [
+            SpectralField(r.coeffs + s.coeffs, a.grid) for r, s in zip(vref.snapshots, V.snapshots)
+        ]
+    traj = Trajectory(vref.times, snaps)
     norm_inf_p, t_sqrt_grad_norm = np.array(_node_norms(snaps, traj.times, config.p)).T
     traj.diagnostics = {
         "energy": np.array([s.norm2() for s in snaps]),
         "sol_drift": np.array([check_solenoidal(s) for s in snaps]),
         "norm_inf_p": norm_inf_p,
         "t_sqrt_grad_norm": t_sqrt_grad_norm,
-        "residual": mild_residual(op, traj, known_F),
+        "residual": mild_residual(traj, known_F),
         "delta": delta,
         "picard": report,
     }
     return traj
 
 
-def mild_residual(op: StokesOperator, traj: Trajectory, known_F=()) -> np.ndarray:
+def mild_residual(traj: Trajectory, known_F=()) -> np.ndarray:
     """Defect in the Duhamel identity per time node, in L^2.
 
     Uses the same trapezoidal quadrature, and the same O(n) recurrence, as
@@ -286,7 +286,7 @@ def mild_residual(op: StokesOperator, traj: Trajectory, known_F=()) -> np.ndarra
     The time nodes must be uniform; residual[0] is 0 by construction.
     """
     F = list(known_F) + [_forcing(advection(s)) for s in traj.snapshots[len(known_F) :]]
-    sums = _duhamel(op, traj.snapshots[0], F, traj.times)
+    sums = _duhamel(traj.snapshots[0], F, traj.times)
     return np.array(
-        [SpectralField(v.coeffs - s.coeffs, op.grid).norm2() for v, s in zip(traj.snapshots, sums)]
+        [SpectralField(v.coeffs - s.coeffs, v.grid).norm2() for v, s in zip(traj.snapshots, sums)]
     )

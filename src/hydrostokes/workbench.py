@@ -138,18 +138,25 @@ def initial_data(cfg: dict, grid: Grid) -> SpectralField:
                 f"single mode (m, n, k) = ({m}, {n}, {k}) is not on the grid: "
                 f"need |m|, |n| < {grid.N // 2} and 0 <= k < {grid.K}"
             )
-        f = project_hydrostatic(single_mode_field(grid, m=m, n=n, k=k, amplitude=amp))
-    else:
-        f = random_field(
-            grid,
-            seed=cfg.get("seed", 0),
-            decay=par["data.decay"],
-            rough_amplitude=par.get("data.rough", 0.0),
-            solenoidal=True,
-            amplitude=amp,
-        )
-    # finite parameters can still give a field too large to square (1e200)
-    with np.errstate(over="ignore"):
+    # finite parameters can still overflow while the field is formed
+    # (data.amplitude = 1e308) or squared (1e200); the norm check catches both
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "single-mode":
+            f = project_hydrostatic(single_mode_field(grid, m=m, n=n, k=k, amplitude=amp))
+        else:
+            try:
+                f = random_field(
+                    grid,
+                    seed=cfg.get("seed", 0),
+                    decay=par["data.decay"],
+                    rough_amplitude=par.get("data.rough", 0.0),
+                    solenoidal=True,
+                    amplitude=amp,
+                )
+            except ValueError as exc:
+                raise ConfigError(
+                    f"initial data ({kind}) would have a non-finite L^2 norm or vanish: {exc}"
+                ) from exc
         norm = f.norm2()
     if not np.isfinite(norm):
         raise ConfigError(f"initial data ({kind}) has a non-finite L^2 norm")

@@ -133,14 +133,13 @@ def test_criterion_06_decay_scans():
 
 def test_criterion_07_picard_contraction():
     cfg = SolverConfig(N=16, K=16, h=1.0, p=4.0, dt=0.005, T=0.1)
-    op = StokesOperator(GRID16)
     a = random_field(GRID16, ncomp=2, seed=6, solenoidal=True)
-    a_ref, a0 = split_data(op, a, cfg.delta)
+    a_ref, a0 = split_data(a, cfg.delta)
     scale = 0.01 / mixed_norm(a0, cfg.p)
     a0 = SpectralField(a0.coeffs * scale, GRID16)
     a_ref = SpectralField(a_ref.coeffs * scale, GRID16)
-    vref = reference_solve(op, a_ref, cfg)
-    _, report = picard_iterate(op, a0, vref, cfg)
+    vref = reference_solve(a_ref, cfg)
+    _, report = picard_iterate(a0, vref, cfg)
     assert report.converged
     assert report.iterations <= 8
     assert all(r <= 0.5 for r in report.ratios[1:])
@@ -148,7 +147,6 @@ def test_criterion_07_picard_contraction():
 
 
 def test_criterion_08_solver_physics():
-    op = StokesOperator(GRID16)
     cfg = SolverConfig(dt=0.005, T=0.05)
     a = random_field(
         GRID16, ncomp=2, seed=8, solenoidal=True, amplitude=0.02, rough_amplitude=0.005
@@ -181,7 +179,6 @@ def test_criterion_09_recursion_lemma():
 def test_criterion_10_rough_amplitude_trend():
     # the small-time plateau of t^{1/2} ||grad v|| scales with the rough-part
     # amplitude: plateau/rho constant to within a factor 2 over one octave
-    op = StokesOperator(GRID16)
     cfg = SolverConfig(dt=0.0025, T=0.05, delta=0.01)
     base = random_field(GRID16, ncomp=2, seed=12, solenoidal=True, rough_amplitude=1.0)
     levels = {}

@@ -20,6 +20,7 @@ from hydrostokes.lab import (
     smoothing_trend,
     young_anisotropic_test,
 )
+from hydrostokes.semigroup import StokesOperator
 
 
 # -- one-dimensional kernel -----------------------------------------------
@@ -82,6 +83,22 @@ def test_semigroup_decay_scan_finite(grid8):
         rep = semigroup_decay_scan(combo, t_grid, 3, 4.0, grid8, seed=0)
         assert np.isfinite(rep.sup_ratio)
         assert rep.sup_ratio > 0
+
+
+def test_decay_scan_builds_one_operator_per_grid(monkeypatch):
+    # the scan's semigroup and its spectral bound share the grid's operator
+    builds = []
+    init = StokesOperator.__init__
+
+    def counted(self, grid):
+        builds.append(grid)
+        init(self, grid)
+
+    monkeypatch.setattr(StokesOperator, "__init__", counted)
+    grid = Grid(8, 4, 1.0)
+    semigroup_decay_scan("grad_sg", np.array([0.1]), 1, 4.0, grid)
+    assert builds == [grid]
+    assert grid.stokes is grid.stokes
 
 
 def test_semigroup_decay_unknown_combo(grid8):

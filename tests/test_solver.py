@@ -67,14 +67,14 @@ def test_config_grid():
 
 def test_split_zero_delta(op16):
     a = random_field(op16.grid, ncomp=2, seed=0, solenoidal=True)
-    a_ref, a0 = split_data(op16, a, 0.0)
+    a_ref, a0 = split_data(a, 0.0)
     assert np.array_equal(a_ref.coeffs, a.coeffs)
     assert np.abs(a0.coeffs).max() == 0.0
 
 
 def test_split_large_delta(op16):
     a = random_field(op16.grid, ncomp=2, seed=0, solenoidal=True)
-    a_ref, a0 = split_data(op16, a, 50.0)
+    a_ref, a0 = split_data(a, 50.0)
     assert np.abs(a_ref.coeffs).max() <= 1e-12 * np.abs(a.coeffs).max()
     assert np.abs(a0.coeffs - a.coeffs).max() <= 1e-12 * np.abs(a.coeffs).max()
 
@@ -82,7 +82,7 @@ def test_split_large_delta(op16):
 def test_split_single_mode_scalar_formula(op16):
     a = single_mode_field(op16.grid, m=1, n=0, k=0, component=1)
     delta = 0.3
-    a_ref, a0 = split_data(op16, a, delta)
+    a_ref, a0 = split_data(a, delta)
     mu = 4 * np.pi**2 + (np.pi / 2) ** 2
     assert a0.norm2() == pytest.approx((1 - np.exp(-mu * delta)) * a.norm2(), rel=1e-12)
 
@@ -93,7 +93,7 @@ def test_split_single_mode_scalar_formula(op16):
 def test_reference_solve_zero(op16):
     a = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    traj = reference_solve(op16, a, cfg)
+    traj = reference_solve(a, cfg)
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
 
 
@@ -102,7 +102,7 @@ def test_reference_solve_linear_regime(op16):
     # trajectory reduces to the semigroup
     a = random_field(op16.grid, ncomp=2, seed=2, solenoidal=True, amplitude=1e-10)
     cfg = SolverConfig(dt=0.005, T=0.05)
-    traj = reference_solve(op16, a, cfg)
+    traj = reference_solve(a, cfg)
     ref = op16.semigroup_apply(0.05, a)
     err = np.abs(traj.snapshots[-1].coeffs - ref.coeffs).max()
     assert err <= 1e-12 * np.abs(ref.coeffs).max()
@@ -114,7 +114,7 @@ def test_reference_solve_self_convergence(op16):
     end = {}
     for dt in (0.02, 0.01, 0.005):
         c = SolverConfig(dt=dt, T=0.08)
-        end[dt] = reference_solve(op16, a, c).snapshots[-1].coeffs
+        end[dt] = reference_solve(a, c).snapshots[-1].coeffs
     e1 = np.abs(end[0.02] - end[0.005]).max()
     e2 = np.abs(end[0.01] - end[0.005]).max()
     order = np.log2(e1 / e2) - 0.0
@@ -124,7 +124,7 @@ def test_reference_solve_self_convergence(op16):
 def test_trajectory_times_strictly_increasing(op16):
     a = random_field(op16.grid, ncomp=2, seed=2, solenoidal=True, amplitude=0.01)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    traj = reference_solve(op16, a, cfg)
+    traj = reference_solve(a, cfg)
     assert np.all(np.diff(traj.times) > 0)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0, 0.1]), traj.snapshots[:3])
@@ -142,7 +142,7 @@ def test_picard_zero_data_zero_reference(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a0 = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
     vref = _zero_traj(op16, np.arange(6) * 0.01)
-    traj, report = picard_iterate(op16, a0, vref, cfg)
+    traj, report = picard_iterate(a0, vref, cfg)
     assert report.converged
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
 
@@ -152,8 +152,8 @@ def test_picard_zero_data_nonzero_reference(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a0 = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
     avr = random_field(op16.grid, ncomp=2, seed=5, solenoidal=True, amplitude=0.1)
-    vref = reference_solve(op16, avr, cfg)
-    traj, report = picard_iterate(op16, a0, vref, cfg)
+    vref = reference_solve(avr, cfg)
+    traj, report = picard_iterate(a0, vref, cfg)
     assert report.converged
     assert report.iterations <= 2
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
@@ -162,12 +162,12 @@ def test_picard_zero_data_nonzero_reference(op16):
 def test_picard_contraction_small_data(op16):
     cfg = SolverConfig(dt=0.005, T=0.1)
     a = random_field(op16.grid, ncomp=2, seed=6, solenoidal=True)
-    a_ref, a0 = split_data(op16, a, cfg.delta)
+    a_ref, a0 = split_data(a, cfg.delta)
     scale = 0.01 / mixed_norm(a0, cfg.p)
     a0 = SpectralField(a0.coeffs * scale, op16.grid)
     a_ref = SpectralField(a_ref.coeffs * scale, op16.grid)
-    vref = reference_solve(op16, a_ref, cfg)
-    traj, report = picard_iterate(op16, a0, vref, cfg)
+    vref = reference_solve(a_ref, cfg)
+    traj, report = picard_iterate(a0, vref, cfg)
     assert report.converged
     assert all(r <= 0.5 for r in report.ratios[1:])
 
@@ -179,7 +179,7 @@ def test_picard_rejects_non_uniform_reference(op16):
     a0 = random_field(op16.grid, ncomp=2, seed=12, solenoidal=True, amplitude=0.01)
     vref = _zero_traj(op16, [0.0, 0.01, 0.02, 0.035, 0.05])
     with pytest.raises(ValueError, match="uniformly spaced"):
-        picard_iterate(op16, a0, vref, cfg)
+        picard_iterate(a0, vref, cfg)
 
 
 def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
@@ -198,7 +198,7 @@ def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.1, max_picard=3, picard_tol=0.0)
     a0 = random_field(op.grid, ncomp=2, seed=13, solenoidal=True, amplitude=0.01)
     vref = Trajectory(np.arange(n) * 0.01, [SpectralField.zeros(op.grid)] * n)
-    _, report = picard_iterate(op, a0, vref, cfg)
+    _, report = picard_iterate(a0, vref, cfg)
     m = report.iterations
     assert m == 3
     assert len(calls) <= (m + 2) * n
@@ -209,7 +209,7 @@ def test_picard_divergence_raises(op16):
     a0 = random_field(op16.grid, ncomp=2, seed=1, solenoidal=True, amplitude=50.0)
     vref = _zero_traj(op16, np.arange(21) * 0.02)
     with pytest.raises(SolverDivergenceError):
-        picard_iterate(op16, a0, vref, cfg)
+        picard_iterate(a0, vref, cfg)
 
 
 # -- full solve and residual ----------------------------------------------
@@ -229,7 +229,7 @@ def test_full_solve_smooth_degenerate_split(op16):
     cfg = SolverConfig(dt=0.01, T=0.05, delta=0.0)
     a = random_field(op16.grid, ncomp=2, seed=7, solenoidal=True, amplitude=0.01)
     traj = full_solve(a, cfg)
-    ref = reference_solve(op16, a, cfg)
+    ref = reference_solve(a, cfg)
     err = np.abs(traj.snapshots[-1].coeffs - ref.snapshots[-1].coeffs).max()
     assert err <= 1e-12 * np.abs(ref.snapshots[-1].coeffs).max()
 
@@ -248,13 +248,20 @@ def test_full_solve_rough_diagnostics(op16):
     assert np.all(np.isfinite(diag["residual"]))
 
 
+def test_full_solve_rejects_data_on_another_grid():
+    # same N and K, other depth: the config's operator would not be the data's
+    a = random_field(Grid(16, 16, 0.5), ncomp=2, seed=7, solenoidal=True, amplitude=0.01)
+    with pytest.raises(ValueError, match="config"):
+        full_solve(a, SolverConfig(dt=0.01, T=0.05))
+
+
 def test_duhamel_recurrence_matches_direct_sum(op16):
     # oracle: the trapezoid sum written out, each term its own semigroup apply
     n, dt = 9, 0.0125
     times = dt * np.arange(n)
     a = random_field(op16.grid, ncomp=2, seed=14, solenoidal=True)
     F = [random_field(op16.grid, ncomp=2, seed=20 + j, solenoidal=True) for j in range(n)]
-    sums = list(_duhamel(op16, a, F, times))
+    sums = list(_duhamel(a, F, times))
     assert len(sums) == n
     assert np.array_equal(sums[0].coeffs, a.coeffs)
     for k in range(1, n):
@@ -273,7 +280,7 @@ def test_mild_residual_linear_trajectory(op16):
     snaps = [op16.semigroup_apply(t, a) for t in times]
     traj = Trajectory(times, snaps)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    res = mild_residual(op16, traj)
+    res = mild_residual(traj)
     # the defect is quadratic in the amplitude: ~1e-10 relative at 1e-8
     assert res.max() <= 1e-9 * a.norm2()
 
@@ -281,12 +288,12 @@ def test_mild_residual_linear_trajectory(op16):
 def test_mild_residual_detects_corruption(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a = random_field(op16.grid, ncomp=2, seed=10, solenoidal=True, amplitude=0.05)
-    traj = reference_solve(op16, a, cfg)
-    clean = mild_residual(op16, traj)
+    traj = reference_solve(a, cfg)
+    clean = mild_residual(traj)
     k = 3
     snaps = list(traj.snapshots)
     snaps[k] = SpectralField(np.zeros_like(snaps[k].coeffs), op16.grid)
-    bad = mild_residual(op16, Trajectory(traj.times, snaps))
+    bad = mild_residual(Trajectory(traj.times, snaps))
     assert bad[k] > 100 * max(clean[k], 1e-30)
 
 
@@ -302,7 +309,6 @@ def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
     # delta = 0 leaves no rough part, so the residual reuses the reference F
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, delta=0.0)
     a = random_field(cfg.grid(), ncomp=2, seed=4, solenoidal=True, amplitude=0.05)
-    op = StokesOperator(cfg.grid())
     calls = []
     real_advection = hydrostokes.solver.advection
 
@@ -313,4 +319,4 @@ def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
     monkeypatch.setattr(hydrostokes.solver, "advection", counted)
     traj = full_solve(a, cfg)
     assert len(calls) == len(traj.times)
-    assert np.array_equal(traj.diagnostics["residual"], mild_residual(op, traj))
+    assert np.array_equal(traj.diagnostics["residual"], mild_residual(traj))

@@ -153,6 +153,10 @@ def test_initial_data_unknown_kind():
         {"data.amplitude": np.inf},
         {"data.amplitude": 1e200},  # finite coefficients whose squares overflow
         {"data.kind": "rough-perturbation", "data.rough": np.inf},
+        {"data.decay": -2000.0},  # the spectral envelope overflows
+        {"data.decay": 1e300},  # the spectral envelope underflows to 0
+        {"data.amplitude": 1e308},  # the rescaling to this amplitude overflows
+        {"data.kind": "rough-perturbation", "data.rough": 1e308},
     ],
 )
 def test_initial_data_non_finite_without_warning(cfg):
