@@ -19,10 +19,11 @@ class Grid:
     collocation at the DST-IV midpoints, so the discrete sine transform is
     exactly orthogonal and vertical quadrature is the midpoint rule.
 
-    The spectral tables ``basis``, ``xi2`` and ``xi_hat`` and the Stokes
-    operator ``stokes`` depend only on the grid; each is built on first use,
-    then shared by every caller holding this grid.  The tables' arrays are
-    read-only: copy before modifying.
+    The spectral tables ``basis``, ``xi2`` and ``xi_hat``, the Stokes
+    operator ``stokes`` and the grid ``doubled`` depend only on the grid;
+    each is built on first use, then shared by every caller holding this
+    grid.  The tables' arrays are read-only: copy before modifying.  ``xi2``
+    and ``xi_hat`` cover the half plane n <= N/2 that a SpectralField stores.
     """
 
     N: int
@@ -67,20 +68,32 @@ class Grid:
         return StokesOperator(self)
 
     @cached_property
+    def doubled(self) -> "Grid":
+        """The grid (2N, 2K, h), for resolution studies."""
+        return Grid(2 * self.N, 2 * self.K, self.h)
+
+    def _half_xi_vectors(self):
+        return (a[:, : self.N // 2 + 1] for a in self.xi_vectors())
+
+    @cached_property
     def xi2(self) -> np.ndarray:
-        """|xi|^2 per horizontal wavenumber, shape (N, N)."""
-        xix, xiy = self.xi_vectors()
+        """|xi|^2 per horizontal wavenumber of the half plane, shape (N, N/2+1)."""
+        xix, xiy = self._half_xi_vectors()
         return _read_only(xix**2 + xiy**2)
 
     @cached_property
     def xi_hat(self) -> np.ndarray:
-        """Unit wavevectors xi/|xi|, shape (2, N, N); the zero vector at xi = 0."""
-        xix, xiy = self.xi_vectors()
-        norm = np.sqrt(self.xi2)
-        norm[0, 0] = 1.0  # unused at xi = 0
-        xi_hat = np.stack([xix / norm, xiy / norm])
-        xi_hat[:, 0, 0] = 0.0
-        return _read_only(xi_hat)
+        """Unit wavevectors xi/|xi| of the half plane, shape (2, N, N/2+1)."""
+        return _read_only(unit_wavevectors(*self._half_xi_vectors()))
+
+
+def unit_wavevectors(xix: np.ndarray, xiy: np.ndarray) -> np.ndarray:
+    """xi/|xi| stacked, shape (2, *xix.shape); the zero vector at xi = 0 (entry [0, 0])."""
+    norm = np.sqrt(xix**2 + xiy**2)
+    norm[0, 0] = 1.0  # unused at xi = 0
+    xi_hat = np.stack([xix / norm, xiy / norm])
+    xi_hat[:, 0, 0] = 0.0
+    return xi_hat
 
 
 class VerticalBasis:
@@ -104,8 +117,3 @@ class VerticalBasis:
     def sample(self, z):
         """phi_k evaluated at points z, shape (K, len(z))."""
         return np.sin(np.outer(self.lambdas, np.asarray(z) + self.grid.h))
-
-    def sample_derivative(self, z):
-        """phi_k' evaluated at points z, shape (K, len(z))."""
-        lam = self.lambdas
-        return lam[:, None] * np.cos(np.outer(lam, np.asarray(z) + self.grid.h))

@@ -2,7 +2,7 @@
 
 Normalization table (tested in tests/test_basis_fields.py):
 
-  horizontal forward   fft2 / N^2      -> classical Fourier coefficients
+  horizontal forward   rfft2 / N^2     -> classical Fourier coefficients, n <= N/2
   horizontal inverse   irfft2 of the half spectrum * N^2
   vertical forward     DST-IV / K      -> coefficients of phi_k
   vertical inverse     DST-IV / 2      -> node values
@@ -10,6 +10,11 @@ Normalization table (tested in tests/test_basis_fields.py):
 
 With these scalings coefficients are independent of the grid size, so
 padding/truncation for dealiasing is plain index embedding.
+
+Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
+stores only the columns n = 0..N/2, as real-data FFTs do, and reality holds
+by construction.  Full-plane arrays enter through SpectralField.from_full,
+the one place that checks the symmetry, and leave through .full().
 """
 
 from dataclasses import dataclass
@@ -24,14 +29,14 @@ REALITY_TOL = 1e-12
 
 @dataclass
 class SpectralField:
-    """Coefficients c[comp, m, n, k] in the Fourier x sine basis."""
+    """Coefficients c[comp, m, n, k] in the Fourier x sine basis, columns n = 0..N/2."""
 
-    coeffs: np.ndarray  # complex, shape (ncomp, N, N, K)
+    coeffs: np.ndarray  # complex, shape (ncomp, N, N/2+1, K)
     grid: Grid
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        expect = (self.ncomp, self.grid.N, self.grid.N, self.grid.K)
+        expect = (self.ncomp, self.grid.N, self.grid.N // 2 + 1, self.grid.K)
         if self.coeffs.shape != expect:
             raise ValueError(
                 f"coefficient shape {self.coeffs.shape} does not match grid {expect}"
@@ -43,31 +48,40 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, grid: Grid, ncomp: int = 2):
-        return cls(np.zeros((ncomp, grid.N, grid.N, grid.K), dtype=complex), grid)
+        return cls(np.zeros((ncomp, grid.N, grid.N // 2 + 1, grid.K), dtype=complex), grid)
 
     def copy(self):
         return SpectralField(self.coeffs.copy(), self.grid)
 
-    def reality_defect(self):
-        """Max deviation from c(-m,-n,k) = conj(c(m,n,k)), from views only.
+    @classmethod
+    def from_full(cls, c: np.ndarray, grid: Grid):
+        """The field of full-plane coefficients c, shape (ncomp, N, N, K), which
+        must be Hermitian to within REALITY_TOL times max|c| (else ValueError)."""
+        c = np.asarray(c, dtype=complex)
+        N = grid.N
+        if c.ndim != 4 or c.shape[1:] != (N, N, grid.K):
+            raise ValueError(f"full-plane shape {c.shape} does not match grid {(N, N, grid.K)}")
+        defect = float(np.abs(c - _mirror(c)).max())
+        scale = float(np.abs(c).max())
+        if defect > REALITY_TOL * scale:
+            raise ValueError(
+                "coefficients violate the reality constraint: Hermitian defect "
+                f"{defect:.3e} vs coefficient scale {scale:.3e}"
+            )
+        return cls(c[:, :, : N // 2 + 1].copy(), grid)
 
-        Columns n = N/2+1..N-1 are compared with the conjugates of columns
-        N/2-1..1 reflected in m, and columns 0 and N/2 with themselves; by
-        the symmetry of the pairing that covers every (m, n).
-        """
-        a, N = self.coeffs, self.grid.N
-        return max(
-            _mirror_defect(a[:, :, N // 2 + 1 :], a[:, :, N // 2 - 1 : 0 : -1]),
-            _mirror_defect(a[:, :, :: N // 2], a[:, :, :: N // 2]),
-        )
-
-    def enforce_reality(self):
-        self.coeffs = hermitian_part(self.coeffs)
-        return self
+    def full(self) -> np.ndarray:
+        """Full-plane coefficients (ncomp, N, N, K), the columns n > N/2 as conj c(-m,-n)."""
+        N = self.grid.N
+        mirror = np.conj(self.coeffs[:, -np.arange(N) % N, N // 2 - 1 : 0 : -1])
+        return np.concatenate([self.coeffs, mirror], axis=2)
 
     def norm2(self):
         """L^2(Omega) norm computed from coefficients (Parseval)."""
-        return float(np.sqrt(self.grid.h / 2.0 * np.sum(np.abs(self.coeffs) ** 2)))
+        a2 = np.abs(self.coeffs) ** 2
+        # the columns 0 < n < N/2 also stand for their mirrors -n
+        total = 2.0 * a2.sum() - a2[:, :, 0].sum() - a2[:, :, -1].sum()
+        return float(np.sqrt(self.grid.h / 2.0 * total))
 
 
 @dataclass
@@ -91,17 +105,18 @@ class PhysicalField:
     def ncomp(self):
         return self.values.shape[0]
 
-    @classmethod
-    def zeros(cls, grid: Grid, ncomp: int = 2):
-        return cls(np.zeros((ncomp, grid.N, grid.N, grid.K)), grid)
-
     def copy(self):
         return PhysicalField(self.values.copy(), self.grid)
 
 
+def _mirror(c: np.ndarray) -> np.ndarray:
+    """conj c(-m,-n) at (m, n), for full-plane coefficients c[comp, m, n, ...]."""
+    return np.conj(np.roll(c[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2)))
+
+
 def hermitian_part(c: np.ndarray) -> np.ndarray:
-    """Coefficients of the real part of the field: (c(m,n) + conj c(-m,-n)) / 2."""
-    return 0.5 * (c + np.conj(np.roll(c[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2))))
+    """Full-plane coefficients of the real part of the field: (c(m,n) + conj c(-m,-n)) / 2."""
+    return 0.5 * (c + _mirror(c))
 
 
 def zero_nyquist(c: SpectralField) -> SpectralField:
@@ -118,51 +133,22 @@ def zero_nyquist(c: SpectralField) -> SpectralField:
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:
-    """Horizontal DFT composed with the vertical DST-IV projection."""
+    """Horizontal real DFT composed with the vertical DST-IV projection."""
     g = f.grid
     c = sfft.dst(f.values, type=4, axis=3) / g.K
-    c = sfft.fft2(c, axes=(1, 2)) / g.N**2
+    c = sfft.rfft2(c, axes=(1, 2)) / g.N**2
     return SpectralField(c, g)
 
 
 def _irfft2(a: np.ndarray, N: int) -> np.ndarray:
-    """Horizontal inverse of Hermitian coefficients, from the half spectrum n <= N/2.
-
-    Accepts the full or the half spectrum along axis 2; the columns n > N/2
-    are never read (unscaled sum, i.e. ifft2 * N^2).
-    """
-    return sfft.irfft2(a[:, :, : N // 2 + 1], s=(N, N), axes=(1, 2), norm="forward")
-
-
-def _mirror_defect(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a(m) - conj b(-m)| over the m axis (axis 1), from views only."""
-    return max(
-        float(np.abs(a[:, 0] - np.conj(b[:, 0])).max()),
-        float(np.abs(a[:, 1:] - np.conj(b[:, :0:-1])).max()),
-    )
+    """Horizontal inverse of half-spectrum coefficients (unscaled sum, i.e. ifft2 * N^2)."""
+    return sfft.irfft2(a, s=(N, N), axes=(1, 2), norm="forward")
 
 
 def inverse_transform(c: SpectralField) -> PhysicalField:
-    """Exact inverse of :func:`forward_transform`.
-
-    The horizontal step reads only the half spectrum n <= N/2, so the guard
-    checks that the columns it drops mirror the rest: it raises if the
-    Hermitian defect (:meth:`SpectralField.reality_defect`) times N^2
-    exceeds ``REALITY_TOL`` times the field scale, since the result is
-    returned as a real field.
-    """
-    g = c.grid
-    N = g.N
-    u = _irfft2(c.coeffs, N)
-    defect = c.reality_defect()
-    scale = np.abs(u).max()
-    if defect * N**2 > REALITY_TOL * scale:
-        raise ValueError(
-            "coefficients violate the reality constraint: Hermitian defect "
-            f"{defect:.3e} x N^2 vs field scale {scale:.3e}"
-        )
-    v = sfft.dst(u, type=4, axis=3) / 2.0
-    return PhysicalField(v, g)
+    """Exact inverse of :func:`forward_transform`."""
+    u = _irfft2(c.coeffs, c.grid.N)
+    return PhysicalField(sfft.dst(u, type=4, axis=3) / 2.0, c.grid)
 
 
 def horizontal_derivative(c: SpectralField, axis: str) -> SpectralField:
@@ -170,26 +156,24 @@ def horizontal_derivative(c: SpectralField, axis: str) -> SpectralField:
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     xi = c.grid.xi
-    shape = (1, -1, 1, 1) if axis == "x" else (1, 1, -1, 1)
-    return SpectralField(c.coeffs * (1j * xi.reshape(shape)), c.grid)
+    mult = xi[:, None, None] if axis == "x" else xi[: c.grid.N // 2 + 1, None]
+    return SpectralField(c.coeffs * (1j * mult), c.grid)
 
 
 def vertical_derivative(c: SpectralField) -> PhysicalField:
     """d/dz evaluated at the nodes via the cosine series.
 
     The derivative of a sine series lives in the cosine span, so the result
-    is returned as node values, not re-projected.  Only the half spectrum
-    is read; unlike :func:`inverse_transform` there is no reality guard.
+    is returned as node values, not re-projected.
     """
-    N = c.grid.N
-    u = _irfft2(c.coeffs[:, :, : N // 2 + 1] * c.grid.basis.lambdas, N)
+    u = _irfft2(c.coeffs * c.grid.basis.lambdas, c.grid.N)
     return PhysicalField(sfft.dct(u, type=4, axis=3) / 2.0, c.grid)
 
 
 def vertical_mean(c: SpectralField) -> np.ndarray:
     """Per-mode vertical average (1/h) * integral over (-h,0).
 
-    Exact: the integral of phi_k is 1/lambda_k.  Returns shape (ncomp, N, N).
+    Exact: the integral of phi_k is 1/lambda_k.  Returns shape (ncomp, N, N/2+1).
     """
     return np.sum(c.coeffs / c.grid.basis.lambdas, axis=3) / c.grid.h
 
@@ -202,11 +186,10 @@ def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
     """
     if c.ncomp != 1:
         raise ValueError(f"expected a scalar field, got ncomp={c.ncomp}")
-    N = c.grid.N
-    b = c.coeffs[:, :, : N // 2 + 1] / c.grid.basis.lambdas
+    b = c.coeffs / c.grid.basis.lambdas
     const = np.sum(b, axis=3, keepdims=True)
     prof = const - sfft.dct(b, type=4, axis=3) / 2.0
-    return PhysicalField(_irfft2(prof, N), c.grid)
+    return PhysicalField(_irfft2(prof, c.grid.N), c.grid)
 
 
 def gradient(v: SpectralField) -> PhysicalField:

@@ -205,7 +205,8 @@ def resolvent_scan(
 
     Only the real part Re (lambda - A)^{-1} f enters the left-hand side, and
     |Re v| <= |v| pointwise, so for complex lambda the ratios can understate
-    the sectorial bound.
+    the sectorial bound.  A is real, so that real part is
+    ((lambda - A)^{-1} + (conj lambda - A)^{-1}) f / 2.
     """
     op = grid.stokes
     psis = np.array([0.0, 0.5, 0.9]) * theta
@@ -223,12 +224,11 @@ def resolvent_scan(
                 lam = mod * np.exp(1j * psi)
                 try:
                     v = op.resolvent_apply(lam, datum)
+                    vbar = op.resolvent_apply(np.conj(lam), datum)
                 except SingularityError:
                     skipped += 1
                     continue
-                # for complex lambda the resolvent is complex; the ratios
-                # measure its real part, Re ifft2(c) = ifft2(hermitian_part(c))
-                v = SpectralField(hermitian_part(v.coeffs), v.grid)
+                v = SpectralField(0.5 * (v.coeffs + vbar.coeffs), grid)
                 vphys = inverse_transform(v)
                 if derivative_datum:
                     lhs = np.sqrt(abs(lam)) * norm_anisotropic(vphys, q, p)
@@ -256,7 +256,7 @@ def horizontal_multiplier_scan(
     """|tau|^{1/2} ||grad_H e^{tau Delta_H} Q f||_inf / ||f||_inf on the 2-torus."""
     grid = Grid(N, 1, 1.0)
     xix, xiy = grid.xi_vectors()
-    xi2 = grid.xi2
+    xi2 = xix**2 + xiy**2
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
     env = (1.0 + xi2 / (2 * np.pi) ** 2) ** (-1.0)
@@ -368,7 +368,8 @@ def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0
     grid = Grid(N, 1, 1.0)
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
-    env = (1.0 + grid.xi2 / (2 * np.pi) ** 2) ** (-0.75)
+    xix, xiy = grid.xi_vectors()
+    env = (1.0 + (xix**2 + xiy**2) / (2 * np.pi) ** 2) ** (-0.75)
     for i in range(n_samples):
         Fhat = (rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))) * env
         Fhat = hermitian_part(Fhat)
@@ -454,7 +455,7 @@ def recursion_bound_check(a0: float, c1: float, c2: float):
 def resolution_stability(scan_at_grid, grid: Grid):
     """Run a grid-parametrized scan at (N,K) and (2N,2K); compare sups."""
     base = scan_at_grid(grid)
-    fine = scan_at_grid(Grid(2 * grid.N, 2 * grid.K, grid.h))
+    fine = scan_at_grid(grid.doubled)
     drift = abs(fine.sup_ratio - base.sup_ratio) / max(base.sup_ratio, DENOM_FLOOR)
     base.stable = drift <= STABILITY_REL_TOL
     base.notes = (base.notes + f" drift={drift:.3f} vs ({fine.resolutions})").strip()

@@ -32,58 +32,50 @@ def padded_grid(grid: Grid) -> Grid:
     return Grid(Np, Kp, grid.h)
 
 
-def _pad_axis(a: np.ndarray, axis: int, N: int, Np: int) -> np.ndarray:
-    """Embed FFT-ordered coefficients along one axis, splitting the Nyquist
-    mode -N/2 symmetrically onto +-N/2 so Hermitian symmetry is preserved."""
+def _pad_rows(a: np.ndarray, N: int, Np: int) -> np.ndarray:
+    """Embed FFT-ordered coefficients along m (axis 1), splitting the Nyquist
+    row -N/2 symmetrically onto +-N/2 so Hermitian symmetry is preserved."""
     if Np == N:
         return a
-    shape = list(a.shape)
-    shape[axis] = Np
-    out = np.zeros(shape, dtype=a.dtype)
     half = N // 2
-    src = np.moveaxis(a, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[:half] = src[:half]
-    dst[Np - half + 1 :] = src[half + 1 :]
-    dst[half] = 0.5 * src[half]
-    dst[Np - half] = 0.5 * src[half]
+    out = np.zeros((a.shape[0], Np) + a.shape[2:], dtype=a.dtype)
+    out[:, :half] = a[:, :half]
+    out[:, Np - half + 1 :] = a[:, half + 1 :]
+    out[:, half] = 0.5 * a[:, half]
+    out[:, Np - half] = 0.5 * a[:, half]
     return out
 
 
-def _truncate_axis(a: np.ndarray, axis: int, Np: int, N: int) -> np.ndarray:
-    """Inverse of :func:`_pad_axis`: fold +-N/2 back into the -N/2 slot."""
+def _truncate_rows(a: np.ndarray, Np: int, N: int) -> np.ndarray:
+    """Inverse of :func:`_pad_rows`: fold +-N/2 back into the -N/2 row."""
     if Np == N:
         return a
     half = N // 2
-    src = np.moveaxis(a, axis, 0)
-    shape = list(a.shape)
-    shape[axis] = N
-    out = np.zeros(shape, dtype=a.dtype)
-    dst = np.moveaxis(out, axis, 0)
-    dst[:half] = src[:half]
-    dst[half + 1 :] = src[Np - half + 1 :]
-    dst[half] = src[half] + src[Np - half]
+    out = np.zeros((a.shape[0], N) + a.shape[2:], dtype=a.dtype)
+    out[:, :half] = a[:, :half]
+    out[:, half + 1 :] = a[:, Np - half + 1 :]
+    out[:, half] = a[:, half] + a[:, Np - half]
     return out
 
 
 def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
-    """Embed coefficients into a finer grid (coefficients are grid-free)."""
+    """Embed coefficients into a finer grid (coefficients are grid-free).
+
+    Along n a prefix copy; the Nyquist column stood for +-N/2 together and
+    on the finer grid is +N/2 alone (with its mirror -N/2), so it is halved.
+    """
     g = c.grid
-    out = _pad_axis(c.coeffs, 1, g.N, target.N)
-    out = _pad_axis(out, 2, g.N, target.N)
-    if target.K > g.K:
-        pad = np.zeros(out.shape[:3] + (target.K - g.K,), dtype=complex)
-        out = np.concatenate([out, pad], axis=3)
-    return SpectralField(out, target)
+    out = SpectralField.zeros(target, c.ncomp)
+    out.coeffs[:, :, : g.N // 2 + 1, : g.K] = _pad_rows(c.coeffs, g.N, target.N)
+    if target.N > g.N:
+        out.coeffs[:, :, g.N // 2] *= 0.5
+    return out
 
 
 def truncate_coeffs(c: SpectralField, target: Grid) -> SpectralField:
     """Restrict coefficients to a coarser grid (drop high modes)."""
-    g = c.grid
-    out = _truncate_axis(c.coeffs, 1, g.N, target.N)
-    out = _truncate_axis(out, 2, g.N, target.N)
-    field = SpectralField(np.ascontiguousarray(out[:, :, :, : target.K]), target)
-    return zero_nyquist(field)
+    out = _truncate_rows(c.coeffs[:, :, : target.N // 2 + 1, : target.K], c.grid.N, target.N)
+    return zero_nyquist(SpectralField(np.ascontiguousarray(out), target))
 
 
 def divergence_h(v: SpectralField) -> SpectralField:
@@ -110,7 +102,7 @@ def vertical_velocity_top(v: SpectralField) -> np.ndarray:
     """
     d = divergence_h(v)
     top = -np.sum(d.coeffs[0] / v.grid.basis.lambdas, axis=2)
-    return sfft.ifft2(top * v.grid.N**2).real
+    return sfft.irfft2(top, s=(v.grid.N, v.grid.N), norm="forward")
 
 
 class _NodeSet:
@@ -196,11 +188,11 @@ def divergence_form(
     w1 v2 itself has no exact representation in the mixed basis).
     """
     gp, n1, n2 = _node_sets(v1, v2, dealias)
-    out = np.zeros((2, gp.N, gp.N, gp.K), dtype=complex)
+    out = SpectralField.zeros(gp)
     for i, axis in enumerate(("x", "y")):
         flux = forward_transform(PhysicalField(n1.u[i] * n2.u, gp))
-        out += horizontal_derivative(flux, axis).coeffs
+        out.coeffs += horizontal_derivative(flux, axis).coeffs
     divV1 = inverse_transform(divergence_h(n1.v)).values[0]
     vert = forward_transform(PhysicalField(-divV1 * n2.u + n1.w * n2.dz, gp))
-    out += vert.coeffs
-    return truncate_coeffs(SpectralField(out, gp), v1.grid)
+    out.coeffs += vert.coeffs
+    return truncate_coeffs(out, v1.grid)

@@ -10,17 +10,17 @@ the projected mean is exactly divergence-free.
 
 import numpy as np
 
-from .basis import Grid
+from .basis import Grid, unit_wavevectors
 from .fields import SpectralField, vertical_mean
 
 
 def helmholtz_2d(ghat: np.ndarray, grid: Grid) -> np.ndarray:
-    """2-d periodic Helmholtz projection of Fourier coefficients (2, N, N).
+    """2-d periodic Helmholtz projection of full-plane Fourier coefficients (2, N, N).
 
     Per wavenumber xi != 0 removes the component along xi; the zero mode is
     untouched (constants are divergence-free).
     """
-    xi_hat = grid.xi_hat
+    xi_hat = unit_wavevectors(*grid.xi_vectors())
     par = np.einsum("cmn,cmn->mn", xi_hat, ghat)
     return ghat - xi_hat * par[None, :, :]
 
@@ -45,9 +45,9 @@ def check_solenoidal(f: SpectralField) -> float:
     """Max over wavenumbers of |xi . mean|, normalized by the L^2 norm of f."""
     if f.ncomp != 2:
         raise ValueError(f"solenoidality check needs ncomp=2, got {f.ncomp}")
-    xix, xiy = f.grid.xi_vectors()
+    g = f.grid
     mean = vertical_mean(f)
-    div = np.abs(xix * mean[0] + xiy * mean[1]).max()
+    div = np.abs(np.sqrt(g.xi2) * np.einsum("cmn,cmn->mn", g.xi_hat, mean)).max()
     scale = f.norm2()
     if scale == 0.0:
         return 0.0
@@ -57,24 +57,23 @@ def check_solenoidal(f: SpectralField) -> float:
 def recover_pressure_gradient(v: SpectralField, f: SpectralField) -> np.ndarray:
     """Surface-pressure gradient from Delta_H pi = div_H fbar - div_H (dz v at bottom)/h.
 
-    Returns Fourier coefficients of grad_H pi, shape (2, N, N).  The bottom
+    Returns Fourier coefficients of grad_H pi, shape (2, N, N/2+1).  The bottom
     shear per mode is sum_k lambda_k c_k since phi_k'(-h) = lambda_k.
     """
     g = v.grid
-    shear = np.sum(v.coeffs * g.basis.lambdas, axis=3) / g.h  # (2, N, N)
+    shear = np.sum(v.coeffs * g.basis.lambdas, axis=3) / g.h  # (2, N, N/2+1)
     rhs = vertical_mean(f) - shear
     par = np.einsum("cmn,cmn->mn", g.xi_hat, rhs)
     return g.xi_hat * par[None, :, :]
 
 
 def recover_pressure(v: SpectralField, f: SpectralField) -> np.ndarray:
-    """Fourier coefficients of pi itself, zero-mean normalized, shape (N, N)."""
+    """Fourier coefficients of pi itself, zero-mean normalized, shape (N, N/2+1)."""
     g = v.grid
     grad = recover_pressure_gradient(v, f)
-    xix, xiy = g.xi_vectors()
-    xi2 = g.xi2.copy()
-    xi2[0, 0] = 1.0
-    # grad = i xi pihat  =>  pihat = -i xi . grad / |xi|^2
-    pihat = -1j * (xix * grad[0] + xiy * grad[1]) / xi2
+    norm = np.sqrt(g.xi2)
+    norm[0, 0] = 1.0
+    # grad = i xi pihat  =>  pihat = -i xi . grad / |xi|^2 = -i xi_hat . grad / |xi|
+    pihat = -1j * np.einsum("cmn,cmn->mn", g.xi_hat, grad) / norm
     pihat[0, 0] = 0.0
     return pihat

@@ -165,7 +165,11 @@ class StokesOperator:
         return SpectralField(self._assemble(out_par, out_perp, origin), g.grid)
 
     def resolvent_apply(self, lam: complex, f: SpectralField) -> SpectralField:
-        """(lam - A)^{-1} f, closed-form on every mode block."""
+        """(lam - A)^{-1} f, closed-form on every mode block.
+
+        For complex lam these are the columns n <= N/2 of a complex field;
+        A is real, so its real part is the mean of this and conj lam's.
+        """
         if f.ncomp != 2:
             raise ValueError(f"resolvent_apply needs ncomp=2, got {f.ncomp}")
         self._check_not_spectrum(lam)
@@ -205,9 +209,10 @@ class StokesOperator:
             par_eigs = np.delete(par_eigs, np.argmin(np.abs(par_eigs)))
         rows = []
         ms = np.fft.fftfreq(N, d=1.0 / N).astype(int)
+        xix, xiy = self.grid.xi_vectors()  # every (m, n), not only the stored half
         for im, m in enumerate(ms):
             for jn, n in enumerate(ms):
-                s = self.xi2[im, jn]
+                s = xix[im, jn] ** 2 + xiy[im, jn] ** 2
                 if im == 0 and jn == 0:
                     eigs = np.concatenate([-self.lam2, -self.lam2])
                 else:

@@ -7,7 +7,7 @@ import tempfile
 import numpy as np
 
 from .basis import Grid
-from .fields import REALITY_TOL, SpectralField
+from .fields import SpectralField
 from .projection import project_hydrostatic
 from .sampling import random_field, single_mode_field
 from .solver import SolverConfig
@@ -169,9 +169,8 @@ def write_snapshot(path: str, field: SpectralField, time: float):
     header = SNAPSHOT_MAGIC + SNAPSHOT_HEADER.pack(
         SNAPSHOT_VERSION, field.ncomp, g.N, g.K, g.h, time
     )
-    payload = np.ascontiguousarray(field.coeffs, dtype=np.complex128)
-    # interleaved (re, im) little-endian f64 in index order comp, m, n, k
-    body = payload.astype("<c16").tobytes()
+    # the full plane, interleaved (re, im) little-endian f64 in index order comp, m, n, k
+    body = field.full().astype("<c16").tobytes()
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -209,11 +208,8 @@ def read_snapshot(path: str):
     coeffs = np.frombuffer(body, dtype="<c16").reshape(ncomp, N, N, K).astype(complex)
     if not np.all(np.isfinite(coeffs)):
         raise ConfigError(f"snapshot {path} holds non-finite coefficients")
-    field = SpectralField(coeffs, grid)
-    defect, scale = field.reality_defect(), float(np.abs(coeffs).max())
-    if defect > REALITY_TOL * scale:
-        raise ConfigError(
-            f"snapshot {path} violates the reality constraint: defect {defect:.3e} "
-            f"vs coefficient scale {scale:.3e}"
-        )
+    try:
+        field = SpectralField.from_full(coeffs, grid)
+    except ValueError as exc:
+        raise ConfigError(f"snapshot {path}: {exc}") from exc
     return field, time

@@ -40,7 +40,7 @@ def eval_fine(field: SpectralField, zq: np.ndarray, nx: int) -> np.ndarray:
     grid = field.grid
     basis = VerticalBasis(grid)
     phi = np.sin(basis.lambdas[None, :] * (zq[:, None] + grid.h))  # (nq, K)
-    c = field.coeffs
+    c = field.full()
     vals_z = np.einsum("smnk,qk->smnq", c, phi)
     # embed the N modes into an nx-point spectrum (no Nyquist issues: the
     # fields under test have the unpaired mode zeroed already)
@@ -78,7 +78,7 @@ def continuum_energy_pairing(v: SpectralField, w: SpectralField, nq=160, pad=3):
     # vertical velocity and vertical derivative on the continuum: w3(z) =
     # -int_{-h}^z div_H v and dz w via the cosine series, both evaluated
     # exactly at the quadrature nodes
-    div = divergence_h(v).coeffs[0]
+    div = divergence_h(v).full()[0]
     lam = basis.lambdas
     prim = (1.0 - np.cos(lam[None, :] * (zq[:, None] + grid.h))) / lam[None, :]
     w3 = -np.einsum("mnk,qk->mnq", div, prim)
@@ -88,8 +88,8 @@ def continuum_energy_pairing(v: SpectralField, w: SpectralField, nq=160, pad=3):
     w3_fine = sfft.ifft2(w3_fine, axes=(1, 2)).real * nx**2
 
     psi = np.cos(lam[None, :] * (zq[:, None] + grid.h)) * lam[None, :]
-    dzw = np.einsum("smnk,qk->smnq", w.coeffs, psi)
-    dzw_fine = np.zeros((w.coeffs.shape[0], nx, nx, len(zq)), dtype=complex)
+    dzw = np.einsum("smnk,qk->smnq", w.full(), psi)
+    dzw_fine = np.zeros((w.ncomp, nx, nx, len(zq)), dtype=complex)
     dzw_fine[:, np.ix_(idx, idx)[0], np.ix_(idx, idx)[1], :] = dzw
     dzw_fine = sfft.ifft2(dzw_fine, axes=(1, 2)).real * nx**2
 

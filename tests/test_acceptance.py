@@ -99,7 +99,7 @@ def test_criterion_04_semigroup_consistency():
     c = np.zeros((2, 8, 8, 8), dtype=complex)
     c[:, 1, 1, :] = np.outer(e, c0)
     c[:, -1, -1, :] = np.outer(e, c0)
-    out = op8.semigroup_apply(0.1, SpectralField(c, grid))
+    out = op8.semigroup_apply(0.1, SpectralField.from_full(c, grid))
     got = (e @ out.coeffs[:, 1, 1, :]).real
     assert np.abs(got - sol.y[:, -1]).max() <= 1e-8
     _ok(4, "semigroup law / generator / expm-vs-ODE")

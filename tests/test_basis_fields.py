@@ -62,6 +62,7 @@ def test_grid_tables_built_once_and_read_only(monkeypatch):
     assert builds == [g]
     assert g.basis is op.basis and g.xi2 is g.xi2 is op.xi2 and g.xi_hat is g.xi_hat
     assert padded_grid(g) is padded_grid(g)
+    assert g.doubled is g.doubled and g.doubled == Grid(16, 8, 1.0)
     for table in (g.xi2, g.xi_hat, g.basis.lambdas, g.basis.betas, g.basis.betas_t):
         with pytest.raises(ValueError):
             table[0] = 0.0
@@ -98,7 +99,7 @@ def test_forward_of_single_vertical_mode(grid8):
     c = forward_transform(f)
     expect = np.zeros((1, 8, 8, 8))
     expect[0, 0, 0, 0] = 1.0
-    assert np.allclose(c.coeffs, expect, atol=1e-13)
+    assert np.allclose(c.full(), expect, atol=1e-13)
 
 
 def test_forward_of_zero_field(grid8):
@@ -116,27 +117,27 @@ def test_round_trip_random(grid8):
 def test_inverse_of_unit_coefficient(grid8):
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 0, 0, 0] = 1.0
-    f = inverse_transform(SpectralField(c, grid8))
+    f = inverse_transform(SpectralField.from_full(c, grid8))
     basis = VerticalBasis(grid8)
     expect = np.sin(basis.lambdas[0] * (grid8.z + 1.0))
     assert np.allclose(f.values[0], np.broadcast_to(expect, (8, 8, 8)), atol=1e-13)
 
 
-def test_inverse_rejects_reality_violation(grid8):
+def test_from_full_rejects_reality_violation(grid8):
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 1, 0, 0] = 1.0  # no conjugate partner at (-1, 0)
     with pytest.raises(ValueError):
-        inverse_transform(SpectralField(c, grid8))
+        SpectralField.from_full(c, grid8)
 
 
 @pytest.mark.parametrize("column", [7, 4], ids=["n=N-1", "n=N/2"])
-def test_inverse_rejects_violation_in_one_column(grid8, column):
-    # c(1, N-1) sits where the half-spectrum transform never reads; c(1, N/2)
-    # in the Nyquist column, whose partner (-1, -N/2) is the same column
+def test_from_full_rejects_violation_in_one_column(grid8, column):
+    # c(1, N-1) sits where the half spectrum is not stored; c(1, N/2) in the
+    # Nyquist column, whose partner (-1, -N/2) is the same column
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 1, column, 0] = 1.0
     with pytest.raises(ValueError):
-        inverse_transform(SpectralField(c, grid8))
+        SpectralField.from_full(c, grid8)
 
 
 def _oracle_horizontal(c, N):
@@ -157,13 +158,13 @@ def test_half_spectrum_transforms_match_complex_oracle(N):
 
     close(
         inverse_transform(f).values,
-        scipy.fft.dst(_oracle_horizontal(f.coeffs, N), type=4, axis=3) / 2.0,
+        scipy.fft.dst(_oracle_horizontal(f.full(), N), type=4, axis=3) / 2.0,
     )
     close(
         vertical_derivative(f).values,
-        scipy.fft.dct(_oracle_horizontal(f.coeffs * lam, N), type=4, axis=3) / 2.0,
+        scipy.fft.dct(_oracle_horizontal(f.full() * lam, N), type=4, axis=3) / 2.0,
     )
-    b = f.coeffs[:1] / lam
+    b = f.full()[:1] / lam
     prof = np.sum(b, axis=3, keepdims=True) - scipy.fft.dct(b, type=4, axis=3) / 2.0
     close(
         vertical_integral_from_bottom(SpectralField(f.coeffs[:1], grid)).values,
@@ -173,11 +174,31 @@ def test_half_spectrum_transforms_match_complex_oracle(N):
 
 def test_enforced_reality_round_trips(grid8):
     f = random_field(grid8, ncomp=2, seed=5)
-    assert f.reality_defect() <= 1e-14
+    assert np.array_equal(SpectralField.from_full(f.full(), grid8).coeffs, f.coeffs)
     phys = inverse_transform(f)
     assert np.isrealobj(phys.values)
     back = forward_transform(phys)
     assert np.abs(back.coeffs - f.coeffs).max() <= 1e-13 * np.abs(f.coeffs).max()
+
+
+def test_half_spectrum_layout(grid8):
+    # the stored columns n = 0..N/2 are those of the complex-FFT spectrum,
+    # full() restores the rest, and norm2 counts the mirrored columns twice
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal((2, 8, 8, 8))
+    f = forward_transform(PhysicalField(vals, grid8))
+    expect = scipy.fft.fft2(scipy.fft.dst(vals, type=4, axis=3) / 8, axes=(1, 2)) / 8**2
+    assert f.coeffs.shape == (2, 8, 5, 8)
+    assert np.abs(f.full() - expect).max() <= 1e-15 * np.abs(expect).max()
+    assert np.array_equal(SpectralField.from_full(f.full(), grid8).coeffs, f.coeffs)
+    assert f.norm2() == pytest.approx(np.sqrt(0.5 * np.sum(np.abs(expect) ** 2)), rel=1e-13)
+
+
+def test_spectral_field_rejects_full_plane_shape(grid8):
+    with pytest.raises(ValueError):
+        SpectralField(np.zeros((2, 8, 8, 8), complex), grid8)
+    with pytest.raises(ValueError):
+        SpectralField.from_full(np.zeros((2, 8, 5, 8), complex), grid8)
 
 
 def test_parseval(grid8):
@@ -194,7 +215,7 @@ def test_horizontal_derivative_eigenmode(grid8):
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 1, 0, 0] = 1.0
     c[0, -1, 0, 0] = 1.0
-    f = SpectralField(c, grid8)
+    f = SpectralField.from_full(c, grid8)
     d = horizontal_derivative(f, "x")
     assert d.coeffs[0, 1, 0, 0] == pytest.approx(2j * np.pi)
     assert d.coeffs[0, -1, 0, 0] == pytest.approx(-2j * np.pi)
@@ -203,7 +224,7 @@ def test_horizontal_derivative_eigenmode(grid8):
 def test_horizontal_derivative_of_constant(grid8):
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 0, 0, 2] = 3.0
-    d = horizontal_derivative(SpectralField(c, grid8), "y")
+    d = horizontal_derivative(SpectralField.from_full(c, grid8), "y")
     assert np.all(d.coeffs == 0)
 
 
@@ -218,13 +239,13 @@ def test_horizontal_derivative_physical(grid8):
 def test_vertical_derivative_single_mode(grid8):
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 0, 0, 0] = 1.0
-    d = vertical_derivative(SpectralField(c, grid8))
+    d = vertical_derivative(SpectralField.from_full(c, grid8))
     expect = (np.pi / 2) * np.cos((np.pi / 2) * (grid8.z + 1.0))
     assert np.allclose(d.values[0], np.broadcast_to(expect, (8, 8, 8)), atol=1e-13)
 
 
 def test_vertical_derivative_zero(grid8):
-    d = vertical_derivative(SpectralField(np.zeros((2, 8, 8, 8), complex), grid8))
+    d = vertical_derivative(SpectralField.from_full(np.zeros((2, 8, 8, 8), complex), grid8))
     assert np.all(d.values == 0)
 
 
@@ -243,7 +264,7 @@ def test_vertical_derivative_finite_difference_order():
     for eps in (1e-2, 5e-3):
         phi_p = basis.sample(grid.z + eps)
         phi_m = basis.sample(grid.z - eps)
-        fd = np.einsum("smnk,kj->smnj", f.coeffs, (phi_p - phi_m) / (2 * eps))
+        fd = np.einsum("smnk,kj->smnj", f.full(), (phi_p - phi_m) / (2 * eps))
         fd = sfft.ifft2(fd, axes=(1, 2)).real * grid.N**2
         errs.append(np.abs(fd - d.values).max())
     assert errs[1] < errs[0]
@@ -257,7 +278,7 @@ def test_vertical_derivative_finite_difference_order():
 def test_vertical_mean_single_mode(grid8):
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 0, 0, 0] = 1.0
-    m = vertical_mean(SpectralField(c, grid8))
+    m = vertical_mean(SpectralField.from_full(c, grid8))
     assert m[0, 0, 0] == pytest.approx(2 / np.pi, abs=1e-14)
 
 
@@ -266,7 +287,7 @@ def test_vertical_mean_constructed_null(grid8):
     w = np.array([1.0, -2.0, 1.0, 0, 0, 0, 0, 0])
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 0, 0, :] = basis.lambdas * w
-    m = vertical_mean(SpectralField(c, grid8))
+    m = vertical_mean(SpectralField.from_full(c, grid8))
     assert abs(m[0, 0, 0]) <= 1e-14
 
 
@@ -283,14 +304,16 @@ def test_vertical_mean_quadrature_oracle(grid8):
 
 
 def test_vertical_integral_zero(grid8):
-    out = vertical_integral_from_bottom(SpectralField(np.zeros((1, 8, 8, 8), complex), grid8))
+    out = vertical_integral_from_bottom(
+        SpectralField.from_full(np.zeros((1, 8, 8, 8), complex), grid8)
+    )
     assert np.all(out.values == 0)
 
 
 def test_vertical_integral_single_mode(grid8):
     c = np.zeros((1, 8, 8, 8), dtype=complex)
     c[0, 0, 0, 0] = 1.0
-    out = vertical_integral_from_bottom(SpectralField(c, grid8))
+    out = vertical_integral_from_bottom(SpectralField.from_full(c, grid8))
     lam = np.pi / 2
     expect = (1 - np.cos(lam * (grid8.z + 1.0))) / lam
     assert np.allclose(out.values[0], np.broadcast_to(expect, (8, 8, 8)), atol=1e-13)
@@ -306,7 +329,7 @@ def test_vertical_integral_quadrature_convergence():
         grid = Grid(4, K, 1.0)
         c = np.zeros((1, 4, 4, K), dtype=complex)
         c[0, 0, 0, 0] = 1.0
-        exact = vertical_integral_from_bottom(SpectralField(c, grid)).values[0, 0, 0]
+        exact = vertical_integral_from_bottom(SpectralField.from_full(c, grid)).values[0, 0, 0]
         vals = np.sin((np.pi / 2) * (grid.z + 1.0))
         cumul = np.cumsum(vals) * (1.0 / K) - vals * (0.5 / K)
         errs.append(np.abs(cumul - exact).max())

@@ -101,6 +101,24 @@ def test_decay_scan_builds_one_operator_per_grid(monkeypatch):
     assert grid.stokes is grid.stokes
 
 
+def test_resolution_studies_share_one_doubled_grid(monkeypatch):
+    # every study on one base grid runs its fine scan on the same doubled grid
+    builds = []
+    init = StokesOperator.__init__
+
+    def counted(self, grid):
+        builds.append(grid)
+        init(self, grid)
+
+    monkeypatch.setattr(StokesOperator, "__init__", counted)
+    grid = Grid(8, 4, 1.0)
+    for combo in SEMIGROUP_COMBOS:
+        resolution_stability(
+            lambda g, c=combo: semigroup_decay_scan(c, np.array([0.1]), 1, 4.0, g), grid
+        )
+    assert builds == [grid, grid.doubled]
+
+
 def test_semigroup_decay_unknown_combo(grid8):
     with pytest.raises(ValueError):
         semigroup_decay_scan("nонsense", np.array([0.1]), 1, 4.0, grid8)

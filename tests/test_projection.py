@@ -80,7 +80,7 @@ def test_projection_keeps_perpendicular_constant(grid8):
     c = np.zeros((2, 8, 8, 8), dtype=complex)
     c[0, 0, 1, :] = -0.5j * basis.betas_t
     c[0, 0, -1, :] = 0.5j * basis.betas_t
-    f = SpectralField(c, grid8)
+    f = SpectralField.from_full(c, grid8)
     pf = project_hydrostatic(f)
     assert np.abs(pf.coeffs - f.coeffs).max() <= 1e-14
 
@@ -91,12 +91,12 @@ def test_projection_kills_parallel_mean(grid8):
     c = np.zeros((2, 8, 8, 8), dtype=complex)
     c[0, 1, 0, :] = -0.5j * basis.betas_t
     c[0, -1, 0, :] = 0.5j * basis.betas_t
-    f = SpectralField(c, grid8)
+    f = SpectralField.from_full(c, grid8)
     pf = project_hydrostatic(f)
     # the parallel vertical mean vanishes exactly; the residual is the
     # truncation remainder of the constant's renormalized expansion
     assert np.abs(vertical_mean(pf)).max() <= 1e-15
-    brute = c - vertical_mean(f)[..., None] * basis.betas_t
+    brute = f.coeffs - vertical_mean(f)[..., None] * basis.betas_t
     assert np.abs(pf.coeffs - brute).max() <= 1e-14
 
 
@@ -126,7 +126,7 @@ def test_projection_idempotent_property(seed, ktag):
 
 
 def test_check_solenoidal_zero(grid8):
-    f = SpectralField(np.zeros((2, 8, 8, 8), complex), grid8)
+    f = SpectralField.from_full(np.zeros((2, 8, 8, 8), complex), grid8)
     assert check_solenoidal(f) == 0.0
 
 
@@ -156,13 +156,13 @@ def test_pressure_gradient_recovers_forcing_gradient(grid8):
     c = np.zeros((2, 8, 8, 8), dtype=complex)
     c[0, 1, 0, :] = -0.5j * basis.betas_t
     c[0, -1, 0, :] = 0.5j * basis.betas_t
-    f = SpectralField(c, grid8)
-    v0 = SpectralField(np.zeros_like(c), grid8)
+    f = SpectralField.from_full(c, grid8)
+    v0 = SpectralField.from_full(np.zeros_like(c), grid8)
     gp = recover_pressure_gradient(v0, f)
     expect = np.zeros((2, 8, 8), dtype=complex)
     expect[0, 1, 0] = -0.5j
     expect[0, -1, 0] = 0.5j
-    assert np.abs(gp - expect).max() <= 1e-13
+    assert np.abs(gp - expect[:, :, :5]).max() <= 1e-13
 
 
 def test_resolvent_residual_with_pressure(grid8):
@@ -186,9 +186,9 @@ def test_recover_pressure_from_gradient(grid8):
     psibar = vertical_mean(psi)[0]
     # build f = grad_H of the z-constant field with 2-d spectrum psibar
     xi = grid8.xi
-    c = np.zeros((2, 8, 8, 8), dtype=complex)
+    c = np.zeros((2, 8, 5, 8), dtype=complex)
     fx = 1j * xi[:, None] * psibar
-    fy = 1j * xi[None, :] * psibar
+    fy = 1j * xi[None, :5] * psibar
     c[0] = fx[..., None] * basis.betas_t
     c[1] = fy[..., None] * basis.betas_t
     f = SpectralField(c, grid8)
@@ -204,8 +204,8 @@ def test_recover_pressure_zero_for_divergence_free(grid8):
     basis = VerticalBasis(grid8)
     psibar = vertical_mean(psi)[0]
     xi = grid8.xi
-    c = np.zeros((2, 8, 8, 8), dtype=complex)
-    c[0] = (-1j * xi[None, :] * psibar)[..., None] * basis.betas_t
+    c = np.zeros((2, 8, 5, 8), dtype=complex)
+    c[0] = (-1j * xi[None, :5] * psibar)[..., None] * basis.betas_t
     c[1] = (1j * xi[:, None] * psibar)[..., None] * basis.betas_t
     f = SpectralField(c, grid8)
     v0 = SpectralField(np.zeros_like(c), grid8)

@@ -8,7 +8,7 @@ from scipy.linalg import expm, null_space
 import hydrostokes.semigroup
 
 from hydrostokes.basis import Grid, VerticalBasis
-from hydrostokes.fields import SpectralField
+from hydrostokes.fields import SpectralField, hermitian_part
 from hydrostokes.projection import project_hydrostatic
 from hydrostokes.sampling import random_field, single_mode_field
 from hydrostokes.semigroup import SingularityError, StokesOperator, spectral_bound
@@ -22,7 +22,7 @@ def test_vertical_block_origin_mode():
     # xi = 0: pure vertical heat, eigenvalue -lambda_0^2 = -pi^2/4
     c = np.zeros((2, 4, 4, 1), dtype=complex)
     c[0, 0, 0, 0] = 1.0
-    out = op.apply_A(SpectralField(c, op.grid))
+    out = op.apply_A(SpectralField.from_full(c, op.grid))
     assert out.coeffs[0, 0, 0, 0] == pytest.approx(-np.pi**2 / 4, abs=1e-13)
 
 
@@ -39,7 +39,7 @@ def test_parallel_block_hand_value():
     c = np.zeros((2, 4, 4, 1), dtype=complex)
     c[0, 1, 0, 0] = 1.0
     c[0, -1, 0, 0] = 1.0
-    out = op.apply_A(SpectralField(c, grid))
+    out = op.apply_A(SpectralField.from_full(c, grid))
     assert out.coeffs[0, 1, 0, 0] == pytest.approx(-4 * np.pi**2, abs=1e-11)
 
 
@@ -59,9 +59,9 @@ def test_apply_A_perpendicular_mode(grid8):
         c = np.zeros((2, 8, 8, 8), dtype=complex)
         c[1, 1, 0, k] = 1.0
         c[1, -1, 0, k] = 1.0
-        out = op.apply_A(SpectralField(c, grid8))
+        out = op.apply_A(SpectralField.from_full(c, grid8))
         mu = 4 * np.pi**2 + basis.lambdas[k] ** 2
-        assert np.abs(out.coeffs + mu * c).max() <= 1e-11
+        assert np.abs(out.full() + mu * c).max() <= 1e-11
 
 
 def test_apply_A_assembly_oracle(grid8):
@@ -73,11 +73,11 @@ def test_apply_A_assembly_oracle(grid8):
     xix, xiy = grid8.xi_vectors()
     lam2 = basis.lambdas**2
     R = np.outer(basis.betas_t / grid8.h, basis.lambdas)
-    expect = np.empty_like(v.coeffs)
+    expect = np.empty_like(v.full())
     for i in range(8):
         for j in range(8):
             s = xix[i, j] ** 2 + xiy[i, j] ** 2
-            c = v.coeffs[:, i, j, :]
+            c = v.full()[:, i, j, :]
             if s == 0:
                 expect[:, i, j, :] = -lam2 * c
                 continue
@@ -87,7 +87,7 @@ def test_apply_A_assembly_oracle(grid8):
             apar = -s * cpar + (np.diag(-lam2) + R) @ cpar
             aperp = -(s + lam2) * cperp
             expect[:, i, j, :] = aperp + np.outer(e, apar)
-    assert np.abs(out.coeffs - expect).max() <= 1e-12 * np.abs(expect).max()
+    assert np.abs(out.full() - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 # -- semigroup ------------------------------------------------------------
@@ -113,7 +113,7 @@ def test_semigroup_origin_mode_decay(grid8):
     for k in (0, 5):
         c = np.zeros((2, 8, 8, 8), dtype=complex)
         c[0, 0, 0, k] = 1.0
-        out = op.semigroup_apply(0.2, SpectralField(c, grid8))
+        out = op.semigroup_apply(0.2, SpectralField.from_full(c, grid8))
         assert out.coeffs[0, 0, 0, k] == pytest.approx(
             np.exp(-basis.lambdas[k] ** 2 * 0.2), rel=1e-12
         )
@@ -134,7 +134,7 @@ def test_semigroup_matches_ode_oracle():
     c = np.zeros((2, 8, 8, 8), dtype=complex)
     c[:, 1, 1, :] = np.outer(e, c0)
     c[:, -1, -1, :] = np.outer(e, c0)
-    out = op.semigroup_apply(0.1, SpectralField(c, grid))
+    out = op.semigroup_apply(0.1, SpectralField.from_full(c, grid))
     got = (e @ out.coeffs[:, 1, 1, :]).real
     assert np.abs(got - sol.y[:, -1]).max() <= 1e-8
 
@@ -170,7 +170,7 @@ def test_phi1_scalar_closed_form(grid8):
     c[1, 1, 0, 2] = 1.0
     c[1, -1, 0, 2] = 1.0
     mu = 4 * np.pi**2 + basis.lambdas[2] ** 2
-    out = op.phi1_apply(1.0, SpectralField(c, grid8))
+    out = op.phi1_apply(1.0, SpectralField.from_full(c, grid8))
     assert out.coeffs[1, 1, 0, 2] == pytest.approx((1 - np.exp(-mu)) / mu, rel=1e-12)
 
 
@@ -213,10 +213,10 @@ def _phi1_matrix(A):
 
 
 def _mode_unit_vectors(grid):
-    """(i, j, s, e) per horizontal mode, e = xi/|xi| (zero at the origin)."""
+    """(i, j, s, e) per stored horizontal mode, e = xi/|xi| (zero at the origin)."""
     xix, xiy = grid.xi_vectors()
     for i in range(grid.N):
-        for j in range(grid.N):
+        for j in range(grid.N // 2 + 1):
             s = xix[i, j] ** 2 + xiy[i, j] ** 2
             e = np.array([xix[i, j], xiy[i, j]]) / np.sqrt(s) if s > 0 else np.zeros(2)
             yield i, j, s, e
@@ -273,13 +273,35 @@ def test_resolvent_matches_dense_solve(N, K, h, lam):
 
 
 
+def test_real_part_of_complex_resolvent(grid8):
+    # A is real, so Re (lam - A)^{-1} f = ((lam - A)^{-1} + (conj lam - A)^{-1}) f / 2;
+    # oracle: the Hermitian part of dense per-mode solves over the full plane
+    op = StokesOperator(grid8)
+    lam2 = op.basis.lambdas**2
+    R = np.outer(op.basis.betas_t / grid8.h, op.basis.lambdas)
+    f = random_field(grid8, ncomp=2, seed=11)
+    lam = 0.3 + 2.0j
+    xix, xiy = grid8.xi_vectors()
+    complex_full = np.empty_like(f.full())
+    for i in range(8):
+        for j in range(8):
+            s = xix[i, j] ** 2 + xiy[i, j] ** 2
+            e = np.array([xix[i, j], xiy[i, j]]) / np.sqrt(s) if s > 0 else np.zeros(2)
+            A = -np.diag(np.tile(s + lam2, 2)) + np.kron(np.outer(e, e), R)
+            x = np.linalg.solve(lam * np.eye(16) - A, f.full()[:, i, j, :].ravel())
+            complex_full[:, i, j, :] = x.reshape(2, 8)
+    expect = hermitian_part(complex_full)[:, :, :5]
+    got = 0.5 * (op.resolvent_apply(lam, f).coeffs + op.resolvent_apply(np.conj(lam), f).coeffs)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_resolvent_diagonal_mode(grid8):
     op = StokesOperator(grid8)
     basis = VerticalBasis(grid8)
     c = np.zeros((2, 8, 8, 8), dtype=complex)
     c[1, 1, 0, 1] = 1.0
     c[1, -1, 0, 1] = 1.0
-    out = op.resolvent_apply(1.0, SpectralField(c, grid8))
+    out = op.resolvent_apply(1.0, SpectralField.from_full(c, grid8))
     mu = 4 * np.pi**2 + basis.lambdas[1] ** 2
     assert out.coeffs[1, 1, 0, 1] == pytest.approx(1.0 / (1.0 + mu), rel=1e-12)
 

@@ -91,7 +91,7 @@ def test_split_single_mode_scalar_formula(op16):
 
 
 def test_reference_solve_zero(op16):
-    a = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
+    a = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
     cfg = SolverConfig(dt=0.01, T=0.05)
     traj = reference_solve(a, cfg)
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
@@ -134,13 +134,13 @@ def test_trajectory_times_strictly_increasing(op16):
 
 
 def _zero_traj(op, times):
-    zero = SpectralField(np.zeros((2, 16, 16, 16), complex), op.grid)
+    zero = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op.grid)
     return Trajectory(np.asarray(times), [zero] * len(times))
 
 
 def test_picard_zero_data_zero_reference(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
-    a0 = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
+    a0 = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
     vref = _zero_traj(op16, np.arange(6) * 0.01)
     traj, report = picard_iterate(a0, vref, cfg)
     assert report.converged
@@ -150,7 +150,7 @@ def test_picard_zero_data_zero_reference(op16):
 def test_picard_zero_data_nonzero_reference(op16):
     # all coupling terms contain the iterate: a0 = 0 is a fixed point at once
     cfg = SolverConfig(dt=0.01, T=0.05)
-    a0 = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
+    a0 = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
     avr = random_field(op16.grid, ncomp=2, seed=5, solenoidal=True, amplitude=0.1)
     vref = reference_solve(avr, cfg)
     traj, report = picard_iterate(a0, vref, cfg)
@@ -217,7 +217,7 @@ def test_picard_divergence_raises(op16):
 
 def test_full_solve_zero(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
-    a = SpectralField(np.zeros((2, 16, 16, 16), complex), op16.grid)
+    a = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
     traj = full_solve(a, cfg)
     assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
     assert np.all(np.asarray(traj.diagnostics["energy"]) == 0.0)

@@ -19,6 +19,9 @@ from hydrostokes.lab import ScanReport
 from hydrostokes.sampling import random_field
 from hydrostokes.workbench import (
     CONFIG_KEYS,
+    SNAPSHOT_HEADER,
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     ConfigError,
     initial_data,
     parse_config,
@@ -190,6 +193,24 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     assert open(path, "rb").read() == open(path2, "rb").read()
 
 
+# HSTK1 file of random_field(Grid(8, 4, 1.0), seed=0, solenoidal=True) at
+# t = 0.25, written when fields still stored the full plane of coefficients
+SNAPSHOT_FIXTURE = os.path.join(os.path.dirname(__file__), "snapshot_8x4_seed0.hstk")
+
+
+def test_snapshot_fixture_reads_and_rewrites_equal(tmp_path):
+    grid = Grid(8, 4, 1.0)
+    f, t = read_snapshot(SNAPSHOT_FIXTURE)
+    assert t == 0.25 and f.grid == grid
+    assert np.array_equal(f.coeffs, random_field(grid, seed=0, solenoidal=True).coeffs)
+    path = str(tmp_path / "again.hstk")
+    write_snapshot(path, f, t)
+    old, new = (open(p, "rb").read() for p in (SNAPSHOT_FIXTURE, path))
+    head = len(SNAPSHOT_MAGIC) + SNAPSHOT_HEADER.size
+    assert len(old) == len(new) == 8229 and old[:head] == new[:head]
+    assert np.array_equal(np.frombuffer(old[head:], "<c16"), np.frombuffer(new[head:], "<c16"))
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     path = str(tmp_path / "bad.hstk")
     with open(path, "wb") as fh:
@@ -308,7 +329,10 @@ def test_cli_norms_bad_coefficients_exit_2(tmp_path, capsys, defect):
     else:
         c[0, 0, 0, 0] = np.nan
     snap = str(tmp_path / "a.hstk")
-    write_snapshot(snap, SpectralField(c, Grid(8, 4, 1.0)), 0.0)
+    # written by hand: write_snapshot only writes Hermitian coefficients
+    with open(snap, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC + SNAPSHOT_HEADER.pack(SNAPSHOT_VERSION, 2, 8, 4, 1.0, 0.0))
+        fh.write(c.astype("<c16").tobytes())
     assert run_cli(["norms", snap]) == 2
     assert "error: snapshot:" in capsys.readouterr().err
 
@@ -512,6 +536,22 @@ def test_cli_spectrum(tmp_path, monkeypatch, capsys):
     sol = [float(r["re"]) for r in rows if r["subspace"] == "solenoidal"]
     assert max(sol) < 0
     assert min(abs(v + np.pi**2 / 4) for v in sol) <= 1e-8
+
+
+def test_cli_spectrum_lists_every_mode(tmp_path, monkeypatch):
+    # one row per eigenvalue of every (m, n) of the full plane; the
+    # solenoidal subspace drops one parallel eigenvalue per mode xi != 0
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "grid.n = 8\ngrid.k = 4\n")
+    assert run_cli(["spectrum", "--config", cfg]) == 0
+    with open(tmp_path / "spectrum.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    N, K = 8, 4
+    every = {(m, n) for m in range(-N // 2, N // 2) for n in range(-N // 2, N // 2)}
+    for subspace, count in (("full", N * N * 2 * K), ("solenoidal", N * N * (2 * K - 1) + 1)):
+        sub = [r for r in rows if r["subspace"] == subspace]
+        assert len(sub) == count
+        assert {(int(r["m"]), int(r["n"])) for r in sub} == every
 
 
 def test_cli_determinism(tmp_path, monkeypatch):
