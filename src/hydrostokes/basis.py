@@ -19,7 +19,7 @@ class Grid:
     collocation at the DST-IV midpoints, so the discrete sine transform is
     exactly orthogonal and vertical quadrature is the midpoint rule.
 
-    The spectral tables ``basis``, ``xi2`` and ``xi_hat``, the Stokes
+    The spectral tables ``basis``, ``xi``, ``xi2`` and ``xi_hat``, the Stokes
     operator ``stokes`` and the grid ``doubled`` depend only on the grid;
     each is built on first use, then shared by every caller holding this
     grid.  The tables' arrays are read-only: copy before modifying.  ``xi2``
@@ -46,10 +46,10 @@ class Grid:
     def z(self):
         return -self.h + (2 * np.arange(self.K) + 1) * self.h / (2 * self.K)
 
-    @property
-    def xi(self):
+    @cached_property
+    def xi(self) -> np.ndarray:
         """Horizontal wavenumbers 2*pi*m in FFT order, shape (N,)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=1.0 / self.N)
+        return _read_only(2.0 * np.pi * np.fft.fftfreq(self.N, d=1.0 / self.N))
 
     def xi_vectors(self):
         """Wavenumber components (xi_x, xi_y) broadcast to (N, N)."""
@@ -96,6 +96,19 @@ def unit_wavevectors(xix: np.ndarray, xiy: np.ndarray) -> np.ndarray:
     return xi_hat
 
 
+def _sin_pi(p: np.ndarray, q: int) -> np.ndarray:
+    """sin(pi p / q) for integer p, reduced exactly to an angle in [0, pi/2].
+
+    Reducing the integer phase, not the float angle, keeps each entry within
+    an ulp or so; applied to data, np.sin(np.outer(lambdas, z + h)) is off
+    the DST-IV by up to ~1e-14 relative at K = 48.
+    """
+    p = p % (2 * q)
+    sign = np.where(p >= q, -1.0, 1.0)
+    p = p % q
+    return sign * np.sin(np.pi * np.minimum(p, q - p) / q)
+
+
 class VerticalBasis:
     """Sine modes phi_k(z) = sin(lambda_k (z+h)), lambda_k = (2k+1)pi/(2h).
 
@@ -103,6 +116,18 @@ class VerticalBasis:
     ``betas`` expands the constant 1 in the (infinite) basis; its truncation
     to K modes has vertical mean sigma_K < 1, which downstream code corrects
     by dividing out sigma_K.
+
+    The vertical transforms are K x K tables, applied as ``a @ table`` along
+    the last axis.  Mode-to-node tables are indexed [k, j], node j at z_j:
+
+      sine       phi_k(z_j)                           (DST-IV / 2)
+      dsine      phi_k'(z_j) = lambda_k cos(...)      (lambda * DCT-IV / 2)
+      antideriv  int_{-h}^{z_j} phi_k = (1 - cos(...)) / lambda_k
+
+    and ``analysis`` [j, k] takes node values to coefficients (DST-IV / K).
+    Since lambda_k (z_j + h) = pi (2k+1)(2j+1) / (4K) whatever h and K are,
+    rows k < K' of a finer grid's tables are the first K' modes at the finer
+    nodes, and columns k < K' of its ``analysis`` give those modes' coefficients.
     """
 
     def __init__(self, grid: Grid):
@@ -113,6 +138,14 @@ class VerticalBasis:
         self.sigmaK = (2.0 / grid.h**2) * np.sum(self.lambdas ** (-2.0))
         # renormalized expansion of 1: unit vertical mean in the truncation
         self.betas_t = _read_only(self.betas / self.sigmaK)
+        K = grid.K
+        phase = np.outer(2 * k + 1, 2 * k + 1)  # lambda_k (z_j + h) = pi * phase / (4K)
+        lam = self.lambdas[:, None]
+        self.sine = _read_only(_sin_pi(phase, 4 * K))
+        self.dsine = _read_only(lam * _sin_pi(phase + 2 * K, 4 * K))
+        # 1 - cos(t) = 2 sin(t/2)^2, free of cancellation near the bottom
+        self.antideriv = _read_only(2.0 * _sin_pi(phase, 8 * K) ** 2 / lam)
+        self.analysis = _read_only(self.sine.T * (2.0 / K))
 
     def sample(self, z):
         """phi_k evaluated at points z, shape (K, len(z))."""

@@ -2,14 +2,18 @@
 
 Normalization table (tested in tests/test_basis_fields.py):
 
-  horizontal forward   rfft2 / N^2     -> classical Fourier coefficients, n <= N/2
+  horizontal forward   rfft2 / N^2           -> classical Fourier coefficients, n <= N/2
   horizontal inverse   irfft2 of the half spectrum * N^2
-  vertical forward     DST-IV / K      -> coefficients of phi_k
-  vertical inverse     DST-IV / 2      -> node values
-  cosine evaluation    DCT-IV / 2      -> sum a_k cos(lambda_k (z_j+h))
+  vertical forward     @ basis.analysis      -> coefficients of phi_k      (DST-IV / K)
+  vertical inverse     @ basis.sine          -> node values                (DST-IV / 2)
+  vertical derivative  @ basis.dsine         -> sum a_k lambda_k cos(lambda_k (z_j+h))
+  integral from -h     @ basis.antideriv     -> sum a_k (1 - cos(lambda_k (z_j+h))) / lambda_k
 
-With these scalings coefficients are independent of the grid size, so
-padding/truncation for dealiasing is plain index embedding.
+The vertical transforms are matmuls against K x K tables on Grid.basis (see
+VerticalBasis).  With these scalings coefficients are independent of the
+grid size, so padding/truncation for dealiasing is plain index embedding,
+and in z it is a table slice: K modes go to a finer grid's nodes through
+the first K rows of its tables.
 
 Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
 stores only the columns n = 0..N/2, as real-data FFTs do, and reality holds
@@ -135,9 +139,12 @@ def zero_nyquist(c: SpectralField) -> SpectralField:
 def forward_transform(f: PhysicalField) -> SpectralField:
     """Horizontal real DFT composed with the vertical DST-IV projection."""
     g = f.grid
-    c = sfft.dst(f.values, type=4, axis=3) / g.K
-    c = sfft.rfft2(c, axes=(1, 2)) / g.N**2
-    return SpectralField(c, g)
+    return SpectralField(_rfft2(f.values @ g.basis.analysis, g.N), g)
+
+
+def _rfft2(a: np.ndarray, N: int) -> np.ndarray:
+    """Horizontal real DFT of node values to half-spectrum coefficients (fft2 / N^2)."""
+    return sfft.rfft2(a, axes=(1, 2)) / N**2
 
 
 def _irfft2(a: np.ndarray, N: int) -> np.ndarray:
@@ -147,8 +154,7 @@ def _irfft2(a: np.ndarray, N: int) -> np.ndarray:
 
 def inverse_transform(c: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`."""
-    u = _irfft2(c.coeffs, c.grid.N)
-    return PhysicalField(sfft.dst(u, type=4, axis=3) / 2.0, c.grid)
+    return PhysicalField(_irfft2(c.coeffs, c.grid.N) @ c.grid.basis.sine, c.grid)
 
 
 def horizontal_derivative(c: SpectralField, axis: str) -> SpectralField:
@@ -166,8 +172,7 @@ def vertical_derivative(c: SpectralField) -> PhysicalField:
     The derivative of a sine series lives in the cosine span, so the result
     is returned as node values, not re-projected.
     """
-    u = _irfft2(c.coeffs * c.grid.basis.lambdas, c.grid.N)
-    return PhysicalField(sfft.dct(u, type=4, axis=3) / 2.0, c.grid)
+    return PhysicalField(_irfft2(c.coeffs, c.grid.N) @ c.grid.basis.dsine, c.grid)
 
 
 def vertical_mean(c: SpectralField) -> np.ndarray:
@@ -186,10 +191,7 @@ def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
     """
     if c.ncomp != 1:
         raise ValueError(f"expected a scalar field, got ncomp={c.ncomp}")
-    b = c.coeffs / c.grid.basis.lambdas
-    const = np.sum(b, axis=3, keepdims=True)
-    prof = const - sfft.dct(b, type=4, axis=3) / 2.0
-    return PhysicalField(_irfft2(prof, c.grid.N), c.grid)
+    return PhysicalField(_irfft2(c.coeffs, c.grid.N) @ c.grid.basis.antideriv, c.grid)
 
 
 def gradient(v: SpectralField) -> PhysicalField:

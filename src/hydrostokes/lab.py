@@ -224,7 +224,7 @@ def resolvent_scan(
                 lam = mod * np.exp(1j * psi)
                 try:
                     v = op.resolvent_apply(lam, datum)
-                    vbar = op.resolvent_apply(np.conj(lam), datum)
+                    vbar = v if psi == 0 else op.resolvent_apply(np.conj(lam), datum)
                 except SingularityError:
                     skipped += 1
                     continue

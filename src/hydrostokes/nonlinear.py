@@ -2,8 +2,11 @@
 
 Products are formed pointwise on a 3/2-padded collocation grid and the
 result is truncated back to the working resolution (2/3 rule in all three
-directions).  The vertical velocity w lives in the cosine/constant span and
-is carried as node values only.
+directions).  Coefficients are padded along m and n only: the horizontal
+transforms run on the K working modes, and the first K rows (columns for
+the analysis) of the padded grid's vertical tables pad and truncate in z.
+The vertical velocity w lives in the cosine/constant span and is carried as
+node values only.
 """
 
 from functools import cache, cached_property
@@ -15,10 +18,9 @@ from .basis import Grid
 from .fields import (
     PhysicalField,
     SpectralField,
-    forward_transform,
+    _irfft2,
+    _rfft2,
     horizontal_derivative,
-    inverse_transform,
-    vertical_derivative,
     vertical_integral_from_bottom,
     zero_nyquist,
 )
@@ -30,6 +32,13 @@ def padded_grid(grid: Grid) -> Grid:
     Np += Np % 2
     Kp = (3 * grid.K + 1) // 2
     return Grid(Np, Kp, grid.h)
+
+
+@cache
+def _lane_grid(gp: Grid, K: int) -> Grid:
+    """The horizontal grid of gp with K modes: where products on gp hold their
+    K-mode coefficients, padded along m and n only."""
+    return gp if gp.K == K else Grid(gp.N, K, gp.h)
 
 
 def _pad_rows(a: np.ndarray, N: int, Np: int) -> np.ndarray:
@@ -79,10 +88,10 @@ def truncate_coeffs(c: SpectralField, target: Grid) -> SpectralField:
 
 
 def divergence_h(v: SpectralField) -> SpectralField:
-    """Horizontal divergence of a 2-component field, as a spectral scalar."""
-    dx = horizontal_derivative(v, "x").coeffs[0:1]
-    dy = horizontal_derivative(v, "y").coeffs[1:2]
-    return SpectralField(dx + dy, v.grid)
+    """Horizontal divergence i xi . c of a 2-component field, as a spectral scalar."""
+    xi = v.grid.xi
+    xix, xiy = xi[:, None, None], xi[: v.grid.N // 2 + 1, None]
+    return SpectralField(1j * (xix * v.coeffs[0] + xiy * v.coeffs[1])[None], v.grid)
 
 
 def vertical_velocity(v: SpectralField) -> PhysicalField:
@@ -107,36 +116,58 @@ def vertical_velocity_top(v: SpectralField) -> np.ndarray:
 
 class _NodeSet:
     """Node values on the product grid gp of one velocity field: u, its
-    derivatives dx u, dy u, dz u and its vertical velocity w.
+    derivatives dx u, dy u, dz u, its vertical velocity w and div_H u.
 
-    Each is transformed on first use, so a field that only advects (u, w) or
-    is only advected (the derivatives) costs just those transforms.
+    The field is padded along m and n only, so every irfft2 runs on its K
+    modes as lanes, and the first K rows of gp's vertical tables take the
+    lanes to gp's nodes; u and dz u share one irfft2.  Each quantity is
+    transformed on first use, so a field that only advects (u, w) or is only
+    advected (the derivatives) costs just those transforms.
     """
 
     def __init__(self, v: SpectralField, gp: Grid):
         if v.ncomp != 2:
             raise ValueError(f"products need 2-component velocity fields, got ncomp={v.ncomp}")
-        self.v = pad_coeffs(v, gp)
+        K = v.grid.K
+        self.v = pad_coeffs(v, _lane_grid(gp, K))
+        self.sine, self.dsine, self.antideriv = (
+            t[:K] for t in (gp.basis.sine, gp.basis.dsine, gp.basis.antideriv)
+        )
+
+    def _lanes(self, c: SpectralField) -> np.ndarray:
+        return _irfft2(c.coeffs, c.grid.N)
+
+    @cached_property
+    def _v_lanes(self):
+        return self._lanes(self.v)
+
+    @cached_property
+    def _div_lanes(self):
+        return self._lanes(divergence_h(self.v))[0]
 
     @cached_property
     def u(self):
-        return inverse_transform(self.v).values
-
-    @cached_property
-    def dx(self):
-        return inverse_transform(horizontal_derivative(self.v, "x")).values
-
-    @cached_property
-    def dy(self):
-        return inverse_transform(horizontal_derivative(self.v, "y")).values
+        return self._v_lanes @ self.sine
 
     @cached_property
     def dz(self):
-        return vertical_derivative(self.v).values
+        return self._v_lanes @ self.dsine
+
+    @cached_property
+    def dx(self):
+        return self._lanes(horizontal_derivative(self.v, "x")) @ self.sine
+
+    @cached_property
+    def dy(self):
+        return self._lanes(horizontal_derivative(self.v, "y")) @ self.sine
 
     @cached_property
     def w(self):
-        return vertical_velocity(self.v).values[0]
+        return -(self._div_lanes @ self.antideriv)
+
+    @cached_property
+    def div(self):
+        return self._div_lanes @ self.sine
 
 
 def _advective_product(a: _NodeSet, b: _NodeSet) -> np.ndarray:
@@ -152,8 +183,13 @@ def _node_sets(v1: SpectralField, v2: SpectralField | None, dealias: bool):
 
 
 def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
-    """Coefficients of product node values on gp, truncated to grid."""
-    return truncate_coeffs(forward_transform(PhysicalField(prod, gp)), grid)
+    """Coefficients of product node values on gp, truncated to grid.
+
+    The first K columns of gp's analysis table give the K modes kept, so the
+    rfft2 runs on K lanes.  Raises ValueError on non-finite products.
+    """
+    lanes = PhysicalField(prod, gp).values @ gp.basis.analysis[:, : grid.K]
+    return truncate_coeffs(SpectralField(_rfft2(lanes, gp.N), _lane_grid(gp, grid.K)), grid)
 
 
 def advection(
@@ -188,11 +224,8 @@ def divergence_form(
     w1 v2 itself has no exact representation in the mixed basis).
     """
     gp, n1, n2 = _node_sets(v1, v2, dealias)
-    out = SpectralField.zeros(gp)
+    out = _truncated(-n1.div * n2.u + n1.w * n2.dz, gp, v1.grid)
     for i, axis in enumerate(("x", "y")):
-        flux = forward_transform(PhysicalField(n1.u[i] * n2.u, gp))
+        flux = _truncated(n1.u[i] * n2.u, gp, v1.grid)
         out.coeffs += horizontal_derivative(flux, axis).coeffs
-    divV1 = inverse_transform(divergence_h(n1.v)).values[0]
-    vert = forward_transform(PhysicalField(-divV1 * n2.u + n1.w * n2.dz, gp))
-    out.coeffs += vert.coeffs
-    return truncate_coeffs(out, v1.grid)
+    return out

@@ -33,7 +33,8 @@ def random_field(
     shape = (ncomp, grid.N, grid.N, grid.K)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     rough = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = SpectralField.from_full(hermitian_part(c * envelope + rough_amplitude * rough), grid)
+    full = hermitian_part(c * envelope + rough_amplitude * rough)  # exactly Hermitian
+    f = SpectralField(full[:, :, : grid.N // 2 + 1].copy(), grid)
     zero_nyquist(f)
     if solenoidal:
         if ncomp != 2:

@@ -12,12 +12,14 @@ from hydrostokes.fields import (
     PhysicalField,
     SpectralField,
     forward_transform,
+    hermitian_part,
     horizontal_derivative,
     inverse_transform,
     norm_anisotropic,
     vertical_derivative,
     vertical_integral_from_bottom,
     vertical_mean,
+    zero_nyquist,
 )
 from hydrostokes.nonlinear import padded_grid
 from hydrostokes.projection import project_hydrostatic
@@ -61,9 +63,12 @@ def test_grid_tables_built_once_and_read_only(monkeypatch):
     op = StokesOperator(g)
     assert builds == [g]
     assert g.basis is op.basis and g.xi2 is g.xi2 is op.xi2 and g.xi_hat is g.xi_hat
+    assert g.xi is g.xi
     assert padded_grid(g) is padded_grid(g)
     assert g.doubled is g.doubled and g.doubled == Grid(16, 8, 1.0)
-    for table in (g.xi2, g.xi_hat, g.basis.lambdas, g.basis.betas, g.basis.betas_t):
+    b = g.basis
+    tables = (g.xi, g.xi2, g.xi_hat, b.lambdas, b.betas, b.betas_t)
+    for table in tables + (b.sine, b.dsine, b.antideriv, b.analysis):
         with pytest.raises(ValueError):
             table[0] = 0.0
 
@@ -172,6 +177,47 @@ def test_half_spectrum_transforms_match_complex_oracle(N):
     )
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 24, 48])
+def test_vertical_tables_match_dst_dct_oracle(K):
+    # each table applied to coefficients (node values for analysis) against
+    # scipy's DST-IV / DCT-IV, over 20 draws
+    b = Grid(4, K, 0.7).basis
+    rng = np.random.default_rng(K)
+    for _ in range(20):
+        a = rng.standard_normal((3, K))
+        cases = [
+            (a @ b.sine, scipy.fft.dst(a, type=4, axis=1) / 2.0),
+            (a @ b.dsine, scipy.fft.dct(a * b.lambdas, type=4, axis=1) / 2.0),
+            (
+                a @ b.antideriv,
+                np.sum(a / b.lambdas, axis=1, keepdims=True)
+                - scipy.fft.dct(a / b.lambdas, type=4, axis=1) / 2.0,
+            ),
+            (a @ b.analysis, scipy.fft.dst(a, type=4, axis=1) / K),
+        ]
+        for got, want in cases:
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid", [Grid(8, 8, 1.0), Grid(8, 5, 0.5), Grid(16, 16, 1.3)])
+def test_padded_tables_are_base_modes_at_padded_nodes(grid):
+    # rows k < K of the padded grid's tables are the base grid's K modes at
+    # the padded nodes; so are the first K columns of its analysis table
+    gp, K = padded_grid(grid), grid.K
+    lam = grid.basis.lambdas[:, None]
+    t = lam * (gp.z + grid.h)
+    closed = {
+        "sine": np.sin(t),
+        "dsine": lam * np.cos(t),
+        "antideriv": (1.0 - np.cos(t)) / lam,
+        "analysis": 2.0 / gp.K * np.sin(t).T,
+    }
+    for name, want in closed.items():
+        got = getattr(gp.basis, name)
+        got = got[:, :K] if name == "analysis" else got[:K]
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
 def test_enforced_reality_round_trips(grid8):
     f = random_field(grid8, ncomp=2, seed=5)
     assert np.array_equal(SpectralField.from_full(f.full(), grid8).coeffs, f.coeffs)
@@ -206,6 +252,33 @@ def test_parseval(grid8):
     phys = inverse_transform(f)
     quad = np.sqrt(np.sum(phys.values**2) / 8**2 * (1.0 / 8))
     assert f.norm2() == pytest.approx(quad, rel=1e-13)
+
+
+def _random_field_through_from_full(grid, seed, rough_amplitude, solenoidal):
+    """random_field's draw taken through SpectralField.from_full's Hermitian check."""
+    rng = np.random.default_rng(seed)
+    xix, xiy = grid.xi_vectors()
+    wave2 = (xix**2 + xiy**2)[:, :, None] + grid.basis.lambdas**2
+    envelope = (1.0 + wave2 / wave2.min()) ** -1.0
+    shape = (2, grid.N, grid.N, grid.K)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rough = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    full = hermitian_part(c * envelope + rough_amplitude * rough)
+    f = zero_nyquist(SpectralField.from_full(full, grid))
+    if solenoidal:
+        f = project_hydrostatic(f)
+    f.coeffs *= 1.0 / np.abs(f.coeffs).max()
+    return f
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (16, 16), (12, 5)])
+@pytest.mark.parametrize("rough_amplitude, solenoidal", [(0.0, False), (0.5, True)])
+def test_random_field_draws_unchanged(shape, rough_amplitude, solenoidal):
+    grid = Grid(*shape, 1.0)
+    for seed in (0, 3):
+        want = _random_field_through_from_full(grid, seed, rough_amplitude, solenoidal)
+        got = random_field(grid, seed=seed, rough_amplitude=rough_amplitude, solenoidal=solenoidal)
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 # -- derivatives ----------------------------------------------------------

@@ -5,8 +5,17 @@ import pytest
 
 from conftest import continuum_energy_pairing
 from hydrostokes.basis import Grid, VerticalBasis
-from hydrostokes.fields import PhysicalField, SpectralField, forward_transform, inverse_transform
+from hydrostokes.fields import (
+    PhysicalField,
+    SpectralField,
+    forward_transform,
+    horizontal_derivative,
+    inverse_transform,
+    vertical_derivative,
+)
 from hydrostokes.nonlinear import (
+    _node_sets,
+    _truncated,
     advection,
     coupled_advection,
     divergence_form,
@@ -67,6 +76,30 @@ def test_pad_keeps_node_values_with_nyquist_modes(grid8):
     fine = pad_coeffs(forward_transform(PhysicalField(vals, grid8)), Grid(16, 8, 1.0))
     got = inverse_transform(fine).values[:, ::2, ::2, :]
     assert np.abs(got - vals).max() <= 1e-13 * np.abs(vals).max()
+
+
+@pytest.mark.parametrize("grid", [Grid(16, 16, 1.0), Grid(12, 5, 0.7)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_node_sets_match_padded_transforms(grid, dealias):
+    # node sets pad only along m and n and reach the product nodes through
+    # table rows; the reference pads in z too and transforms on the product grid
+    v = random_field(grid, ncomp=2, seed=6, solenoidal=True)
+    gp, nodes, _ = _node_sets(v, None, dealias)
+    big = pad_coeffs(v, gp)
+    ref = {
+        "u": inverse_transform(big).values,
+        "dx": inverse_transform(horizontal_derivative(big, "x")).values,
+        "dy": inverse_transform(horizontal_derivative(big, "y")).values,
+        "dz": vertical_derivative(big).values,
+        "w": vertical_velocity(big).values[0],
+    }
+    for name, want in ref.items():
+        got = getattr(nodes, name)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+    prod = nodes.u[0] * nodes.dx + nodes.w * nodes.dz
+    want = truncate_coeffs(forward_transform(PhysicalField(prod, gp)), grid).coeffs
+    got = _truncated(prod, gp, grid).coeffs
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # -- vertical velocity ----------------------------------------------------
