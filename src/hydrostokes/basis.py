@@ -37,6 +37,10 @@ class Grid:
             raise ValueError(f"K must be >= 1, got {self.K}")
         if not 0 < self.h < np.inf:
             raise ValueError(f"h must be positive and finite, got {self.h}")
+        # products, not **: a Python float ** raises OverflowError instead of giving inf
+        lam = (2 * self.K - 1) * np.pi / (2 * self.h)  # the largest lambda_k
+        if not (lam * lam < np.inf and 0 < self.h * self.h < np.inf):
+            raise ValueError(f"h = {self.h} puts the vertical tables out of floating-point range")
 
     @property
     def x(self):

@@ -185,7 +185,7 @@ def cmd_simulate(args) -> int:
     try:
         traj = full_solve(a, sc)
     except SolverDivergenceError as exc:
-        _err(f"diverged: {exc}")
+        _err(f"solver: {exc}")
         return EXIT_DIVERGED
     d = traj.diagnostics
     rows = [

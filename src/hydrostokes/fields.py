@@ -15,6 +15,10 @@ grid size, so padding/truncation for dealiasing is plain index embedding,
 and in z it is a table slice: K modes go to a finer grid's nodes through
 the first K rows of its tables.
 
+NodeValues is the one path to several node quantities of a field (u, its
+first derivatives, w, div_H u): the products, the S(T)-norms and the lab
+scans read it; inverse_transform and vertical_derivative give one quantity.
+
 Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
 stores only the columns n = 0..N/2, as real-data FFTs do, and reality holds
 by construction.  Full-plane arrays enter through SpectralField.from_full,
@@ -22,11 +26,12 @@ the one place that checks the symmetry, and leave through .full().
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft as sfft
 
-from .basis import Grid
+from .basis import Grid, VerticalBasis
 
 REALITY_TOL = 1e-12
 
@@ -194,14 +199,73 @@ def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
     return PhysicalField(_irfft2(c.coeffs, c.grid.N) @ c.grid.basis.antideriv, c.grid)
 
 
-def gradient(v: SpectralField) -> PhysicalField:
-    """Node values of (dx v, dy v, dz v), stacked componentwise."""
-    parts = [
-        inverse_transform(horizontal_derivative(v, "x")).values,
-        inverse_transform(horizontal_derivative(v, "y")).values,
-        vertical_derivative(v).values,
-    ]
-    return PhysicalField(np.concatenate(parts, axis=0), v.grid)
+def divergence_h(v: SpectralField) -> SpectralField:
+    """Horizontal divergence i xi . c of a 2-component field, as a spectral scalar."""
+    xi = v.grid.xi
+    xix, xiy = xi[:, None, None], xi[: v.grid.N // 2 + 1, None]
+    return SpectralField(1j * (xix * v.coeffs[0] + xiy * v.coeffs[1])[None], v.grid)
+
+
+class NodeValues:
+    """Node values u of a field c on ``basis.grid`` (default: c's own grid),
+    and of dx, dy, dz, grad = (dx, dy, dz) stacked, w = -int_{-h}^z div_H c
+    and div = div_H c.
+
+    Each is an irfft2 of c's K modes as lanes times the first K rows of the
+    basis's tables, formed on first use; u and dz share one irfft2, w and
+    div another.  The products pass a finer grid's basis.
+    """
+
+    def __init__(self, c: SpectralField, basis: VerticalBasis | None = None):
+        basis = c.grid.basis if basis is None else basis
+        K = c.grid.K
+        self.c, self.grid = c, basis.grid
+        self.sine, self.dsine, self.antideriv = (
+            t[:K] for t in (basis.sine, basis.dsine, basis.antideriv)
+        )
+
+    @cached_property
+    def _lanes(self):
+        return _irfft2(self.c.coeffs, self.c.grid.N)
+
+    @cached_property
+    def _div_lanes(self):
+        return _irfft2(divergence_h(self.c).coeffs, self.c.grid.N)[0]
+
+    def _derivative(self, axis):
+        return _irfft2(horizontal_derivative(self.c, axis).coeffs, self.c.grid.N) @ self.sine
+
+    @cached_property
+    def u(self):
+        return self._lanes @ self.sine
+
+    @cached_property
+    def dz(self):
+        return self._lanes @ self.dsine
+
+    @cached_property
+    def dx(self):
+        return self._derivative("x")
+
+    @cached_property
+    def dy(self):
+        return self._derivative("y")
+
+    @cached_property
+    def grad(self):
+        return np.concatenate([self.dx, self.dy, self.dz], axis=0)
+
+    @cached_property
+    def w(self):
+        return -(self._div_lanes @ self.antideriv)
+
+    @cached_property
+    def div(self):
+        return self._div_lanes @ self.sine
+
+    def norm(self, name: str, q, p) -> float:
+        """Mixed norm L^q_H L^p_z of one quantity, e.g. norm("grad", inf, p)."""
+        return norm_anisotropic(PhysicalField(getattr(self, name), self.grid), q, p)
 
 
 def weighted_lp(a: np.ndarray, p, weight: float, axis=None):

@@ -16,11 +16,11 @@ from scipy.integrate import quad
 
 from .basis import Grid
 from .fields import (
+    NodeValues,
     PhysicalField,
     SpectralField,
     column_norms,
     forward_transform,
-    gradient,
     hermitian_part,
     horizontal_derivative,
     inverse_transform,
@@ -228,15 +228,12 @@ def resolvent_scan(
                 except SingularityError:
                     skipped += 1
                     continue
-                v = SpectralField(0.5 * (v.coeffs + vbar.coeffs), grid)
-                vphys = inverse_transform(v)
+                nodes = NodeValues(SpectralField(0.5 * (v.coeffs + vbar.coeffs), grid))
+                un = nodes.norm("u", q, p)
                 if derivative_datum:
-                    lhs = np.sqrt(abs(lam)) * norm_anisotropic(vphys, q, p)
+                    lhs = np.sqrt(abs(lam)) * un
                 else:
-                    gphys = gradient(v)
-                    lhs = abs(lam) * norm_anisotropic(vphys, q, p) + np.sqrt(
-                        abs(lam)
-                    ) * norm_anisotropic(gphys, q, p)
+                    lhs = abs(lam) * un + np.sqrt(abs(lam)) * nodes.norm("grad", q, p)
                 ratios.append(lhs / fn)
                 params.append((i, mod, psi))
     name = "resolvent_dz" if derivative_datum else "resolvent"
@@ -331,20 +328,9 @@ def interpolation_ratio(
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
-        v = random_field(grid, seed=seed + i, decay=2.5)
-        vphys = inverse_transform(v)
-        gphys = PhysicalField(
-            np.concatenate(
-                [
-                    inverse_transform(horizontal_derivative(v, "x")).values,
-                    inverse_transform(horizontal_derivative(v, "y")).values,
-                ],
-                axis=0,
-            ),
-            grid,
-        )
-        vcol = column_norms(vphys, q)
-        gcol = column_norms(gphys, q)
+        nodes = NodeValues(random_field(grid, seed=seed + i, decay=2.5))
+        vcol = column_norms(PhysicalField(nodes.u, grid), q)
+        gcol = column_norms(PhysicalField(np.concatenate([nodes.dx, nodes.dy]), grid), q)
         center = rng.random(2)
         for r in r_grid:
             mask = _disk_mask(grid, center, r)
@@ -396,6 +382,12 @@ def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0
 # -- nonlinear estimate scans ----------------------------------------------
 
 
+def _sup_norms(v: SpectralField, p: float):
+    """(||v||, ||grad v||) in L^inf_H L^p_z, from one NodeValues."""
+    nodes = NodeValues(v)
+    return nodes.norm("u", np.inf, p), nodes.norm("grad", np.inf, p)
+
+
 def nonlinear_estimate_scan(
     n_pairs: int, t_grid, p: float, grid: Grid, seed: int = 0
 ) -> ScanReport:
@@ -405,16 +397,13 @@ def nonlinear_estimate_scan(
     for i in range(n_pairs):
         v1 = random_field(grid, seed=seed + 2 * i, solenoidal=True)
         v2 = random_field(grid, seed=seed + 2 * i + 1, solenoidal=True)
-        n1, n2 = mixed_norm(v1, p), mixed_norm(v2, p)
-        g1, g2 = grad_mixed_norm(v1, p), grad_mixed_norm(v2, p)
+        (n1, g1), (n2, g2) = _sup_norms(v1, p), _sup_norms(v2, p)
         if min(n1, n2, g1, g2) < DENOM_FLOOR:
             skipped += 1
             continue
         nl = project_hydrostatic(advection(v1, v2))
         for t in np.asarray(t_grid, dtype=float):
-            et = op.semigroup_apply(t, nl)
-            a = mixed_norm(et, p)
-            b = grad_mixed_norm(et, p)
+            a, b = _sup_norms(op.semigroup_apply(t, nl), p)
             ratios.append(np.sqrt(t) * a / (g1 * n2))
             params.append((i, t, "i"))
             ratios.append(np.sqrt(t) * b / (g1 * g2))

@@ -1,25 +1,26 @@
 """Vertical velocity reconstruction and the advective nonlinearity.
 
-Products are formed pointwise on a 3/2-padded collocation grid and the
-result is truncated back to the working resolution (2/3 rule in all three
-directions).  Coefficients are padded along m and n only: the horizontal
-transforms run on the K working modes, and the first K rows (columns for
-the analysis) of the padded grid's vertical tables pad and truncate in z.
-The vertical velocity w lives in the cosine/constant span and is carried as
-node values only.
+Every product is dealiased: formed pointwise on a 3/2-padded collocation
+grid and truncated back to the working resolution (2/3 rule in all three
+directions); there is no aliased path.  Coefficients are padded along m and
+n only, and fields.NodeValues with the padded grid's basis takes each
+field's K working modes to the padded nodes; the first K columns of that
+grid's analysis table truncate in z.  The vertical velocity w lives in the
+cosine/constant span and is carried as node values only.
 """
 
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 import scipy.fft as sfft
 
 from .basis import Grid
 from .fields import (
+    NodeValues,
     PhysicalField,
     SpectralField,
-    _irfft2,
     _rfft2,
+    divergence_h,
     horizontal_derivative,
     vertical_integral_from_bottom,
     zero_nyquist,
@@ -87,13 +88,6 @@ def truncate_coeffs(c: SpectralField, target: Grid) -> SpectralField:
     return zero_nyquist(SpectralField(np.ascontiguousarray(out), target))
 
 
-def divergence_h(v: SpectralField) -> SpectralField:
-    """Horizontal divergence i xi . c of a 2-component field, as a spectral scalar."""
-    xi = v.grid.xi
-    xix, xiy = xi[:, None, None], xi[: v.grid.N // 2 + 1, None]
-    return SpectralField(1j * (xix * v.coeffs[0] + xiy * v.coeffs[1])[None], v.grid)
-
-
 def vertical_velocity(v: SpectralField) -> PhysicalField:
     """w = -int_{-h}^z div_H v; vanishes identically at the bottom."""
     if v.ncomp != 2:
@@ -114,72 +108,24 @@ def vertical_velocity_top(v: SpectralField) -> np.ndarray:
     return sfft.irfft2(top, s=(v.grid.N, v.grid.N), norm="forward")
 
 
-class _NodeSet:
-    """Node values on the product grid gp of one velocity field: u, its
-    derivatives dx u, dy u, dz u, its vertical velocity w and div_H u.
-
-    The field is padded along m and n only, so every irfft2 runs on its K
-    modes as lanes, and the first K rows of gp's vertical tables take the
-    lanes to gp's nodes; u and dz u share one irfft2.  Each quantity is
-    transformed on first use, so a field that only advects (u, w) or is only
-    advected (the derivatives) costs just those transforms.
-    """
-
-    def __init__(self, v: SpectralField, gp: Grid):
-        if v.ncomp != 2:
-            raise ValueError(f"products need 2-component velocity fields, got ncomp={v.ncomp}")
-        K = v.grid.K
-        self.v = pad_coeffs(v, _lane_grid(gp, K))
-        self.sine, self.dsine, self.antideriv = (
-            t[:K] for t in (gp.basis.sine, gp.basis.dsine, gp.basis.antideriv)
-        )
-
-    def _lanes(self, c: SpectralField) -> np.ndarray:
-        return _irfft2(c.coeffs, c.grid.N)
-
-    @cached_property
-    def _v_lanes(self):
-        return self._lanes(self.v)
-
-    @cached_property
-    def _div_lanes(self):
-        return self._lanes(divergence_h(self.v))[0]
-
-    @cached_property
-    def u(self):
-        return self._v_lanes @ self.sine
-
-    @cached_property
-    def dz(self):
-        return self._v_lanes @ self.dsine
-
-    @cached_property
-    def dx(self):
-        return self._lanes(horizontal_derivative(self.v, "x")) @ self.sine
-
-    @cached_property
-    def dy(self):
-        return self._lanes(horizontal_derivative(self.v, "y")) @ self.sine
-
-    @cached_property
-    def w(self):
-        return -(self._div_lanes @ self.antideriv)
-
-    @cached_property
-    def div(self):
-        return self._div_lanes @ self.sine
-
-
-def _advective_product(a: _NodeSet, b: _NodeSet) -> np.ndarray:
+def _advective_product(a: NodeValues, b: NodeValues) -> np.ndarray:
     """Node values of (u_a . grad_H) v_b + w_a dz v_b."""
     return a.u[0] * b.dx + a.u[1] * b.dy + a.w * b.dz
 
 
-def _node_sets(v1: SpectralField, v2: SpectralField | None, dealias: bool):
-    """Product grid and node sets of v1 and v2, shared when v2 is v1 or None."""
-    gp = padded_grid(v1.grid) if dealias else v1.grid
-    n1 = _NodeSet(v1, gp)
-    return gp, n1, n1 if v2 is None or v2 is v1 else _NodeSet(v2, gp)
+def _node_sets(v1: SpectralField, v2: SpectralField | None):
+    """Product grid gp and the node values there of v1 and v2, shared when v2
+    is v1 or None.  Each field is padded along m and n only, so its irfft2s
+    run on its K modes as lanes and gp's tables take them to gp's nodes."""
+    gp = padded_grid(v1.grid)
+
+    def nodes(v):
+        if v.ncomp != 2:
+            raise ValueError(f"products need 2-component velocity fields, got ncomp={v.ncomp}")
+        return NodeValues(pad_coeffs(v, _lane_grid(gp, v.grid.K)), gp.basis)
+
+    n1 = nodes(v1)
+    return gp, n1, n1 if v2 is None or v2 is v1 else nodes(v2)
 
 
 def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
@@ -192,15 +138,13 @@ def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
     return truncate_coeffs(SpectralField(_rfft2(lanes, gp.N), _lane_grid(gp, grid.K)), grid)
 
 
-def advection(
-    v1: SpectralField, v2: SpectralField | None = None, dealias: bool = True
-) -> SpectralField:
+def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:
     """Dealiased (u1 . grad) v2 in convective form; v2 defaults to v1."""
-    gp, n1, n2 = _node_sets(v1, v2, dealias)
+    gp, n1, n2 = _node_sets(v1, v2)
     return _truncated(_advective_product(n1, n2), gp, v1.grid)
 
 
-def coupled_advection(V: SpectralField, r: SpectralField, dealias: bool = True) -> SpectralField:
+def coupled_advection(V: SpectralField, r: SpectralField) -> SpectralField:
     """Dealiased (V.grad)V + (V.grad)r + (r.grad)V, the Picard coupling term.
 
     Equals advection(V, V) + advection(V, r) + advection(r, V) up to round-off,
@@ -208,14 +152,12 @@ def coupled_advection(V: SpectralField, r: SpectralField, dealias: bool = True) 
     three products are formed separately, not as B(V+r, V+r) - B(r, r),
     which would cancel badly when V is small.
     """
-    gp, nV, nr = _node_sets(V, r, dealias)
+    gp, nV, nr = _node_sets(V, r)
     prod = _advective_product(nV, nV) + _advective_product(nV, nr) + _advective_product(nr, nV)
     return _truncated(prod, gp, V.grid)
 
 
-def divergence_form(
-    v1: SpectralField, v2: SpectralField | None = None, dealias: bool = True
-) -> SpectralField:
+def divergence_form(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:
     """Dealiased (u1 . grad) v2 assembled conservatively.
 
     Horizontal part: grad_H . (v1 (x) v2) from pointwise tensor products.
@@ -223,7 +165,7 @@ def divergence_form(
     z-derivative of w1 is exactly -div_H v1 by construction (the product
     w1 v2 itself has no exact representation in the mixed basis).
     """
-    gp, n1, n2 = _node_sets(v1, v2, dealias)
+    gp, n1, n2 = _node_sets(v1, v2)
     out = _truncated(-n1.div * n2.u + n1.w * n2.dz, gp, v1.grid)
     for i, axis in enumerate(("x", "y")):
         flux = _truncated(n1.u[i] * n2.u, gp, v1.grid)

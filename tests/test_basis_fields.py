@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import hydrostokes.basis
 from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import (
+    NodeValues,
     PhysicalField,
     SpectralField,
     forward_transform,
@@ -31,7 +32,17 @@ from hydrostokes.semigroup import StokesOperator
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(N=15), dict(N=2), dict(K=0), dict(h=0.0), dict(h=-1.0), dict(h=np.inf)]
+    "bad",
+    [
+        dict(N=15),
+        dict(N=2),
+        dict(K=0),
+        dict(h=0.0),
+        dict(h=-1.0),
+        dict(h=np.inf),
+        dict(h=1e-200),  # lambda_{K-1}^2 overflows
+        dict(h=1e200),  # h^2 overflows
+    ],
 )
 def test_grid_rejects_bad_parameters(bad):
     kw = dict(N=8, K=8, h=1.0)
@@ -343,6 +354,26 @@ def test_vertical_derivative_finite_difference_order():
     assert errs[1] < errs[0]
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.8
+
+
+# -- node values ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid", [Grid(8, 8, 1.0), Grid(12, 5, 0.7)])
+def test_node_values_equal_separate_transforms(grid):
+    # one irfft2 feeds u and dz: the same numbers as the separate transforms
+    v = random_field(grid, ncomp=2, seed=21)
+    nodes = NodeValues(v)
+    gradient = np.concatenate(
+        [
+            inverse_transform(horizontal_derivative(v, "x")).values,
+            inverse_transform(horizontal_derivative(v, "y")).values,
+            vertical_derivative(v).values,
+        ]
+    )
+    assert np.array_equal(nodes.u, inverse_transform(v).values)
+    assert np.array_equal(nodes.dz, vertical_derivative(v).values)
+    assert np.array_equal(nodes.grad, gradient)
 
 
 # -- vertical mean and integral -------------------------------------------

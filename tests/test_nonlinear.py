@@ -6,6 +6,7 @@ import pytest
 from conftest import continuum_energy_pairing
 from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import (
+    NodeValues,
     PhysicalField,
     SpectralField,
     forward_transform,
@@ -14,6 +15,7 @@ from hydrostokes.fields import (
     vertical_derivative,
 )
 from hydrostokes.nonlinear import (
+    _advective_product,
     _node_sets,
     _truncated,
     advection,
@@ -79,12 +81,13 @@ def test_pad_keeps_node_values_with_nyquist_modes(grid8):
 
 
 @pytest.mark.parametrize("grid", [Grid(16, 16, 1.0), Grid(12, 5, 0.7)])
-@pytest.mark.parametrize("dealias", [True, False])
-def test_node_sets_match_padded_transforms(grid, dealias):
-    # node sets pad only along m and n and reach the product nodes through
-    # table rows; the reference pads in z too and transforms on the product grid
+@pytest.mark.parametrize("padded", [True, False])
+def test_node_sets_match_padded_transforms(grid, padded):
+    # the products' node values pad only along m and n and reach the product
+    # nodes through table rows; the reference pads in z too and transforms on
+    # the product grid.  Unpadded: NodeValues on the field's own grid.
     v = random_field(grid, ncomp=2, seed=6, solenoidal=True)
-    gp, nodes, _ = _node_sets(v, None, dealias)
+    gp, nodes = _node_sets(v, None)[:2] if padded else (grid, NodeValues(v))
     big = pad_coeffs(v, gp)
     ref = {
         "u": inverse_transform(big).values,
@@ -164,16 +167,11 @@ def test_advection_matches_divergence_form(grid16):
         assert np.abs(a.coeffs - d.coeffs).max() <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("dealias", [True, False])
-def test_coupled_advection_matches_three_terms(grid16, dealias):
+def test_coupled_advection_matches_three_terms(grid16):
     V = random_field(grid16, ncomp=2, seed=11, solenoidal=True, amplitude=0.1)
     r = random_field(grid16, ncomp=2, seed=12, solenoidal=True)
-    ref = (
-        advection(V, V, dealias=dealias).coeffs
-        + advection(V, r, dealias=dealias).coeffs
-        + advection(r, V, dealias=dealias).coeffs
-    )
-    fused = coupled_advection(V, r, dealias=dealias)
+    ref = advection(V, V).coeffs + advection(V, r).coeffs + advection(r, V).coeffs
+    fused = coupled_advection(V, r)
     assert np.abs(fused.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -191,8 +189,10 @@ def test_dealiasing_reduces_error(grid16):
     v = random_field(grid16, ncomp=2, seed=9, solenoidal=True, decay=3.0)
     fine_grid = Grid(32, 32, 1.0)
     ref = truncate_coeffs(advection(pad_coeffs(v, fine_grid)), grid16)
-    with_da = advection(v, dealias=True)
-    without = advection(v, dealias=False)
+    with_da = advection(v)
+    # the aliased product: formed at the working nodes, no padding
+    n = NodeValues(v)
+    without = _truncated(_advective_product(n, n), grid16, grid16)
     den = np.abs(ref.coeffs).max()
     err_da = np.abs(with_da.coeffs - ref.coeffs).max() / den
     err_no = np.abs(without.coeffs - ref.coeffs).max() / den

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hydrostokes.fields
 import hydrostokes.solver
 from hydrostokes.basis import Grid
 from hydrostokes.fields import SpectralField
@@ -13,6 +14,7 @@ from hydrostokes.solver import (
     SolverDivergenceError,
     Trajectory,
     _duhamel,
+    _node_norms,
     full_solve,
     grad_mixed_norm,
     mild_residual,
@@ -49,6 +51,8 @@ def op16():
         dict(delta=np.nan),
         dict(eps0=np.nan),
         dict(picard_tol=np.nan),
+        dict(max_picard=0),
+        dict(max_picard=-3),
         dict(dt=1.0, T=1e300),
     ],
 )
@@ -215,6 +219,19 @@ def test_picard_divergence_raises(op16):
 # -- full solve and residual ----------------------------------------------
 
 
+def test_full_solve_raises_when_picard_stops_at_its_cap(op16):
+    # one iteration cannot reach the tolerance: stopping there is a failure
+    cfg = SolverConfig(dt=0.005, T=0.02, max_picard=1)
+    a = random_field(
+        op16.grid, ncomp=2, seed=8, solenoidal=True, amplitude=0.02, rough_amplitude=0.005
+    )
+    with pytest.raises(SolverDivergenceError, match="cap") as err:
+        full_solve(a, cfg)
+    report = err.value.report
+    assert report.iterations == 1 and not report.converged
+    assert report.diff_S[-1] >= cfg.picard_tol
+
+
 def test_full_solve_zero(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
@@ -303,6 +320,35 @@ def test_mixed_norm_positive_homogeneous(op16):
         3.0 * mixed_norm(v, 4.0), rel=1e-12
     )
     assert grad_mixed_norm(v, 4.0) > 0
+
+
+def test_node_norms_equal_mixed_norms(op16):
+    vs = [random_field(op16.grid, ncomp=2, seed=s) for s in (14, 15, 16)]
+    times = [0.0, 0.01, 0.02]
+    want = [
+        (mixed_norm(v, 4.0), np.sqrt(t) * grad_mixed_norm(v, 4.0) if t > 0 else 0.0)
+        for v, t in zip(vs, times)
+    ]
+    assert _node_norms(vs, times, 4.0) == want
+
+
+def test_node_norms_irfft2_per_node(monkeypatch):
+    # t > 0: one irfft2 for v and dz v, one each for dx v and dy v; t = 0: v only
+    calls = []
+    irfft2 = hydrostokes.fields._irfft2
+
+    def counted(a, N):
+        calls.append(1)
+        return irfft2(a, N)
+
+    monkeypatch.setattr(hydrostokes.fields, "_irfft2", counted)
+    grid = Grid(8, 8, 1.0)
+    vs = [random_field(grid, ncomp=2, seed=s) for s in (17, 18, 19)]
+    _node_norms(vs[:1], [0.0], 4.0)
+    assert len(calls) == 1
+    calls.clear()
+    _node_norms(vs, [0.0, 0.01, 0.02], 4.0)
+    assert len(calls) == 1 + 3 + 3
 
 
 def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):

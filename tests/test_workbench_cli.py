@@ -437,6 +437,38 @@ def test_cli_huge_horizon_exit_2(tmp_path, monkeypatch, capsys):
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("h", ["1e-200", "1e200"])
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "semigroup"], ["spectrum"]])
+def test_cli_depth_out_of_float_range_exit_2(tmp_path, monkeypatch, capsys, command, h):
+    # lambda_{K-1}^2 or h^2 would overflow: a config error, not a traceback
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, f"grid.n = 8\ngrid.k = 8\ngrid.h = {h}\ntime.horizon = 0.01\n")
+    assert run_cli(command + ["--config", cfg]) == 2
+    assert "floating-point range" in capsys.readouterr().err
+
+
+def test_cli_picard_cap_reached_exit_3(tmp_path, monkeypatch, capsys):
+    # two iterations leave the difference far above picard.tol: a failure
+    monkeypatch.chdir(tmp_path)
+    cfg = write(
+        tmp_path,
+        "grid.n = 8\ngrid.k = 8\ntime.dt = 0.0025\ntime.horizon = 0.005\n"
+        "split.delta = 0.01\ndata.kind = rough-perturbation\ndata.rough = 1.0\n"
+        "data.amplitude = 0.02\npicard.max_iter = 2\noutput.dir = out\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 3
+    assert "cap of 2 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cli_picard_cap_below_one_exit_2(tmp_path, monkeypatch, capsys, cap):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, f"picard.max_iter = {cap}\n")
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    assert "error: config:" in capsys.readouterr().err
+
+
 def test_cli_corrupt_config_exit_2(tmp_path):
     cfg = write(tmp_path, "grid.n = 15\n")
     assert run_cli(["simulate", "--config", cfg]) == 2
