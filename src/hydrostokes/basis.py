@@ -20,10 +20,11 @@ class Grid:
     exactly orthogonal and vertical quadrature is the midpoint rule.
 
     The spectral tables ``basis``, ``xi``, ``xi2`` and ``xi_hat``, the Stokes
-    operator ``stokes`` and the grid ``doubled`` depend only on the grid;
-    each is built on first use, then shared by every caller holding this
-    grid.  The tables' arrays are read-only: copy before modifying.  ``xi2``
-    and ``xi_hat`` cover the half plane n <= N/2 that a SpectralField stores.
+    operator ``stokes`` and the grids ``doubled`` and ``padded`` depend only
+    on the grid; each is built on first use, then shared by every caller
+    holding this grid.  The tables' arrays are read-only: copy before
+    modifying.  ``xi2`` and ``xi_hat`` cover the half plane n <= N/2 that a
+    SpectralField stores.
     """
 
     N: int
@@ -75,6 +76,12 @@ class Grid:
     def doubled(self) -> "Grid":
         """The grid (2N, 2K, h), for resolution studies."""
         return Grid(2 * self.N, 2 * self.K, self.h)
+
+    @cached_property
+    def padded(self) -> "Grid":
+        """The 3/2-padded grid on which products are formed and dealiased."""
+        Np = 3 * self.N // 2
+        return Grid(Np + Np % 2, (3 * self.K + 1) // 2, self.h)
 
     def _half_xi_vectors(self):
         return (a[:, : self.N // 2 + 1] for a in self.xi_vectors())

@@ -3,7 +3,12 @@
 ``verify`` runs the suites of :data:`VERIFY_SUITES` and prints one
 ``verify <suite>: ok|FAIL`` line per suite.  A scan fails on a non-finite sup
 ratio or one above its closed-form bound (``young`` only), ``kernel`` on an
-error above 1e-6, ``recursion`` on a violated or invalid case.
+error above 1e-6, ``recursion`` on a violated or invalid case; any suite
+fails when one of its fields turns non-finite.
+
+A computation that breaks down (an exponential block that overflows at a
+tiny depth, say) shows up as a non-finite field or sup, which each command
+maps to its exit code, so numpy's floating-point warnings are switched off.
 """
 
 import argparse
@@ -13,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .fields import inverse_transform, norm_anisotropic
+from .fields import NonFiniteFieldError, inverse_transform, norm_anisotropic
 from .lab import (
     SEMIGROUP_COMBOS,
     ScanReport,
@@ -184,7 +189,7 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
     try:
         traj = full_solve(a, sc)
-    except SolverDivergenceError as exc:
+    except (SolverDivergenceError, NonFiniteFieldError) as exc:
         _err(f"solver: {exc}")
         return EXIT_DIVERGED
     d = traj.diagnostics
@@ -226,9 +231,13 @@ def cmd_verify(args) -> int:
     failed = False
     for name in VERIFY_SUITES if args.suite == "all" else [args.suite]:
         bad = False
-        for csv_name, header, rows, file_bad in VERIFY_SUITES[name](cfg, grid, p, seed):
-            _write_csv(os.path.join(outdir, csv_name), header, rows)
-            bad |= file_bad
+        try:
+            for csv_name, header, rows, file_bad in VERIFY_SUITES[name](cfg, grid, p, seed):
+                _write_csv(os.path.join(outdir, csv_name), header, rows)
+                bad |= file_bad
+        except NonFiniteFieldError as exc:
+            _err(f"verify {name}: {exc}")
+            bad = True
         print(f"verify {name}: {'FAIL' if bad else 'ok'}")
         failed |= bad
     return EXIT_FAIL if failed else EXIT_OK
@@ -293,7 +302,8 @@ def main(argv=None) -> int:
     p_spec.set_defaults(fn=cmd_spectrum)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    with np.errstate(all="ignore"):
+        return args.fn(args)
 
 
 if __name__ == "__main__":

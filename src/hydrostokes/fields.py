@@ -36,6 +36,10 @@ from .basis import Grid, VerticalBasis
 REALITY_TOL = 1e-12
 
 
+class NonFiniteFieldError(ValueError):
+    """Node values that are not all finite: a computation broke down."""
+
+
 @dataclass
 class SpectralField:
     """Coefficients c[comp, m, n, k] in the Fourier x sine basis, columns n = 0..N/2."""
@@ -108,7 +112,7 @@ class PhysicalField:
                 f"value shape {self.values.shape} does not match grid {expect}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
+            raise NonFiniteFieldError("field contains non-finite entries")
 
     @property
     def ncomp(self):

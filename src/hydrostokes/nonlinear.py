@@ -9,8 +9,6 @@ grid's analysis table truncate in z.  The vertical velocity w lives in the
 cosine/constant span and is carried as node values only.
 """
 
-from functools import cache
-
 import numpy as np
 import scipy.fft as sfft
 
@@ -27,15 +25,6 @@ from .fields import (
 )
 
 
-@cache
-def padded_grid(grid: Grid) -> Grid:
-    Np = 3 * grid.N // 2
-    Np += Np % 2
-    Kp = (3 * grid.K + 1) // 2
-    return Grid(Np, Kp, grid.h)
-
-
-@cache
 def _lane_grid(gp: Grid, K: int) -> Grid:
     """The horizontal grid of gp with K modes: where products on gp hold their
     K-mode coefficients, padded along m and n only."""
@@ -117,7 +106,7 @@ def _node_sets(v1: SpectralField, v2: SpectralField | None):
     """Product grid gp and the node values there of v1 and v2, shared when v2
     is v1 or None.  Each field is padded along m and n only, so its irfft2s
     run on its K modes as lanes and gp's tables take them to gp's nodes."""
-    gp = padded_grid(v1.grid)
+    gp = v1.grid.padded
 
     def nodes(v):
         if v.ncomp != 2:

@@ -32,8 +32,10 @@ def random_field(
         raise ValueError(f"decay = {decay} puts the spectral envelope out of floating-point range")
     shape = (ncomp, grid.N, grid.N, grid.K)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    rough = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    full = hermitian_part(c * envelope + rough_amplitude * rough)  # exactly Hermitian
+    full = c * envelope
+    if rough_amplitude != 0:  # drawn last, so the other draws do not depend on it
+        full += rough_amplitude * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    full = hermitian_part(full)  # exactly Hermitian
     f = SpectralField(full[:, :, : grid.N // 2 + 1].copy(), grid)
     zero_nyquist(f)
     if solenoidal:

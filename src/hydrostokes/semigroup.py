@@ -25,6 +25,12 @@ resolvent is that solve at mu = lambda + |xi|^2, and phi1 follows from the
 identity t phi1(t B) = B^{-1}(e^{t B} - I) with B = M_z - |xi|^2, which needs
 only the same exponential block as the semigroup.  There is one operator per
 grid, ``Grid.stokes``, shared with its exponential memo by every caller.
+
+Every function of A is applied through ``_per_mode``: the parallel block's
+action, and one diagonal multiplier for the perpendicular part whose xi = 0
+entry also acts on both origin components (the vertical heat block).
+eigenvalue_report builds the spectrum of every mode at once, by broadcasting
+the block eigenvalues against |xi|^2.
 """
 
 import threading
@@ -83,27 +89,35 @@ class StokesOperator:
         self.s_values = np.unique(self.xi2)
         self.cache = SemigroupCache()
 
-    # -- component split ---------------------------------------------------
+    # -- per-mode structure -------------------------------------------------
 
-    def _split(self, coeffs):
+    def _split(self, v: SpectralField):
+        """c_par and c_perp of a two-component field, per mode."""
+        if v.ncomp != 2:
+            raise ValueError(f"the Stokes operator acts on ncomp=2 fields, got {v.ncomp}")
+        c = v.coeffs
         x, y = self.xi_hat[:, :, :, None]
-        return x * coeffs[0] + y * coeffs[1], x * coeffs[1] - y * coeffs[0]
+        return x * c[0] + y * c[1], x * c[1] - y * c[0]
 
-    def _assemble(self, cpar, cperp, origin):
+    def _per_mode(self, v: SpectralField, par, diag) -> SpectralField:
+        """The field with parallel part par(c_par) and perpendicular part diag * c_perp.
+
+        diag has shape (N, N/2+1, K); at xi = 0 the operator is the vertical
+        heat block, so both origin components are multiplied by diag[0, 0].
+        """
+        out_par, out_perp = self._split(v)
+        out_par, out_perp = par(out_par), diag * out_perp  # rebound: frees the inputs
         x, y = self.xi_hat[:, :, :, None]
-        out = np.stack([x * cpar - y * cperp, y * cpar + x * cperp])
-        out[:, 0, 0, :] = origin
-        return out
+        out = np.stack([x * out_par - y * out_perp, y * out_par + x * out_perp])
+        out[:, 0, 0, :] = diag[0, 0] * v.coeffs[:, 0, 0, :]
+        return SpectralField(out, v.grid)
 
     # -- operator ----------------------------------------------------------
 
     def apply_A(self, v: SpectralField) -> SpectralField:
         """Delta v plus the bottom-shear coupling on the parallel part."""
-        if v.ncomp != 2:
-            raise ValueError(f"apply_A needs ncomp=2, got {v.ncomp}")
-        c = v.coeffs
-        out = -(self.xi2[None, :, :, None] + self.lam2) * c
-        cpar, _ = self._split(c)
+        cpar, _ = self._split(v)
+        out = -(self.xi2[None, :, :, None] + self.lam2) * v.coeffs
         bpar = (cpar @ self.basis.lambdas)[:, :, None] * self.b
         out += self.xi_hat[:, :, :, None] * bpar
         return SpectralField(out, v.grid)
@@ -112,7 +126,7 @@ class StokesOperator:
         return self.cache.get_or_compute(("exp", t), lambda: expm(t * self.Mz))
 
     def _solve_parallel(self, mu, y):
-        """(mu - M_z)^{-1} y per mode by Sherman-Morrison; mu is (N, N), y (N, N, K).
+        """(mu - M_z)^{-1} y per mode by Sherman-Morrison; mu is (N, N/2+1), y (N, N/2+1, K).
 
         With d = mu + lambda^2, mu - M_z = diag(d) - b lambda^T.  The caller
         keeps mu off the spectrum; the origin is assembled separately.  The
@@ -129,40 +143,30 @@ class StokesOperator:
         """e^{tA} v via per-mode exponentials."""
         if t < 0:
             raise ValueError(f"semigroup time must be >= 0, got {t}")
-        if v.ncomp != 2:
-            raise ValueError(f"semigroup_apply needs ncomp=2, got {v.ncomp}")
         if t == 0:
+            self._split(v)  # the same ncomp check as every other time
             return v.copy()
-        c = v.coeffs
-        cpar, cperp = self._split(c)
-        E = self._exp_block(t)
         decay_h = np.exp(-t * self.xi2)[:, :, None]
-        cpar = decay_h * (cpar @ E.T)
-        cperp = decay_h * np.exp(-t * self.lam2) * cperp
-        origin = c[:, 0, 0, :] * np.exp(-t * self.lam2)
-        return SpectralField(self._assemble(cpar, cperp, origin), v.grid)
+        par = lambda cpar: decay_h * (cpar @ self._exp_block(t).T)
+        return self._per_mode(v, par, decay_h * np.exp(-t * self.lam2))
 
     def phi1_apply(self, t: float, g: SpectralField) -> SpectralField:
         """phi1(tA) g = (tA)^{-1}(e^{tA} - I) g, exponential-Euler weight."""
         if t <= 0:
             raise ValueError(f"phi1 time must be > 0, got {t}")
-        if g.ncomp != 2:
-            raise ValueError(f"phi1_apply needs ncomp=2, got {g.ncomp}")
-        c = g.coeffs
-        cpar, cperp = self._split(c)
-        # with B = M_z - s, t phi1(tB) y = (s - M_z)^{-1}(y - e^{-ts} e^{t M_z} y)
         decay_h = np.exp(-t * self.xi2)[:, :, None]
-        rhs = cpar - decay_h * (cpar @ self._exp_block(t).T)
         # at s = 0 the block is singular (M_z has a zero eigenvalue); the
-        # origin is assembled below, so it gets a dummy unit shift
+        # origin is the heat block, so it gets a dummy unit shift
         shift = self.xi2.copy()
         shift[0, 0] = 1.0
-        out_par = self._solve_parallel(shift, rhs) / t
+
+        def par(cpar):
+            # with B = M_z - s, t phi1(tB) y = (s - M_z)^{-1}(y - e^{-ts} e^{t M_z} y)
+            rhs = cpar - decay_h * (cpar @ self._exp_block(t).T)
+            return self._solve_parallel(shift, rhs) / t
+
         a = -t * (self.xi2[:, :, None] + self.lam2)
-        out_perp = np.expm1(a) / a * cperp
-        a0 = -t * self.lam2
-        origin = np.expm1(a0) / a0 * c[:, 0, 0, :]
-        return SpectralField(self._assemble(out_par, out_perp, origin), g.grid)
+        return self._per_mode(g, par, np.expm1(a) / a)
 
     def resolvent_apply(self, lam: complex, f: SpectralField) -> SpectralField:
         """(lam - A)^{-1} f, closed-form on every mode block.
@@ -170,15 +174,9 @@ class StokesOperator:
         For complex lam these are the columns n <= N/2 of a complex field;
         A is real, so its real part is the mean of this and conj lam's.
         """
-        if f.ncomp != 2:
-            raise ValueError(f"resolvent_apply needs ncomp=2, got {f.ncomp}")
         self._check_not_spectrum(lam)
-        c = f.coeffs
-        cpar, cperp = self._split(c)
-        out_par = self._solve_parallel(lam + self.xi2, cpar)
-        out_perp = cperp / (lam + self.xi2[:, :, None] + self.lam2)
-        origin = c[:, 0, 0, :] / (lam + self.lam2)
-        return SpectralField(self._assemble(out_par, out_perp, origin), f.grid)
+        par = lambda cpar: self._solve_parallel(lam + self.xi2, cpar)
+        return self._per_mode(f, par, 1.0 / (lam + self.xi2[:, :, None] + self.lam2))
 
     def _check_not_spectrum(self, lam: complex):
         shifts = self.s_values[:, None]
@@ -192,14 +190,16 @@ class StokesOperator:
 
     # -- spectrum ----------------------------------------------------------
 
-    def eigenvalue_report(self, subspace: str = "solenoidal"):
-        """Eigenvalues of every mode block.
+    def eigenvalue_report(self, subspace: str = "solenoidal") -> np.ndarray:
+        """Eigenvalues of every mode block, one row per eigenvalue.
 
-        Returns a list of rows (m, n, index, eigenvalue).  For the solenoidal
-        subspace the parallel block is restricted to {sum c_k/lambda_k = 0},
-        whose spectrum is that of M_z without its zero eigenvalue (the one of
-        least modulus); the perpendicular diagonal and the xi = 0 block are
-        solenoidal as is.
+        A structured array with fields m, n, index and ev: the 2K heat
+        eigenvalues -lambda^2 of xi = 0 first, then for each other (m, n) of
+        the full plane (FFT order, n fastest) the parallel eigenvalues and
+        -lambda^2, each minus |xi|^2.  For the solenoidal subspace the
+        parallel block is restricted to {sum c_k/lambda_k = 0}, whose spectrum
+        is that of M_z without its zero eigenvalue (the one of least modulus);
+        the perpendicular diagonal and the xi = 0 block are solenoidal as is.
         """
         if subspace not in ("full", "solenoidal"):
             raise ValueError(f"unknown subspace {subspace!r}")
@@ -207,22 +207,21 @@ class StokesOperator:
         par_eigs = self.Mz_eigs
         if subspace == "solenoidal":
             par_eigs = np.delete(par_eigs, np.argmin(np.abs(par_eigs)))
-        rows = []
-        ms = np.fft.fftfreq(N, d=1.0 / N).astype(int)
         xix, xiy = self.grid.xi_vectors()  # every (m, n), not only the stored half
-        for im, m in enumerate(ms):
-            for jn, n in enumerate(ms):
-                s = xix[im, jn] ** 2 + xiy[im, jn] ** 2
-                if im == 0 and jn == 0:
-                    eigs = np.concatenate([-self.lam2, -self.lam2])
-                else:
-                    eigs = np.concatenate([par_eigs - s, -self.lam2 - s])
-                for idx, ev in enumerate(eigs):
-                    rows.append((m, n, idx, complex(ev)))
+        s = (xix**2 + xiy**2).reshape(-1, 1)[1:]  # (m, n) row-major, origin dropped
+        evs = np.concatenate([par_eigs - s, -self.lam2 - s], axis=1)
+        heat = np.concatenate([-self.lam2, -self.lam2])
+        width = evs.shape[1]
+        mode = np.concatenate([np.zeros(heat.size, int), np.repeat(np.arange(1, N * N), width)])
+        ms = np.fft.fftfreq(N, d=1.0 / N).astype(int)
+        rows = np.empty(mode.size, dtype=[("m", int), ("n", int), ("index", int), ("ev", complex)])
+        rows["m"], rows["n"] = ms[mode // N], ms[mode % N]
+        rows["index"] = np.concatenate([np.arange(heat.size), np.tile(np.arange(width), N * N - 1)])
+        rows["ev"] = np.concatenate([heat, evs.ravel()])
         return rows
 
 
 def spectral_bound(grid: Grid, subspace: str = "solenoidal"):
     """Max real part of the discrete spectrum plus the per-mode report."""
     rows = grid.stokes.eigenvalue_report(subspace)
-    return max(ev.real for _, _, _, ev in rows), rows
+    return float(rows["ev"].real.max()), rows

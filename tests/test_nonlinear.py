@@ -22,7 +22,6 @@ from hydrostokes.nonlinear import (
     coupled_advection,
     divergence_form,
     pad_coeffs,
-    padded_grid,
     truncate_coeffs,
     vertical_velocity,
     vertical_velocity_top,
@@ -34,13 +33,13 @@ from hydrostokes.sampling import random_field, single_mode_field
 
 
 def test_padded_grid_sizes():
-    assert padded_grid(Grid(16, 16, 1.0)) == Grid(24, 24, 1.0)
-    assert padded_grid(Grid(8, 5, 0.5)) == Grid(12, 8, 0.5)
+    assert Grid(16, 16, 1.0).padded == Grid(24, 24, 1.0)
+    assert Grid(8, 5, 0.5).padded == Grid(12, 8, 0.5)
 
 
 def test_pad_truncate_round_trip(grid16):
     f = random_field(grid16, ncomp=2, seed=0)
-    big = padded_grid(grid16)
+    big = grid16.padded
     padded = pad_coeffs(f, big)
     back = truncate_coeffs(padded, grid16)
     assert np.abs(back.coeffs - f.coeffs).max() <= 1e-15
@@ -50,7 +49,7 @@ def test_pad_preserves_physical_values(grid8):
     from hydrostokes.fields import inverse_transform
 
     f = random_field(grid8, ncomp=1, seed=2)
-    big = padded_grid(grid8)
+    big = grid8.padded
     fb = pad_coeffs(f, big)
     coarse = inverse_transform(f).values
     fine = inverse_transform(fb).values
@@ -66,7 +65,7 @@ def test_pad_preserves_physical_values(grid8):
 
 def test_pad_keeps_reality(grid8):
     f = random_field(grid8, ncomp=2, seed=3)
-    fb = pad_coeffs(f, padded_grid(grid8))
+    fb = pad_coeffs(f, grid8.padded)
     assert np.array_equal(SpectralField.from_full(fb.full(), fb.grid).coeffs, fb.coeffs)
 
 

@@ -100,6 +100,24 @@ def test_semigroup_identity_at_zero(grid8):
     assert np.array_equal(out.coeffs, v.coeffs)
 
 
+@pytest.mark.parametrize("ncomp", [1, 3])
+@pytest.mark.parametrize(
+    "apply",
+    [
+        lambda op, v: op.apply_A(v),
+        lambda op, v: op.semigroup_apply(0.1, v),
+        lambda op, v: op.semigroup_apply(0.0, v),
+        lambda op, v: op.phi1_apply(0.1, v),
+        lambda op, v: op.resolvent_apply(0.3 + 2.0j, v),
+    ],
+    ids=["apply_A", "semigroup", "semigroup_t0", "phi1", "resolvent"],
+)
+def test_operator_rejects_other_component_counts(grid8, apply, ncomp):
+    v = random_field(grid8, ncomp=ncomp, seed=4)
+    with pytest.raises(ValueError, match="ncomp=2"):
+        apply(grid8.stokes, v)
+
+
 def test_semigroup_rejects_negative_time(grid8):
     op = StokesOperator(grid8)
     v = random_field(grid8, ncomp=2, seed=1)
@@ -360,6 +378,38 @@ def test_origin_rows_are_vertical_heat():
     assert np.allclose(evs, expect, atol=1e-10)
 
 
+def _per_mode_report_loop(op, subspace):
+    """The per-mode double loop eigenvalue_report replaced, as an oracle."""
+    N, lam2 = op.grid.N, op.lam2
+    par_eigs = op.Mz_eigs
+    if subspace == "solenoidal":
+        par_eigs = np.delete(par_eigs, np.argmin(np.abs(par_eigs)))
+    rows = []
+    ms = np.fft.fftfreq(N, d=1.0 / N).astype(int)
+    xix, xiy = op.grid.xi_vectors()
+    for im, m in enumerate(ms):
+        for jn, n in enumerate(ms):
+            s = xix[im, jn] ** 2 + xiy[im, jn] ** 2
+            if im == 0 and jn == 0:
+                eigs = np.concatenate([-lam2, -lam2])
+            else:
+                eigs = np.concatenate([par_eigs - s, -lam2 - s])
+            for idx, ev in enumerate(eigs):
+                rows.append((m, n, idx, complex(ev)))
+    return rows
+
+
+@pytest.mark.parametrize("grid", [Grid(8, 8, 1.0), Grid(6, 3, 0.7), Grid(4, 1, 2.0)])
+@pytest.mark.parametrize("subspace", ["full", "solenoidal"])
+def test_eigenvalue_report_matches_per_mode_loop(grid, subspace):
+    rows = grid.stokes.eigenvalue_report(subspace)
+    want = _per_mode_report_loop(grid.stokes, subspace)
+    assert len(rows) == len(want)
+    for name, i in (("m", 0), ("n", 1), ("index", 2), ("ev", 3)):
+        assert np.array_equal(rows[name], [r[i] for r in want]), name
+    assert spectral_bound(grid, subspace)[0] == max(r[3].real for r in want)
+
+
 @pytest.mark.parametrize("K", [1, 8, 64])
 @pytest.mark.parametrize("h", [0.7, 1.0])
 def test_solenoidal_eigenvalues_match_deflation(K, h):
@@ -395,7 +445,8 @@ def test_apply_A_matches_dense_coupling(N, K, h):
 def test_split_assemble_round_trip(grid8):
     op = StokesOperator(grid8)
     c = random_field(grid8, ncomp=2, seed=21).coeffs
-    back = op._assemble(*op._split(c), c[:, 0, 0, :])
+    ones = np.ones(op.xi2.shape + (grid8.K,))
+    back = op._per_mode(SpectralField(c, grid8), lambda cpar: cpar, ones).coeffs
     assert np.abs(back - c).max() <= 1e-15 * np.abs(c).max()
 
 

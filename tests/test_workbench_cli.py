@@ -447,6 +447,36 @@ def test_cli_depth_out_of_float_range_exit_2(tmp_path, monkeypatch, capsys, comm
     assert "floating-point range" in capsys.readouterr().err
 
 
+# the rough config of the CI smoke run
+ROUGH_8 = (
+    "grid.n = 8\ngrid.k = 8\ntime.dt = 0.0025\ntime.horizon = 0.005\n"
+    "split.delta = 0.01\ndata.kind = rough-perturbation\ndata.rough = 1.0\n"
+    "data.amplitude = 0.02\noutput.dir = out\n"
+)
+
+
+@pytest.mark.parametrize("h", ["1e-14", "1e-16", "1e-20"])
+def test_cli_simulate_tiny_depth_exit_3(tmp_path, monkeypatch, capsys, h):
+    # the tables are in range, but lambda^2 t is huge: the exponential blocks
+    # overflow (or Sherman-Morrison cancels) and a field turns non-finite
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, ROUGH_8 + f"grid.h = {h}\n")
+    assert run_cli(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver:") and err.count("\n") == 1 and "non-finite" in err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("suite", ["semigroup", "resolvent", "nonlinear"])
+def test_cli_verify_tiny_depth_fails_suite(tmp_path, monkeypatch, capsys, suite):
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "grid.n = 8\ngrid.k = 8\ngrid.h = 1e-14\n")
+    assert run_cli(["verify", suite, "--config", cfg]) == 1
+    out = capsys.readouterr()
+    assert out.out == f"verify {suite}: FAIL\n"
+    assert out.err.startswith(f"error: verify {suite}:") and "non-finite" in out.err
+
+
 def test_cli_picard_cap_reached_exit_3(tmp_path, monkeypatch, capsys):
     # two iterations leave the difference far above picard.tol: a failure
     monkeypatch.chdir(tmp_path)
