@@ -44,6 +44,16 @@ def test_kernel_identity_sweep(psi):
     assert abs(res["kernel_numeric"] - 1.0 / np.cos(psi / 2) ** 2) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "psi", [0.0, np.pi / 4, -np.pi / 4, np.pi / 3, -np.pi / 3, np.pi / 2, 0.9 * np.pi]
+)
+def test_kernel_gauss_laguerre_matches_closed_form(psi):
+    res = kernel_l1_norm(np.exp(1j * psi))
+    sec = 1.0 / np.cos(psi / 2)
+    assert abs(res["kernel_numeric"] - sec**2) <= 1e-12
+    assert abs(res["grad_numeric"] - (sec + sec**2)) <= 1e-12
+
+
 def test_kernel_scale_invariance():
     psi = np.pi / 3
     a = kernel_l1_norm(0.1 * np.exp(1j * psi))

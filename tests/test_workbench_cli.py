@@ -1,8 +1,12 @@
 """Config parsing, snapshot I/O, and the command-line interface."""
 
 import csv
+import ctypes
 import os
+import platform
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hydrostokes
 from hydrostokes.basis import Grid
 import hydrostokes.cli
 from hydrostokes.cli import main
@@ -515,6 +520,19 @@ def test_cli_verify_kernel(tmp_path, monkeypatch, capsys):
     assert "verify kernel: ok" in capsys.readouterr().out
 
 
+def test_cli_verify_kernel_fails_off_by_1e5(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exact = hydrostokes.cli.kernel_l1_norm
+
+    def off(lam):
+        res = exact(lam)
+        return {**res, "kernel_numeric": res["kernel_numeric"] + 1e-5}
+
+    monkeypatch.setattr(hydrostokes.cli, "kernel_l1_norm", off)
+    assert run_cli(["verify", "kernel"]) == 1
+    assert "verify kernel: FAIL" in capsys.readouterr().out
+
+
 def test_cli_verify_young(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(["verify", "young"]) == 0
@@ -629,3 +647,60 @@ def test_cli_determinism(tmp_path, monkeypatch):
     da = (tmp_path / "outa" / "diagnostics.csv").read_text()
     db = (tmp_path / "outb" / "diagnostics.csv").read_text()
     assert da == db
+
+
+# -- the command-line process keeps its freed heap ---------------------------
+
+
+def run_python(code, *args):
+    """Run code in a fresh interpreter that imports this hydrostokes; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hydrostokes.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    code = "import sys, hydrostokes.cli; print('scipy.integrate' in sys.modules)"
+    assert run_python(code).strip() == "False"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
+def test_cli_warm_simulate_takes_few_page_faults(tmp_path):
+    # the products and S(T)-norms free 0.1-2 MB node arrays at every node;
+    # under glibc's default thresholds each goes back to the kernel and is
+    # faulted in again (about 13.5k minor faults per call on this config)
+    cfg = write(
+        tmp_path,
+        "grid.n = 16\ngrid.k = 16\ntime.dt = 0.0025\ntime.horizon = 0.005\n"
+        "split.delta = 0.01\ndata.kind = rough-perturbation\ndata.rough = 1.0\n"
+        f"data.amplitude = 0.02\noutput.dir = {tmp_path / 'out'}\n",
+    )
+    code = (
+        "import resource, sys\n"
+        "from hydrostokes.cli import main\n"
+        "argv = ['simulate', '--config', sys.argv[1]]\n"
+        "assert main(argv) == 0\n"
+        "before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt\n"
+        "assert main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)\n"
+    )
+    assert int(run_python(code, cfg)) < 1000
+
+
+def no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [no_libc, lambda name: object()], ids=["no-libc", "no-mallopt"])
+def test_cli_runs_where_mallopt_is_missing(tmp_path, monkeypatch, cdll):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["verify", "recursion"]) == 0
