@@ -18,6 +18,10 @@ the first K rows of its tables.
 NodeValues is the one path to several node quantities of a field (u, its
 first derivatives, w, div_H u): the products, the S(T)-norms and the lab
 scans read it; inverse_transform and vertical_derivative give one quantity.
+Every mixed norm L^q_H L^p_z of node values goes through column_norms, which
+takes the components as a list of node arrays (grad = [dx, dy, dz]) and sums
+their squares one at a time; a column norm that is not finite raises
+NonFiniteFieldError, the norm's breakdown check.
 
 Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
 stores only the columns n = 0..N/2, as real-data FFTs do, and reality holds
@@ -212,8 +216,7 @@ def divergence_h(v: SpectralField) -> SpectralField:
 
 class NodeValues:
     """Node values u of a field c on ``basis.grid`` (default: c's own grid),
-    and of dx, dy, dz, grad = (dx, dy, dz) stacked, w = -int_{-h}^z div_H c
-    and div = div_H c.
+    and of dx, dy, dz, w = -int_{-h}^z div_H c and div = div_H c.
 
     Each is an irfft2 of c's K modes as lanes times the first K rows of the
     basis's tables, formed on first use; u and dz share one irfft2, w and
@@ -256,10 +259,6 @@ class NodeValues:
         return self._derivative("y")
 
     @cached_property
-    def grad(self):
-        return np.concatenate([self.dx, self.dy, self.dz], axis=0)
-
-    @cached_property
     def w(self):
         return -(self._div_lanes @ self.antideriv)
 
@@ -268,26 +267,33 @@ class NodeValues:
         return self._div_lanes @ self.sine
 
     def norm(self, name: str, q, p) -> float:
-        """Mixed norm L^q_H L^p_z of one quantity, e.g. norm("grad", inf, p)."""
-        return norm_anisotropic(PhysicalField(getattr(self, name), self.grid), q, p)
+        """Mixed norm L^q_H L^p_z of one quantity, or of "grad" = (dx, dy, dz)."""
+        parts = [self.dx, self.dy, self.dz] if name == "grad" else [getattr(self, name)]
+        return float(weighted_lp(column_norms(parts, self.grid, p), q, 1.0 / self.grid.N**2))
 
 
 def weighted_lp(a: np.ndarray, p, weight: float, axis=None):
     """(sum weight * a^p)^{1/p} of non-negative values a; the max for p = inf."""
     if p == np.inf:
         return a.max(axis=axis)
+    if p < 1:
+        raise ValueError(f"exponents must be in [1, inf], got {p}")
     return (np.sum(a**p, axis=axis) * weight) ** (1.0 / p)
 
 
-def column_norms(f: PhysicalField, p) -> np.ndarray:
+def column_norms(parts, grid: Grid, p) -> np.ndarray:
     """L^p_z norm of each column of the pointwise magnitude, shape (N, N).
 
-    Vertical integrals use the midpoint rule (weight h/K).  For vector fields
-    the pointwise Euclidean magnitude is taken first.
+    ``parts`` lists node arrays whose components together make one field;
+    their squares are summed one at a time, with no stacked copy.  Vertical
+    integrals use the midpoint rule (weight h/K).  A NaN, inf or overflowing
+    square makes its column non-finite, which raises NonFiniteFieldError.
     """
-    g = f.grid
-    mag = np.sqrt(np.sum(f.values**2, axis=0))
-    return weighted_lp(mag, p, g.h / g.K, axis=2)
+    sq = sum(c**2 for a in parts for c in a)
+    cols = weighted_lp(np.sqrt(sq), p, grid.h / grid.K, axis=2)
+    if not np.all(np.isfinite(cols)):
+        raise NonFiniteFieldError("a node value or its square is non-finite")
+    return cols
 
 
 def norm_anisotropic(f: PhysicalField, q, p) -> float:
@@ -296,7 +302,4 @@ def norm_anisotropic(f: PhysicalField, q, p) -> float:
     Horizontal integrals use the node rule (weight 1/N^2); infinite exponents
     take node maxima.
     """
-    for e in (q, p):
-        if e != np.inf and e < 1:
-            raise ValueError(f"exponents must be in [1, inf], got {e}")
-    return float(weighted_lp(column_norms(f, p), q, 1.0 / f.grid.N**2))
+    return float(weighted_lp(column_norms([f.values], f.grid, p), q, 1.0 / f.grid.N**2))

@@ -221,7 +221,7 @@ def resolvent_scan(
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
         f = random_field(grid, seed=seed + i, solenoidal=True)
-        fn = norm_anisotropic(inverse_transform(f), q, p)
+        fn = NodeValues(f).norm("u", q, p)
         if fn < DENOM_FLOOR:
             skipped += 1
             continue
@@ -336,8 +336,8 @@ def interpolation_ratio(
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
         nodes = NodeValues(random_field(grid, seed=seed + i, decay=2.5))
-        vcol = column_norms(PhysicalField(nodes.u, grid), q)
-        gcol = column_norms(PhysicalField(np.concatenate([nodes.dx, nodes.dy]), grid), q)
+        vcol = column_norms([nodes.u], grid, q)
+        gcol = column_norms([nodes.dx, nodes.dy], grid, q)
         center = rng.random(2)
         for r in r_grid:
             mask = _disk_mask(grid, center, r)

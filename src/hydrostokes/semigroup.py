@@ -83,6 +83,9 @@ class StokesOperator:
         self.b = self.basis.betas_t / grid.h
         self.Mz = np.diag(-self.lam2) + np.outer(self.b, lam)
         self.Mz_eigs = np.linalg.eigvals(self.Mz)
+        # 1/lambda is an exact left null vector of M_z, but eigvals resolves
+        # that zero only to eps * ||M_z||, which at tiny depth is huge
+        self.Mz_eigs[np.argmin(np.abs(self.Mz_eigs))] = 0.0
 
         self.xi2 = grid.xi2
         self.xi_hat = grid.xi_hat

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import Grid
-from .fields import NodeValues, SpectralField, inverse_transform, norm_anisotropic
+from .fields import NodeValues, SpectralField
 from .nonlinear import advection, coupled_advection
 from .projection import check_solenoidal, project_hydrostatic
 
@@ -100,11 +100,11 @@ class IterationReport:
 
 def mixed_norm(v: SpectralField, p: float) -> float:
     """||v||_{L^inf_H L^p_z} from node values."""
-    return norm_anisotropic(inverse_transform(v), np.inf, p)
+    return NodeValues(v).norm("u", np.inf, p)
 
 
 def grad_mixed_norm(v: SpectralField, p: float) -> float:
-    """||grad v||_{L^inf_H L^p_z}, full gradient stacked componentwise."""
+    """||grad v||_{L^inf_H L^p_z}, the magnitude of all six first derivatives."""
     return NodeValues(v).norm("grad", np.inf, p)
 
 
@@ -256,30 +256,41 @@ def _shrink_delta(a, config):
 def full_solve(a: SpectralField, config: SolverConfig):
     """Reference solve plus Picard remainder: v = v_ref + V on [0, T].
 
-    Raises SolverDivergenceError, carrying the report, when the Picard
-    iteration diverges or stops at ``config.max_picard`` unconverged.
+    ``diagnostics["step_number"]`` is the step-size number dt * max|a| * k_max
+    of the data, with k_max = pi N the largest horizontal wavenumber.  Raises
+    SolverDivergenceError, carrying the report and naming that number, when
+    the reference solve blows up or the Picard iteration diverges or stops at
+    ``config.max_picard`` unconverged.
     """
     if a.grid != config.grid():
         raise ValueError(f"initial data on {a.grid}, but the config is for {config.grid()}")
+    step_number = config.dt * NodeValues(a).norm("u", np.inf, np.inf) * np.pi * config.N
     a_ref, a0, delta = _shrink_delta(a, config)
-    vref = reference_solve(a_ref, config)
-    known_F = vref.diagnostics.pop("F")
-    if float(np.abs(a0.coeffs).max()) == 0.0:
-        # no rough part: v = v_ref, whose F is already known
-        snaps = vref.snapshots
-        report = IterationReport(converged=True)
-    else:
-        known_F = ()  # F(v_ref + V) must be formed from the sum
-        V, report = picard_iterate(a0, vref, config)
-        if not report.converged:
-            raise SolverDivergenceError(
-                f"Picard iteration stopped at its cap of {config.max_picard} iterations: S-norm "
-                f"of the last difference {report.diff_S[-1]:.3e} >= tol {config.picard_tol:.3e}",
-                report=report,
-            )
-        snaps = [
-            SpectralField(r.coeffs + s.coeffs, a.grid) for r, s in zip(vref.snapshots, V.snapshots)
-        ]
+    try:
+        vref = reference_solve(a_ref, config)
+        known_F = vref.diagnostics.pop("F")
+        if float(np.abs(a0.coeffs).max()) == 0.0:
+            # no rough part: v = v_ref, whose F is already known
+            snaps = vref.snapshots
+            report = IterationReport(converged=True)
+        else:
+            known_F = ()  # F(v_ref + V) must be formed from the sum
+            V, report = picard_iterate(a0, vref, config)
+            if not report.converged:
+                raise SolverDivergenceError(
+                    f"Picard iteration stopped at its cap of {config.max_picard} iterations: "
+                    f"S-norm of the last difference {report.diff_S[-1]:.3e} >= tol "
+                    f"{config.picard_tol:.3e}",
+                    report=report,
+                )
+            snaps = [
+                SpectralField(r.coeffs + s.coeffs, a.grid)
+                for r, s in zip(vref.snapshots, V.snapshots)
+            ]
+    except SolverDivergenceError as exc:
+        raise SolverDivergenceError(
+            f"{exc} (step-size number dt*max|u|*k_max = {step_number:.3e})", report=exc.report
+        ) from exc
     traj = Trajectory(vref.times, snaps)
     norm_inf_p, t_sqrt_grad_norm = np.array(_node_norms(snaps, traj.times, config.p)).T
     traj.diagnostics = {
@@ -289,6 +300,7 @@ def full_solve(a: SpectralField, config: SolverConfig):
         "t_sqrt_grad_norm": t_sqrt_grad_norm,
         "residual": mild_residual(traj, known_F),
         "delta": delta,
+        "step_number": step_number,
         "picard": report,
     }
     return traj

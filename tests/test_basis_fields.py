@@ -10,8 +10,10 @@ import hydrostokes.basis
 from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import (
     NodeValues,
+    NonFiniteFieldError,
     PhysicalField,
     SpectralField,
+    column_norms,
     forward_transform,
     hermitian_part,
     horizontal_derivative,
@@ -369,16 +371,10 @@ def test_node_values_equal_separate_transforms(grid):
     # one irfft2 feeds u and dz: the same numbers as the separate transforms
     v = random_field(grid, ncomp=2, seed=21)
     nodes = NodeValues(v)
-    gradient = np.concatenate(
-        [
-            inverse_transform(horizontal_derivative(v, "x")).values,
-            inverse_transform(horizontal_derivative(v, "y")).values,
-            vertical_derivative(v).values,
-        ]
-    )
     assert np.array_equal(nodes.u, inverse_transform(v).values)
+    assert np.array_equal(nodes.dx, inverse_transform(horizontal_derivative(v, "x")).values)
+    assert np.array_equal(nodes.dy, inverse_transform(horizontal_derivative(v, "y")).values)
     assert np.array_equal(nodes.dz, vertical_derivative(v).values)
-    assert np.array_equal(nodes.grad, gradient)
 
 
 # -- vertical mean and integral -------------------------------------------
@@ -502,3 +498,52 @@ def test_holder_product_bound(seed):
     lhs = norm_anisotropic(prod, 1, 2)
     rhs = norm_anisotropic(f, 2, 4) * norm_anisotropic(g, 2, 4)
     assert lhs <= rhs * (1 + 1e-12)
+
+
+def _stacked_columns(arrays, grid, p):
+    """Column norms as a stacked formula: concatenate the components, sum
+    their squares along the stack, sqrt, then the weighted vertical sum."""
+    mag = np.sqrt(np.sum(np.concatenate(arrays, axis=0) ** 2, axis=0))
+    if p == np.inf:
+        return mag.max(axis=2)
+    return (np.sum(mag**p, axis=2) * (grid.h / grid.K)) ** (1.0 / p)
+
+
+def _stacked_mixed_norm(arrays, grid, q, p):
+    cols = _stacked_columns(arrays, grid, p)
+    return float(cols.max() if q == np.inf else (np.sum(cols**q) * (1.0 / grid.N**2)) ** (1.0 / q))
+
+
+@pytest.mark.parametrize("grid", [Grid(8, 8, 1.0), Grid(12, 5, 0.7)])
+@pytest.mark.parametrize("q", [np.inf, 2])
+@pytest.mark.parametrize("p", [4, np.inf])
+def test_mixed_norms_equal_stacked_formula(grid, q, p):
+    # the squares are summed one component at a time, in the stacking order:
+    # the same floating-point operations as the stacked formula
+    nodes = NodeValues(random_field(grid, ncomp=2, seed=5))
+    grad = [nodes.dx, nodes.dy, nodes.dz]
+    assert nodes.norm("u", q, p) == _stacked_mixed_norm([nodes.u], grid, q, p)
+    assert nodes.norm("grad", q, p) == _stacked_mixed_norm(grad, grid, q, p)
+    assert np.array_equal(column_norms(grad, grid, p), _stacked_columns(grad, grid, p))
+    assert norm_anisotropic(PhysicalField(nodes.u, grid), q, p) == _stacked_mixed_norm(
+        [nodes.u], grid, q, p
+    )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("p", [4, np.inf])
+def test_grad_norm_raises_on_one_non_finite_dz_node(grid8, bad, p):
+    nodes = NodeValues(random_field(grid8, ncomp=2, seed=5))
+    dz = nodes.dz.copy()
+    dz[1, 2, 3, 4] = bad
+    nodes.dz = dz
+    assert np.isfinite(nodes.norm("u", np.inf, p))
+    with pytest.raises(NonFiniteFieldError):
+        nodes.norm("grad", np.inf, p)
+
+
+def test_norm_raises_when_squares_overflow(grid8):
+    # finite node values whose squared magnitude is inf: a breakdown, not a norm
+    f = PhysicalField(np.full((2, 8, 8, 8), 1e200), grid8)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
+        norm_anisotropic(f, np.inf, np.inf)

@@ -474,3 +474,14 @@ def test_semigroup_cache_reuse(grid8):
     a = op.semigroup_apply(0.03, v)
     b = op.semigroup_apply(0.03, v)
     assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize(
+    "h,bound",
+    [(1.0, -np.pi**2 / 4), (1e-14, -4 * np.pi**2), (1e-16, -4 * np.pi**2), (1e-20, -4 * np.pi**2)],
+)
+def test_full_spectral_bound_down_to_tiny_depth(h, bound):
+    # M_z's zero eigenvalue (left null vector 1/lambda) is set exactly, so at a
+    # tiny depth the full bound is the first nonzero horizontal mode's,
+    # -|xi|^2 = -4 pi^2, however large the vertical eigenvalues
+    assert spectral_bound(Grid(8, 8, h), "full")[0] == pytest.approx(bound, rel=1e-12)

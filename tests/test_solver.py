@@ -6,10 +6,11 @@ import pytest
 import hydrostokes.fields
 import hydrostokes.solver
 from hydrostokes.basis import Grid
-from hydrostokes.fields import SpectralField
+from hydrostokes.fields import SpectralField, inverse_transform
 from hydrostokes.sampling import random_field, single_mode_field
 from hydrostokes.semigroup import StokesOperator
 from hydrostokes.solver import (
+    IterationReport,
     SolverConfig,
     SolverDivergenceError,
     Trajectory,
@@ -230,6 +231,32 @@ def test_full_solve_raises_when_picard_stops_at_its_cap(op16):
     report = err.value.report
     assert report.iterations == 1 and not report.converged
     assert report.diff_S[-1] >= cfg.picard_tol
+
+
+def test_full_solve_reports_step_size_number(op16):
+    cfg = SolverConfig(dt=0.005, T=0.02)
+    a = random_field(op16.grid, ncomp=2, seed=7, solenoidal=True, amplitude=0.01)
+    traj = full_solve(a, cfg)
+    max_u = np.sqrt(np.sum(inverse_transform(a).values ** 2, axis=0)).max()
+    assert traj.diagnostics["step_number"] == pytest.approx(cfg.dt * max_u * np.pi * 16, rel=1e-14)
+
+
+@pytest.mark.parametrize("stage", ["reference_solve", "picard_iterate"])
+def test_full_solve_divergence_names_step_size_number(op16, monkeypatch, stage):
+    # a blow-up of the reference solve or a diverging Picard iteration is
+    # passed on with the step-size number appended and the report kept
+    report = IterationReport()
+
+    def diverge(*args):
+        raise SolverDivergenceError("blew up", report=report)
+
+    monkeypatch.setattr(hydrostokes.solver, stage, diverge)
+    a = random_field(
+        op16.grid, ncomp=2, seed=8, solenoidal=True, amplitude=0.02, rough_amplitude=0.005
+    )
+    with pytest.raises(SolverDivergenceError, match=r"^blew up \(step-size number") as err:
+        full_solve(a, SolverConfig(dt=0.005, T=0.02))
+    assert err.value.report is report
 
 
 def test_full_solve_zero(op16):

@@ -19,7 +19,7 @@ import hydrostokes
 from hydrostokes.basis import Grid
 import hydrostokes.cli
 from hydrostokes.cli import main
-from hydrostokes.fields import PhysicalField, SpectralField, forward_transform
+from hydrostokes.fields import NodeValues, PhysicalField, SpectralField, forward_transform
 from hydrostokes.lab import ScanReport
 from hydrostokes.sampling import random_field
 from hydrostokes.workbench import (
@@ -342,6 +342,23 @@ def test_cli_norms_bad_coefficients_exit_2(tmp_path, capsys, defect):
     assert "error: snapshot:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modes,value", [("origin", 1e308), ("one", 1e200)])
+def test_cli_norms_overflowing_snapshot_exit_2(tmp_path, capsys, modes, value):
+    # finite coefficients whose node values (1e308 in every xi = 0 coefficient)
+    # or squared magnitude (1e200 at one mode) overflow: an error, not a norm
+    f = SpectralField.zeros(Grid(8, 4, 1.0))
+    if modes == "origin":
+        f.coeffs[:, 0, 0, :] = value
+    else:
+        f.coeffs[0, 0, 0, 0] = value
+    snap = str(tmp_path / "big.hstk")
+    write_snapshot(snap, f, 0.0)
+    assert run_cli(["norms", snap]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: snapshot:") and out.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--q", "abc"), ("--q", "0.5"), ("--p", "-1"), ("--p", "nan")]
 )
@@ -494,6 +511,19 @@ def test_cli_picard_cap_reached_exit_3(tmp_path, monkeypatch, capsys):
     assert run_cli(["simulate", "--config", cfg]) == 3
     assert "cap of 2 iterations" in capsys.readouterr().err
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_cli_picard_cap_names_step_size_number(tmp_path, monkeypatch, capsys):
+    # the exit-3 line carries dt * max|a| * k_max of the data, k_max = pi N
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, ROUGH_8 + "picard.max_iter = 2\n")
+    assert run_cli(["simulate", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    sc = solver_config(parse_config(cfg))
+    a = initial_data(parse_config(cfg), sc.grid())
+    number = sc.dt * NodeValues(a).norm("u", np.inf, np.inf) * np.pi * sc.N
+    assert err.startswith("error: solver:") and err.count("\n") == 1 and "cap of 2" in err
+    assert f"step-size number dt*max|u|*k_max = {number:.3e}" in err
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
