@@ -287,10 +287,12 @@ def column_norms(parts, grid: Grid, p) -> np.ndarray:
     ``parts`` lists node arrays whose components together make one field;
     their squares are summed one at a time, with no stacked copy.  Vertical
     integrals use the midpoint rule (weight h/K).  A NaN, inf or overflowing
-    square makes its column non-finite, which raises NonFiniteFieldError.
+    square or power makes its column non-finite, which raises
+    NonFiniteFieldError; the overflow itself is not also warned about.
     """
-    sq = sum(c**2 for a in parts for c in a)
-    cols = weighted_lp(np.sqrt(sq), p, grid.h / grid.K, axis=2)
+    with np.errstate(over="ignore"):
+        sq = sum(c**2 for a in parts for c in a)
+        cols = weighted_lp(np.sqrt(sq), p, grid.h / grid.K, axis=2)
     if not np.all(np.isfinite(cols)):
         raise NonFiniteFieldError("a node value or its square is non-finite")
     return cols

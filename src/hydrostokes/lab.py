@@ -146,40 +146,95 @@ def _boundary_flat_sample(grid: Grid, seed: int):
     return f, dzf
 
 
-def semigroup_decay_scan(
-    combo: str, t_grid, n_samples: int, p: float, grid: Grid, seed: int = 0
-) -> ScanReport:
-    """Weighted decay ratios for derivative/projection/semigroup compositions."""
-    if combo not in SEMIGROUP_COMBOS:
-        raise ValueError(f"unknown combo {combo!r}; choose from {SEMIGROUP_COMBOS}")
+def _projected_datum(grid: Grid, seed: int, p: float):
+    """Datum P f0 of grad_sg and grad_sg_proj, f0 = random_field(grid, seed).
+
+    random_field(solenoidal=True) draws the same f0 and rescales P f0.  Each
+    ratio is homogeneous of degree 0 in the field, so grad_sg's is that of
+    P f0 over ||P f0||, and one propagation serves both.
+    """
+    f = random_field(grid, seed=seed)
+    g = project_hydrostatic(f)
+    return g, {"grad_sg": mixed_norm(g, p), "grad_sg_proj": mixed_norm(f, p)}
+
+
+def _projected_lhs(t, v: SpectralField, p: float):
+    lhs = np.sqrt(t) * grad_mixed_norm(v, p)
+    return {"grad_sg": lhs, "grad_sg_proj": lhs}
+
+
+def _boundary_flat_datum(grid: Grid, seed: int, p: float):
+    """Datum P dz f of sg_proj_dz and grad_sg_proj_dz, f boundary-flat."""
+    f, dzf = _boundary_flat_sample(grid, seed)
+    fn = mixed_norm(f, p)
+    return project_hydrostatic(dzf), {"sg_proj_dz": fn, "grad_sg_proj_dz": fn}
+
+
+def _boundary_flat_lhs(t, v: SpectralField, p: float):
+    nodes = NodeValues(v)
+    return {
+        "sg_proj_dz": np.sqrt(t) * nodes.norm("u", np.inf, p),
+        "grad_sg_proj_dz": t * nodes.norm("grad", np.inf, p),
+    }
+
+
+# sample families: (combos sharing one datum,
+#   sample(grid, seed, p) -> (datum, {combo: ||f||}),
+#   lhs(t, e^{tA} datum, p) -> {combo: left-hand side})
+_FAMILIES = (
+    (("grad_sg", "grad_sg_proj"), _projected_datum, _projected_lhs),
+    (("sg_proj_dz", "grad_sg_proj_dz"), _boundary_flat_datum, _boundary_flat_lhs),
+)
+
+
+def _family_reports(combos, sample, lhs, t_grid, n_samples, p, grid: Grid, seed, beta):
+    """One ScanReport per combo of a family, one semigroup_apply per sample and t.
+
+    A sample's intermediate fields die when ``sample`` returns, its datum
+    before the next sample draws, and the family's fields with this call,
+    before the next family draws.
+    """
     op = grid.stokes
-    beta = spectral_bound(grid)[0]
-    ratios, params, skipped = [], [], 0
+    params = {c: [] for c in combos}
+    ratios = {c: [] for c in combos}
+    skipped = dict.fromkeys(combos, 0)
     for i in range(n_samples):
-        if combo == "grad_sg":
-            f = random_field(grid, seed=seed + i, solenoidal=True)
-            arg = f
-        elif combo == "grad_sg_proj":
-            f = random_field(grid, seed=seed + i)
-            arg = project_hydrostatic(f)
-        else:
-            f, dzf = _boundary_flat_sample(grid, seed + i)
-            arg = project_hydrostatic(dzf)
-        fn = mixed_norm(f, p)
-        if fn < DENOM_FLOOR:
-            skipped += 1
-            continue
-        for t in np.asarray(t_grid, dtype=float):
-            vt = op.semigroup_apply(t, arg)
-            if combo in ("grad_sg", "grad_sg_proj"):
-                lhs = np.sqrt(t) * grad_mixed_norm(vt, p)
-            elif combo == "sg_proj_dz":
-                lhs = np.sqrt(t) * mixed_norm(vt, p)
+        datum, denoms = sample(grid, seed + i, p)
+        live = []
+        for c in combos:
+            if denoms[c] < DENOM_FLOOR:
+                skipped[c] += 1
             else:
-                lhs = t * grad_mixed_norm(vt, p)
-            ratios.append(lhs / (np.exp(beta * t) * fn))
-            params.append((i, t))
-    return ScanReport(combo, params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)
+                live.append(c)
+        if not live:
+            continue
+        for t in t_grid:
+            vals = lhs(t, op.semigroup_apply(t, datum), p)
+            weight = np.exp(beta * t)
+            for c in live:
+                ratios[c].append(vals[c] / (weight * denoms[c]))
+                params[c].append((i, t))
+        del datum  # before the next sample draws
+    return {
+        c: ScanReport(c, params[c], ratios[c], resolutions=(grid.N, grid.K), skipped=skipped[c])
+        for c in combos
+    }
+
+
+def semigroup_decay_scan(t_grid, n_samples: int, p: float, grid: Grid, seed: int = 0) -> dict:
+    """Weighted decay ratios of every derivative/projection/semigroup combo.
+
+    Returns {combo: ScanReport} in SEMIGROUP_COMBOS order.  Combos that
+    propagate the same datum share one semigroup sweep per sample: the
+    projected family (grad_sg, grad_sg_proj) and the boundary-flat family
+    (sg_proj_dz, grad_sg_proj_dz).
+    """
+    beta = spectral_bound(grid)[0]
+    t_grid = np.asarray(t_grid, dtype=float)
+    reports = {}  # _FAMILIES lists the combos in SEMIGROUP_COMBOS order
+    for combos, sample, lhs in _FAMILIES:
+        reports.update(_family_reports(combos, sample, lhs, t_grid, n_samples, p, grid, seed, beta))
+    return reports
 
 
 def smoothing_trend(grid: Grid, p: float, seed: int = 0):
@@ -213,7 +268,9 @@ def resolvent_scan(
     Only the real part Re (lambda - A)^{-1} f enters the left-hand side, and
     |Re v| <= |v| pointwise, so for complex lambda the ratios can understate
     the sectorial bound.  A is real, so that real part is
-    ((lambda - A)^{-1} + (conj lambda - A)^{-1}) f / 2.
+    ((lambda - A)^{-1} + (conj lambda - A)^{-1}) f / 2, and it is the same
+    for lambda and conj lambda: the ratio at -psi is the one at +psi, so each
+    conjugate pair is solved once and its ratio written in both rows.
     """
     op = grid.stokes
     psis = np.array([0.0, 0.5, 0.9]) * theta
@@ -227,13 +284,14 @@ def resolvent_scan(
             continue
         datum = horizontal_derivative(f, "x") if derivative_datum else f
         for mod in lam_moduli:
-            for psi in psis:
+            ratio_at = {}  # psi >= 0 -> ratio, None within reach of the spectrum
+            for psi in psis[psis >= 0]:
                 lam = mod * np.exp(1j * psi)
                 try:
                     v = op.resolvent_apply(lam, datum)
                     vbar = v if psi == 0 else op.resolvent_apply(np.conj(lam), datum)
                 except SingularityError:
-                    skipped += 1
+                    ratio_at[psi] = None
                     continue
                 nodes = NodeValues(SpectralField(0.5 * (v.coeffs + vbar.coeffs), grid))
                 un = nodes.norm("u", q, p)
@@ -241,7 +299,13 @@ def resolvent_scan(
                     lhs = np.sqrt(abs(lam)) * un
                 else:
                     lhs = abs(lam) * un + np.sqrt(abs(lam)) * nodes.norm("grad", q, p)
-                ratios.append(lhs / fn)
+                ratio_at[psi] = lhs / fn
+            for psi in psis:
+                ratio = ratio_at[abs(psi)]
+                if ratio is None:
+                    skipped += 1
+                    continue
+                ratios.append(ratio)
                 params.append((i, mod, psi))
     name = "resolvent_dz" if derivative_datum else "resolvent"
     return ScanReport(name, params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)
@@ -448,10 +512,12 @@ def recursion_bound_check(a0: float, c1: float, c2: float):
 # -- stability helper ------------------------------------------------------
 
 
-def resolution_stability(scan_at_grid, grid: Grid):
-    """Run a grid-parametrized scan at (N,K) and (2N,2K); compare sups."""
-    base = scan_at_grid(grid)
-    fine = scan_at_grid(grid.doubled)
+def resolution_stability(base: ScanReport, fine: ScanReport):
+    """Compare the sups of one scan at (N,K) and at (2N,2K).
+
+    Marks ``base`` stable when its sup ratio moved by at most
+    STABILITY_REL_TOL, notes the drift, and returns (base, fine).
+    """
     drift = abs(fine.sup_ratio - base.sup_ratio) / max(base.sup_ratio, DENOM_FLOOR)
     base.stable = drift <= STABILITY_REL_TOL
     base.notes = (base.notes + f" drift={drift:.3f} vs ({fine.resolutions})").strip()

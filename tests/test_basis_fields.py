@@ -545,5 +545,12 @@ def test_grad_norm_raises_on_one_non_finite_dz_node(grid8, bad, p):
 def test_norm_raises_when_squares_overflow(grid8):
     # finite node values whose squared magnitude is inf: a breakdown, not a norm
     f = PhysicalField(np.full((2, 8, 8, 8), 1e200), grid8)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteFieldError):
+    with pytest.raises(NonFiniteFieldError):
         norm_anisotropic(f, np.inf, np.inf)
+
+
+def test_norm_raises_when_column_powers_overflow(grid8):
+    # finite squares whose p-th powers overflow: raised, with no numpy warning
+    f = PhysicalField(np.full((2, 8, 8, 8), 1e100), grid8)
+    with pytest.raises(NonFiniteFieldError):
+        norm_anisotropic(f, np.inf, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hydrostokes.basis import Grid
+from hydrostokes.fields import NodeValues, SpectralField
 from hydrostokes.lab import (
     SEMIGROUP_COMBOS,
     ScanReport,
@@ -20,6 +21,7 @@ from hydrostokes.lab import (
     smoothing_trend,
     young_anisotropic_test,
 )
+from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
 
 
@@ -89,8 +91,9 @@ def test_scan_report_rows():
 
 def test_semigroup_decay_scan_finite(grid8):
     t_grid = np.geomspace(1e-2, 1.0, 5)
+    reports = semigroup_decay_scan(t_grid, 3, 4.0, grid8, seed=0)
     for combo in SEMIGROUP_COMBOS:
-        rep = semigroup_decay_scan(combo, t_grid, 3, 4.0, grid8, seed=0)
+        rep = reports[combo]
         assert np.isfinite(rep.sup_ratio)
         assert rep.sup_ratio > 0
 
@@ -106,7 +109,7 @@ def test_decay_scan_builds_one_operator_per_grid(monkeypatch):
 
     monkeypatch.setattr(StokesOperator, "__init__", counted)
     grid = Grid(8, 4, 1.0)
-    semigroup_decay_scan("grad_sg", np.array([0.1]), 1, 4.0, grid)
+    semigroup_decay_scan(np.array([0.1]), 1, 4.0, grid)
     assert builds == [grid]
     assert grid.stokes is grid.stokes
 
@@ -122,16 +125,36 @@ def test_resolution_studies_share_one_doubled_grid(monkeypatch):
 
     monkeypatch.setattr(StokesOperator, "__init__", counted)
     grid = Grid(8, 4, 1.0)
+    base = semigroup_decay_scan(np.array([0.1]), 1, 4.0, grid)
+    fine = semigroup_decay_scan(np.array([0.1]), 1, 4.0, grid.doubled)
     for combo in SEMIGROUP_COMBOS:
-        resolution_stability(
-            lambda g, c=combo: semigroup_decay_scan(c, np.array([0.1]), 1, 4.0, g), grid
-        )
+        resolution_stability(base[combo], fine[combo])
     assert builds == [grid, grid.doubled]
 
 
-def test_semigroup_decay_unknown_combo(grid8):
-    with pytest.raises(ValueError):
-        semigroup_decay_scan("nонsense", np.array([0.1]), 1, 4.0, grid8)
+def test_semigroup_decay_scan_keys_follow_combos(grid8):
+    reports = semigroup_decay_scan(np.array([0.1]), 1, 4.0, grid8)
+    assert list(reports) == list(SEMIGROUP_COMBOS)
+    assert [rep.estimate for rep in reports.values()] == list(SEMIGROUP_COMBOS)
+
+
+def test_semigroup_decay_scan_one_apply_per_family_sample_and_time(monkeypatch):
+    # the four combos share two data: one semigroup sweep per sample family
+    times = []
+    apply = StokesOperator.semigroup_apply
+
+    def counted(self, t, v):
+        times.append(t)
+        return apply(self, t, v)
+
+    monkeypatch.setattr(StokesOperator, "semigroup_apply", counted)
+    t_grid = np.geomspace(1e-2, 1.0, 3)
+    grid = Grid(8, 4, 1.0)
+    for g in (grid, grid.doubled):
+        times.clear()
+        reports = semigroup_decay_scan(t_grid, 2, 4.0, g)
+        assert len(times) == 2 * 2 * len(t_grid)
+        assert all(len(rep.ratios) == 2 * len(t_grid) for rep in reports.values())
 
 
 def test_smoothing_trend_decreasing(grid8):
@@ -143,9 +166,9 @@ def test_smoothing_trend_decreasing(grid8):
 
 def test_decay_scan_resolution_stability(grid8):
     t_grid = np.geomspace(1e-2, 1.0, 4)
-    rep, _ = resolution_stability(
-        lambda g: semigroup_decay_scan("grad_sg", t_grid, 3, 4.0, g, seed=0), grid8
-    )
+    base = semigroup_decay_scan(t_grid, 3, 4.0, grid8, seed=0)
+    fine = semigroup_decay_scan(t_grid, 3, 4.0, grid8.doubled, seed=0)
+    rep, _ = resolution_stability(base["grad_sg"], fine["grad_sg"])
     assert rep.stable
 
 
@@ -164,6 +187,37 @@ def test_resolvent_scan_derivative_datum(grid8):
         derivative_datum=True,
     )
     assert np.isfinite(rep.sup_ratio)
+
+
+def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
+    # psi in {0, +-0.45 theta, +-0.81 theta}: psi = 0 takes one solve, each
+    # conjugate pair two, and -psi repeats the ratio of +psi
+    solves = []
+    apply = StokesOperator.resolvent_apply
+
+    def counted(self, lam, f):
+        solves.append(lam)
+        return apply(self, lam, f)
+
+    monkeypatch.setattr(StokesOperator, "resolvent_apply", counted)
+    theta, moduli = 0.9 * np.pi, np.geomspace(0.1, 10, 3)
+    rep = resolvent_scan(theta, moduli, 2, np.inf, 4.0, grid8, seed=0)
+    assert len(solves) == 5 * 2 * len(moduli)
+    assert len(rep.ratios) == 5 * 2 * len(moduli)
+    ratio = dict(zip(rep.params, rep.ratios))
+    for (i, mod, psi), r in ratio.items():
+        assert r == ratio[(i, mod, -psi)]
+    # the mirrored row equals the ratio solved at -psi itself
+    monkeypatch.setattr(StokesOperator, "resolvent_apply", apply)
+    f = random_field(grid8, seed=0, solenoidal=True)
+    mod, psi = moduli[1], -0.9 * theta
+    lam = mod * np.exp(1j * psi)
+    v, vbar = (grid8.stokes.resolvent_apply(z, f) for z in (lam, np.conj(lam)))
+    nodes = NodeValues(SpectralField(0.5 * (v.coeffs + vbar.coeffs), grid8))
+    lhs = abs(lam) * nodes.norm("u", np.inf, 4.0) + np.sqrt(abs(lam)) * nodes.norm(
+        "grad", np.inf, 4.0
+    )
+    assert ratio[(0, mod, psi)] == lhs / NodeValues(f).norm("u", np.inf, 4.0)
 
 
 def test_multiplier_scan_finite():

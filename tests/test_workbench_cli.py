@@ -20,7 +20,7 @@ from hydrostokes.basis import Grid
 import hydrostokes.cli
 from hydrostokes.cli import main
 from hydrostokes.fields import NodeValues, PhysicalField, SpectralField, forward_transform
-from hydrostokes.lab import ScanReport
+from hydrostokes.lab import SEMIGROUP_COMBOS, ScanReport
 from hydrostokes.sampling import random_field
 from hydrostokes.workbench import (
     CONFIG_KEYS,
@@ -595,6 +595,8 @@ def test_cli_verify_all_reports_each_suite_from_its_own_result(tmp_path, monkeyp
     def stub(name, sup):
         def scan(*args, **kwargs):
             called.add(name)
+            if name == "semigroup_decay_scan":  # one report per combo
+                return {c: ScanReport(c, [0], [sup]) for c in SEMIGROUP_COMBOS}
             return ScanReport(name, [0], [sup])
 
         return scan
@@ -629,6 +631,7 @@ def test_cli_verify_all_reports_each_suite_from_its_own_result(tmp_path, monkeyp
     ]
     # the suites look each scan up in cli at call time, so every stub ran
     assert called == set(scans) | {"resolution_stability"}
+    assert all(os.path.exists(f"semigroup_{combo}.csv") for combo in SEMIGROUP_COMBOS)
 
 
 def test_cli_verify_unknown_suite():
