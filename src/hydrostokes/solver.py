@@ -3,13 +3,16 @@
 Rough initial data a is split as a = a_ref + a_0 with a_ref = e^{delta A} a
 smooth and a_0 small.  The reference part is advanced by an exponential-Euler
 integrator; the remainder V = v - v_ref is constructed by Picard iteration on
-the Duhamel integral with the coupling nonlinearity, monitored in the
-S(T)-norm max(sup ||V||, sup t^{1/2} ||grad V||) with mixed L^inf_H L^p_z
-norms.  Every nonlinear term is dealiased (2/3 rule) and every forcing and
-reference step is re-projected.  :class:`SolverConfig` is the one source of
-parameters: the grid, the uniform time grid (dt, T) and the split and Picard
-settings.  Each function takes the Stokes operator from the grid of the
-field it is given (``Grid.stokes``).
+the Duhamel integral with the coupling nonlinearity, starting from
+e^{tA} a_0 and applying only the one-step exponential e^{dt A}.  The
+iteration is monitored through the S(T)-norm
+max(sup ||D||, sup t^{1/2} ||grad D||) of each difference D = V_{m+1} - V_m,
+with mixed L^inf_H L^p_z norms; :class:`IterationReport` keeps those norms
+and nothing else.  Every nonlinear term is dealiased (2/3 rule) and every
+forcing and reference step is re-projected.  :class:`SolverConfig` is the
+one source of parameters: the grid, the uniform time grid (dt, T) and the
+split and Picard settings.  Each function takes the Stokes operator from the
+grid of the field it is given (``Grid.stokes``).
 """
 
 from dataclasses import dataclass, field
@@ -61,8 +64,8 @@ class SolverConfig:
         if round(steps) > MAX_TIME_STEPS:
             raise ValueError(f"T/dt = {round(steps)} steps exceeds the limit of {MAX_TIME_STEPS}")
         # comparisons written so that NaN fails them
-        if not self.delta >= 0:
-            raise ValueError(f"smoothing time must be >= 0, got {self.delta}")
+        if not 0 <= self.delta < np.inf:
+            raise ValueError(f"smoothing time must be finite and >= 0, got {self.delta}")
         if self.eps0 is not None and not self.eps0 >= 0:
             raise ValueError(f"rough-part threshold must be >= 0, got {self.eps0}")
         if self.max_picard < 1:
@@ -89,13 +92,24 @@ class Trajectory:
 
 @dataclass
 class IterationReport:
-    """Per-Picard-iteration S(T)-norm bookkeeping."""
+    """The S(T)-norm ||V_{m+1} - V_m||_{S(T)} of each Picard difference, in order.
 
-    S_m: list = field(default_factory=list)  # scalars, S(T)-norm per iterate
-    diff_S: list = field(default_factory=list)  # ||V_{m+1} - V_m||_{S(T)}
-    ratios: list = field(default_factory=list)  # contraction factors, m >= 1
+    The iteration count and the contraction ratios are read off ``diff_S``:
+    a report with no differences (the smooth branch of :func:`full_solve`)
+    has made 0 iterations.
+    """
+
+    diff_S: list = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.diff_S)
+
+    @property
+    def ratios(self) -> list:
+        """Contraction factors diff_S[m+1] / diff_S[m], skipping a zero denominator."""
+        return [b / a for a, b in zip(self.diff_S, self.diff_S[1:]) if a > 0]
 
 
 def mixed_norm(v: SpectralField, p: float) -> float:
@@ -177,8 +191,8 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     times = dt * np.arange(nsteps + 1)
     v = a_ref.copy()
     snaps = [v.copy()]
-    energy = [v.norm2()]
-    guard = max(energy[0], 1e-300) * 1e6
+    e0 = v.norm2()
+    guard = max(e0, 1e-300) * 1e6
     F_list = []
     for _ in range(nsteps):
         F = _forcing(advection(v))
@@ -188,11 +202,10 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
         e = v.norm2()
         if not np.isfinite(e) or e > guard:
             raise SolverDivergenceError(
-                f"reference solve blew up: ||v|| = {e:.3e} vs initial {energy[0]:.3e}"
+                f"reference solve blew up: ||v|| = {e:.3e} vs initial {e0:.3e}"
             )
         snaps.append(v.copy())
-        energy.append(e)
-    return Trajectory(times, snaps, {"energy": np.array(energy), "F": F_list})
+    return Trajectory(times, snaps, {"F": F_list})
 
 
 def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig):
@@ -201,32 +214,27 @@ def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig):
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
     F_m = -P( (U_m.grad)V_m + (U_m.grad)v_ref + (u_ref.grad)V_m ),
     the integral by trapezoidal quadrature on the time grid ``v_ref.times``,
-    which must be uniform.  Per iteration each node costs one
-    :func:`coupled_advection` call and one semigroup apply (the recurrence
-    in :func:`_duhamel`); v_ref's node values are rebuilt every iteration
-    rather than held, which keeps peak memory flat.  Stopping at
-    ``config.max_picard`` returns the report with ``converged`` False;
-    :func:`full_solve` treats that as a failure.
+    which must be uniform.  The first iterate e^{t_n A} a_0 is the same
+    recurrence with zero forcing, so the whole iteration applies only
+    e^{dt A}.  Per iteration each node costs one :func:`coupled_advection`
+    call and one semigroup apply (the recurrence in :func:`_duhamel`), and
+    the iteration takes one S(T)-norm, that of V_{m+1} - V_m; v_ref's node
+    values are rebuilt every iteration rather than held, which keeps peak
+    memory flat.  Stopping at ``config.max_picard`` returns the report with
+    ``converged`` False; :func:`full_solve` treats that as a failure.
     """
     times = v_ref.times
-    p = config.p
+    V = list(_duhamel(a0, [SpectralField.zeros(a0.grid)] * len(times), times))
+    report = IterationReport()
 
-    V = [a0.grid.stokes.semigroup_apply(t, a0) for t in times]
-
-    report = IterationReport(S_m=[_s_norm(V, times, p)])
-
-    for m in range(config.max_picard):
+    for _ in range(config.max_picard):
         F = [_forcing(coupled_advection(v, r)) for v, r in zip(V, v_ref.snapshots)]
         Vnew = list(_duhamel(a0, F, times))
 
         diff = [SpectralField(a.coeffs - b.coeffs, a0.grid) for a, b in zip(Vnew, V)]
-        dS = _s_norm(diff, times, p)
+        dS = _s_norm(diff, times, config.p)
         report.diff_S.append(dS)
-        if len(report.diff_S) >= 2 and report.diff_S[-2] > 0:
-            report.ratios.append(dS / report.diff_S[-2])
         V = Vnew
-        report.S_m.append(_s_norm(V, times, p))
-        report.iterations = m + 1
         if dS < config.picard_tol:
             report.converged = True
             break

@@ -55,6 +55,7 @@ def op16():
         dict(max_picard=0),
         dict(max_picard=-3),
         dict(dt=1.0, T=1e300),
+        dict(delta=np.inf),  # e^{-inf |xi|^2} at xi = 0 would be NaN
     ],
 )
 def test_config_validation(bad):
@@ -177,19 +178,30 @@ def test_picard_contraction_small_data(op16):
     assert all(r <= 0.5 for r in report.ratios[1:])
 
 
-def test_picard_rejects_non_uniform_reference(op16):
+def test_picard_rejects_non_uniform_reference(op16, monkeypatch):
     # the Duhamel recurrence assumes one step size; a non-uniform grid must
     # raise rather than give silently wrong sums
     cfg = SolverConfig(dt=0.01, T=0.05)
     a0 = random_field(op16.grid, ncomp=2, seed=12, solenoidal=True, amplitude=0.01)
     vref = _zero_traj(op16, [0.0, 0.01, 0.02, 0.035, 0.05])
+    advected = []
+    coupled = hydrostokes.solver.coupled_advection
+
+    def counted(v, r):
+        advected.append(v)
+        return coupled(v, r)
+
+    monkeypatch.setattr(hydrostokes.solver, "coupled_advection", counted)
     with pytest.raises(ValueError, match="uniformly spaced"):
         picard_iterate(a0, vref, cfg)
+    # the first iterate is already a Duhamel recurrence: the check fires
+    # before any product is formed
+    assert advected == []
 
 
 def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
-    # one apply per node for the free part, one per node per iteration: the
-    # old from-scratch Duhamel sums made O(n^2) applies per iteration
+    # one e^{dt A} apply per step, for the free part and for each iteration:
+    # from-scratch Duhamel sums would make O(n^2) applies per iteration
     op = StokesOperator(Grid(8, 8, 1.0))
     calls = []
     apply = StokesOperator.semigroup_apply
@@ -206,7 +218,38 @@ def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
     _, report = picard_iterate(a0, vref, cfg)
     m = report.iterations
     assert m == 3
-    assert len(calls) <= (m + 2) * n
+    assert len(calls) == (m + 1) * (n - 1)
+    # the whole iteration asks the operator for one exponential, e^{dt A}
+    assert set(calls) == {cfg.dt}
+
+
+def test_picard_takes_one_s_norm_per_iteration(monkeypatch):
+    # the S(T)-norm of each difference, and of nothing else
+    op = StokesOperator(Grid(8, 8, 1.0))
+    calls = []
+    s_norm = hydrostokes.solver._s_norm
+
+    def counted(v_list, times, p):
+        calls.append(len(v_list))
+        return s_norm(v_list, times, p)
+
+    monkeypatch.setattr(hydrostokes.solver, "_s_norm", counted)
+    n = 6
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=3, picard_tol=0.0)
+    a0 = random_field(op.grid, ncomp=2, seed=13, solenoidal=True, amplitude=0.01)
+    vref = Trajectory(np.arange(n) * 0.01, [SpectralField.zeros(op.grid)] * n)
+    _, report = picard_iterate(a0, vref, cfg)
+    assert report.iterations == 3
+    assert calls == [n] * report.iterations
+
+
+def test_iteration_report_derives_count_and_ratios():
+    report = IterationReport(diff_S=[1.0, 0.5, 0.0, 0.0])
+    assert report.iterations == 4
+    # a zero difference is no denominator: 0.0 / 0.0 is skipped
+    assert report.ratios == [0.5, 0.0]
+    smooth = IterationReport(converged=True)
+    assert smooth.iterations == 0 and smooth.ratios == []
 
 
 def test_picard_divergence_raises(op16):

@@ -526,6 +526,16 @@ def test_cli_picard_cap_names_step_size_number(tmp_path, monkeypatch, capsys):
     assert f"step-size number dt*max|u|*k_max = {number:.3e}" in err
 
 
+def test_cli_infinite_smoothing_time_exit_2(tmp_path, monkeypatch, capsys):
+    # e^{-inf |xi|^2} at xi = 0 is NaN: refused as a config error before the split
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, ROUGH_8 + "split.delta = inf\n")
+    assert run_cli(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "smoothing time" in err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_cli_picard_cap_below_one_exit_2(tmp_path, monkeypatch, capsys, cap):
     monkeypatch.chdir(tmp_path)
