@@ -62,10 +62,6 @@ class ScanReport:
         if len(self.ratios):
             self.sup_ratio = float(self.ratios.max())
 
-    def rows(self):
-        for par, r in zip(self.params, self.ratios):
-            yield {"estimate": self.estimate, "params": par, "ratio": r}
-
 
 # -- kernel identity -------------------------------------------------------
 

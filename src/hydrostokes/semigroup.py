@@ -1,17 +1,16 @@
 """Per-mode hydrostatic Stokes operator, its semigroup and resolvent.
 
-For each horizontal wavenumber xi the operator acts on the K sine
-coefficients of the xi-parallel and xi-perpendicular velocity components,
-c_par = x c_0 + y c_1 and c_perp = x c_1 - y c_0 with xi/|xi| = (x, y).
-The perpendicular part is diagonal, -(|xi|^2 + lambda_k^2).  The parallel
-part additionally carries the rank-one bottom-shear coupling b lambda^T,
+For each horizontal wavenumber xi the operator is the Laplacian,
+-(|xi|^2 + lambda_k^2) on every component, plus the bottom-shear coupling
+b lambda^T on the xi-parallel component c_par = xi_hat . c alone, where
+b_k = betas_t_k / h truncates (1/h)(1-Q) dz v at z = -h.  With
+M_z = diag(-lambda^2) + b lambda^T, every function f of A is therefore
 
-    b_k = betas_t_k / h,
+    f(A) v = f(Delta) v + xi_hat (x) [f(M_z - |xi|^2) - f(-lambda^2 - |xi|^2)] c_par,
 
-the truncated form of (1/h)(1-Q) dz v at z = -h, applied as the rank-one
-update b (lambda . c_par).  Since it is independent of xi and the diagonal
-shift is a multiple of the identity, a single K x K matrix exponential of
-M_z = diag(-lambda^2) + b lambda^T serves all wavenumbers at a given time,
+the one assembly (``_per_mode``) of A, e^{tA}, phi1 and the resolvent; at
+xi = 0, xi_hat = 0 leaves the vertical heat block.  M_z does not depend on
+xi, so one K x K exponential e^{t M_z} serves all wavenumbers at time t,
 scaled by exp(-t |xi|^2).
 
 1/lambda is a left null vector of M_z, so M_z maps into the solenoidal space
@@ -21,16 +20,12 @@ the spectrum of M_z with one zero eigenvalue removed (Golub, SIAM Rev. 1973).
 
 Because M_z is diagonal plus rank one, the shifted system (mu - M_z) x = y
 has the Sherman-Morrison solution, evaluated for all modes at once.  The
-resolvent is that solve at mu = lambda + |xi|^2, and phi1 follows from the
-identity t phi1(t B) = B^{-1}(e^{t B} - I) with B = M_z - |xi|^2, which needs
-only the same exponential block as the semigroup.  There is one operator per
-grid, ``Grid.stokes``, shared with its exponential memo by every caller.
-
-Every function of A is applied through ``_per_mode``: the parallel block's
-action, and one diagonal multiplier for the perpendicular part whose xi = 0
-entry also acts on both origin components (the vertical heat block).
-eigenvalue_report builds the spectrum of every mode at once, by broadcasting
-the block eigenvalues against |xi|^2.
+resolvent's correction is its rank-one term at mu = lambda + |xi|^2, and
+phi1 follows from the identity t phi1(t B) = B^{-1}(e^{t B} - I) with
+B = M_z - |xi|^2, which needs only the same exponential block as the
+semigroup.  There is one operator per grid, ``Grid.stokes``, shared with its
+exponential memo by every caller.  eigenvalue_report builds the spectrum of
+every mode at once, by broadcasting the block eigenvalues against |xi|^2.
 """
 
 import threading
@@ -95,52 +90,46 @@ class StokesOperator:
     # -- per-mode structure -------------------------------------------------
 
     def _split(self, v: SpectralField):
-        """c_par and c_perp of a two-component field, per mode."""
+        """c_par = xi_hat . c of a two-component field, per mode."""
         if v.ncomp != 2:
             raise ValueError(f"the Stokes operator acts on ncomp=2 fields, got {v.ncomp}")
-        c = v.coeffs
         x, y = self.xi_hat[:, :, :, None]
-        return x * c[0] + y * c[1], x * c[1] - y * c[0]
+        return x * v.coeffs[0] + y * v.coeffs[1]
 
-    def _per_mode(self, v: SpectralField, par, diag) -> SpectralField:
-        """The field with parallel part par(c_par) and perpendicular part diag * c_perp.
+    def _per_mode(self, v: SpectralField, corr, diag) -> SpectralField:
+        """f(A) v = diag * v + xi_hat (x) corr(c_par), mode by mode.
 
-        diag has shape (N, N/2+1, K); at xi = 0 the operator is the vertical
-        heat block, so both origin components are multiplied by diag[0, 0].
+        diag (N, N/2+1, K) is f(-|xi|^2 - lambda^2) and corr(c_par) the
+        parallel block's departure from it; xi_hat = 0 at xi = 0, so there
+        corr is discarded, but must be finite.
         """
-        out_par, out_perp = self._split(v)
-        out_par, out_perp = par(out_par), diag * out_perp  # rebound: frees the inputs
-        x, y = self.xi_hat[:, :, :, None]
-        out = np.stack([x * out_par - y * out_perp, y * out_par + x * out_perp])
-        out[:, 0, 0, :] = diag[0, 0] * v.coeffs[:, 0, 0, :]
+        c = corr(self._split(v))  # c_par is freed before the output exists
+        out = diag * v.coeffs
+        for out_k, xi_k in zip(out, self.xi_hat):
+            out_k += xi_k[:, :, None] * c
         return SpectralField(out, v.grid)
 
     # -- operator ----------------------------------------------------------
 
     def apply_A(self, v: SpectralField) -> SpectralField:
-        """Delta v plus the bottom-shear coupling on the parallel part."""
-        cpar, _ = self._split(v)
-        out = -(self.xi2[None, :, :, None] + self.lam2) * v.coeffs
-        bpar = (cpar @ self.basis.lambdas)[:, :, None] * self.b
-        out += self.xi_hat[:, :, :, None] * bpar
-        return SpectralField(out, v.grid)
+        """Delta v plus the bottom-shear coupling b (lambda . c_par) on the parallel part."""
+        corr = lambda cpar: (cpar @ self.basis.lambdas)[:, :, None] * self.b
+        return self._per_mode(v, corr, -(self.xi2[:, :, None] + self.lam2))
 
     def _exp_block(self, t: float) -> np.ndarray:
-        return self.cache.get_or_compute(("exp", t), lambda: expm(t * self.Mz))
+        return self.cache.get_or_compute(t, lambda: expm(t * self.Mz))
 
-    def _solve_parallel(self, mu, y):
-        """(mu - M_z)^{-1} y per mode by Sherman-Morrison; mu is (N, N/2+1), y (N, N/2+1, K).
+    def _rank_one(self, d, y):
+        """(mu - M_z)^{-1} y - y / d per mode, d = mu + lambda^2; d and y are (N, N/2+1, K).
 
-        With d = mu + lambda^2, mu - M_z = diag(d) - b lambda^T.  The caller
-        keeps mu off the spectrum; the origin is assembled separately.  The
-        relative round-off grows like eps / min|d|, so mu within 1e-8 of some
-        -lambda_k^2 (a perpendicular eigenvalue) costs about 8 digits here.
+        mu - M_z = diag(d) - b lambda^T, and this is the Sherman-Morrison
+        rank-one term of its inverse.  The caller keeps mu off the spectrum.
+        The relative round-off grows like eps / min|d|, so mu within 1e-8 of
+        some -lambda_k^2 (a heat eigenvalue) costs about 8 digits.
         """
         lam = self.basis.lambdas
-        d = mu[:, :, None] + self.lam2
-        yd = y / d
         bd = self.b / d
-        return yd + bd * ((yd @ lam) / (1.0 - bd @ lam))[:, :, None]
+        return bd * (((y / d) @ lam) / (1.0 - bd @ lam))[:, :, None]
 
     def semigroup_apply(self, t: float, v: SpectralField) -> SpectralField:
         """e^{tA} v via per-mode exponentials."""
@@ -150,26 +139,31 @@ class StokesOperator:
             self._split(v)  # the same ncomp check as every other time
             return v.copy()
         decay_h = np.exp(-t * self.xi2)[:, :, None]
-        par = lambda cpar: decay_h * (cpar @ self._exp_block(t).T)
-        return self._per_mode(v, par, decay_h * np.exp(-t * self.lam2))
+        decay_z = np.exp(-t * self.lam2)
+        excess = (self._exp_block(t) - np.diag(decay_z)).T
+        corr = lambda cpar: decay_h * (cpar @ excess)
+        return self._per_mode(v, corr, decay_h * decay_z)
 
     def phi1_apply(self, t: float, g: SpectralField) -> SpectralField:
         """phi1(tA) g = (tA)^{-1}(e^{tA} - I) g, exponential-Euler weight."""
         if t <= 0:
             raise ValueError(f"phi1 time must be > 0, got {t}")
         decay_h = np.exp(-t * self.xi2)[:, :, None]
+        a = -t * (self.xi2[:, :, None] + self.lam2)
+        diag = np.expm1(a) / a
         # at s = 0 the block is singular (M_z has a zero eigenvalue); the
-        # origin is the heat block, so it gets a dummy unit shift
+        # origin's correction is discarded, but must stay finite, so it gets
+        # a dummy unit shift
         shift = self.xi2.copy()
         shift[0, 0] = 1.0
+        d = shift[:, :, None] + self.lam2
 
-        def par(cpar):
+        def corr(cpar):
             # with B = M_z - s, t phi1(tB) y = (s - M_z)^{-1}(y - e^{-ts} e^{t M_z} y)
             rhs = cpar - decay_h * (cpar @ self._exp_block(t).T)
-            return self._solve_parallel(shift, rhs) / t
+            return (rhs / d + self._rank_one(d, rhs)) / t - diag * cpar
 
-        a = -t * (self.xi2[:, :, None] + self.lam2)
-        return self._per_mode(g, par, np.expm1(a) / a)
+        return self._per_mode(g, corr, diag)
 
     def resolvent_apply(self, lam: complex, f: SpectralField) -> SpectralField:
         """(lam - A)^{-1} f, closed-form on every mode block.
@@ -178,8 +172,8 @@ class StokesOperator:
         A is real, so its real part is the mean of this and conj lam's.
         """
         self._check_not_spectrum(lam)
-        par = lambda cpar: self._solve_parallel(lam + self.xi2, cpar)
-        return self._per_mode(f, par, 1.0 / (lam + self.xi2[:, :, None] + self.lam2))
+        d = lam + self.xi2[:, :, None] + self.lam2
+        return self._per_mode(f, lambda cpar: self._rank_one(d, cpar), 1.0 / d)
 
     def _check_not_spectrum(self, lam: complex):
         shifts = self.s_values[:, None]

@@ -190,7 +190,7 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     nsteps = int(round(config.T / dt))
     times = dt * np.arange(nsteps + 1)
     v = a_ref.copy()
-    snaps = [v.copy()]
+    snaps = [v]
     e0 = v.norm2()
     guard = max(e0, 1e-300) * 1e6
     F_list = []
@@ -204,7 +204,7 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
             raise SolverDivergenceError(
                 f"reference solve blew up: ||v|| = {e:.3e} vs initial {e0:.3e}"
             )
-        snaps.append(v.copy())
+        snaps.append(v)
     return Trajectory(times, snaps, {"F": F_list})
 
 

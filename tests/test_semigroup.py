@@ -266,6 +266,29 @@ def test_phi1_matches_augmented_expm(N, K, h, t):
     assert np.abs(got - expect).max() <= 1e-11 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize("N,K,h", [(8, 8, 1.0), (16, 12, 0.7), (8, 32, 0.7)])
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.005, 1.0])
+def test_semigroup_matches_dense_expm(N, K, h, t):
+    # per mode, A acts on the 2K coefficients (both components) as
+    # -(s + lambda^2) plus e e^T (x) R; every stored mode carries data, the
+    # origin and the Nyquist row and column included (a dense 2K x 2K expm
+    # per mode, so the K = 32 case keeps N small)
+    grid = Grid(N, K, h)
+    op = StokesOperator(grid)
+    basis = VerticalBasis(grid)
+    lam2 = basis.lambdas**2
+    R = np.outer(basis.betas_t / h, basis.lambdas)
+    rng = np.random.default_rng(13)
+    shape = (2, N, N // 2 + 1, K)
+    v = SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
+    got = op.semigroup_apply(t, v).coeffs
+    expect = np.empty_like(v.coeffs)
+    for i, j, s, e in _mode_unit_vectors(grid):
+        A = -np.diag(np.tile(s + lam2, 2)) + np.kron(np.outer(e, e), R)
+        expect[:, i, j, :] = (expm(t * A) @ v.coeffs[:, i, j, :].ravel()).reshape(2, K)
+    assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 # -- resolvent ------------------------------------------------------------
 
 
@@ -287,8 +310,6 @@ def test_resolvent_matches_dense_solve(N, K, h, lam):
         x = np.linalg.solve(lam * np.eye(2 * K) - A, f.coeffs[:, i, j, :].ravel())
         expect[:, i, j, :] = x.reshape(2, K)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
-
-
 
 
 def test_real_part_of_complex_resolvent(grid8):
@@ -443,11 +464,19 @@ def test_apply_A_matches_dense_coupling(N, K, h):
 
 
 def test_split_assemble_round_trip(grid8):
+    # f(A) v = diag * v + xi_hat (x) corr(c_par): a zero correction with a
+    # unit diagonal returns v exactly, and a zero diagonal with the identity
+    # correction leaves the xi-parallel part xi_hat (c_par), which is 0 at xi = 0
     op = StokesOperator(grid8)
-    c = random_field(grid8, ncomp=2, seed=21).coeffs
+    v = random_field(grid8, ncomp=2, seed=21)
     ones = np.ones(op.xi2.shape + (grid8.K,))
-    back = op._per_mode(SpectralField(c, grid8), lambda cpar: cpar, ones).coeffs
-    assert np.abs(back - c).max() <= 1e-15 * np.abs(c).max()
+    assert np.array_equal(op._per_mode(v, np.zeros_like, ones).coeffs, v.coeffs)
+    par = op._per_mode(v, lambda cpar: cpar, np.zeros_like(ones)).coeffs
+    expect = np.empty_like(v.coeffs)
+    for i, j, _, e in _mode_unit_vectors(grid8):
+        expect[:, i, j, :] = np.outer(e, e @ v.coeffs[:, i, j, :])
+    assert np.abs(par - expect).max() <= 1e-15 * np.abs(v.coeffs).max()
+    assert not par[:, 0, 0, :].any()
 
 
 def test_one_exponential_block_per_time(grid8, monkeypatch):
