@@ -139,6 +139,18 @@ class VerticalBasis:
     Since lambda_k (z_j + h) = pi (2k+1)(2j+1) / (4K) whatever h and K are,
     rows k < K' of a finer grid's tables are the first K' modes at the finer
     nodes, and columns k < K' of its ``analysis`` give those modes' coefficients.
+
+    The Stokes operator's parallel block M_z = -diag(lambda^2) + b lambda^T,
+    b = betas_t / h, has lambda_k b_k = c = 2 / (h^2 sigma_K) for every k, so
+    diag(lambda) M_z diag(lambda)^{-1} = -diag(lambda^2) + c 1 1^T is
+    symmetric (Golub, SIAM Rev. 1973).  ``theta`` (ascending) and the
+    orthogonal ``Q`` are its eigendecomposition, so that
+
+      f(M_z) = diag(1/lambda) Q f(Theta) Q^T diag(lambda).
+
+    1/lambda^2 is its exact null vector (1/lambda is M_z's left one), so the
+    eigenvalue nearest 0 is set to exactly 0 and its column to 1/lambda^2
+    normalized; the others lie in (-lambda_k^2, -lambda_{k-1}^2) by interlacing.
     """
 
     def __init__(self, grid: Grid):
@@ -157,7 +169,23 @@ class VerticalBasis:
         # 1 - cos(t) = 2 sin(t/2)^2, free of cancellation near the bottom
         self.antideriv = _read_only(2.0 * _sin_pi(phase, 8 * K) ** 2 / lam)
         self.analysis = _read_only(self.sine.T * (2.0 / K))
+        theta, Q = np.linalg.eigh(2.0 / (grid.h**2 * self.sigmaK) - np.diag(self.lambdas**2))
+        zero = np.argmin(np.abs(theta))
+        theta[zero] = 0.0
+        null = (self.lambdas[0] / self.lambdas) ** 2  # 1/lambda^2, scaled to stay in range
+        Q[:, zero] = null / np.linalg.norm(null)
+        self.theta = _read_only(theta)
+        self.Q = _read_only(Q)
 
     def sample(self, z):
         """phi_k evaluated at points z, shape (K, len(z))."""
         return np.sin(np.outer(self.lambdas, np.asarray(z) + self.grid.h))
+
+
+def parallel_exp(basis: VerticalBasis, t: float) -> np.ndarray:
+    """e^{t M_z} = diag(1/lambda) Q e^{t Theta} Q^T diag(lambda), for t >= 0.
+
+    Theta <= 0, so the block cannot overflow at any depth.
+    """
+    lam = basis.lambdas
+    return (basis.Q * (np.exp(t * basis.theta) / lam[:, None])) @ (basis.Q.T * lam)

@@ -4,11 +4,12 @@
 ``verify <suite>: ok|FAIL`` line per suite.  A scan fails on a non-finite sup
 ratio or one above its closed-form bound (``young`` only), ``kernel`` on an
 error above 1e-6, ``recursion`` on a violated or invalid case; any suite
-fails when one of its fields turns non-finite.
+fails when one of its fields turns non-finite.  A failed suite first prints
+its reasons on one ``error: verify <suite>:`` line to stderr.
 
-A computation that breaks down (an exponential block that overflows at a
-tiny depth, say) shows up as a non-finite field or sup, which each command
-maps to its exit code, so numpy's floating-point warnings are switched off.
+A computation that breaks down (a scan whose ratios are all inf at a tiny
+depth, say) shows up as a non-finite field or sup, which each command maps
+to its exit code, so numpy's floating-point warnings are switched off.
 
 On glibc, :func:`main` first raises the allocator's mmap and trim thresholds
 to 32 MiB, so the 0.1-2 MB node arrays that every product and norm frees stay
@@ -111,9 +112,10 @@ def _exponent(text: str) -> float:
 
 
 # A suite function takes (cfg, grid, p, seed) and yields one (csv name,
-# header, rows, failed) per CSV it writes.  It looks the lab scans up in this
-# module's globals at call time, so rebinding one here (as tests and the
-# benchmark's probes do) reaches every suite.
+# header, rows, failure) per CSV it writes, failure being "" or the reason
+# the CSV fails.  It looks the lab scans up in this module's globals at call
+# time, so rebinding one here (as tests and the benchmark's probes do)
+# reaches every suite.
 
 # ||g*f||_{q,p} <= ||g||_1 ||f||_{q,p} holds exactly; the slack is round-off
 YOUNG_BOUND = 1 + 1e-10
@@ -123,7 +125,12 @@ def _scan(csv_name: str, report: ScanReport, bound: float = np.inf):
     """A scan report's CSV; it fails when its sup ratio is not finite or above bound."""
     rows = [(report.estimate, repr(p), f"{r:.12e}") for p, r in zip(report.params, report.ratios)]
     sup = report.sup_ratio
-    return csv_name, ["estimate", "params", "ratio"], rows, not (np.isfinite(sup) and sup <= bound)
+    failure = ""
+    if not np.isfinite(sup):
+        failure = f"non-finite sup ratio {sup} in {csv_name}"
+    elif sup > bound:
+        failure = f"sup ratio {sup:.12e} above {bound} in {csv_name}"
+    return csv_name, ["estimate", "params", "ratio"], rows, failure
 
 
 def _verify_kernel(cfg, grid, p, seed):
@@ -133,7 +140,8 @@ def _verify_kernel(cfg, grid, p, seed):
         err = abs(res["kernel_numeric"] - res["kernel_exact"])
         rows.append((psi, res["kernel_numeric"], res["kernel_exact"], err))
     failed = any(not err <= 1e-6 for *_, err in rows)  # a NaN error fails too
-    yield "kernel.csv", ["psi", "numeric", "exact", "abs_err"], rows, failed
+    failure = "a kernel norm is off its closed form by more than 1e-6" if failed else ""
+    yield "kernel.csv", ["psi", "numeric", "exact", "abs_err"], rows, failure
 
 
 def _verify_young(cfg, grid, p, seed):
@@ -189,7 +197,8 @@ def _verify_recursion(cfg, grid, p, seed):
             continue
         rows.append((a0, c1, c2, bound, "ok" if ok else "violated"))
     failed = any(status != "ok" for *_, status in rows)
-    yield "recursion.csv", ["a0", "c1", "c2", "bound", "status"], rows, failed
+    failure = "a case violates the bound or the lemma's hypotheses" if failed else ""
+    yield "recursion.csv", ["a0", "c1", "c2", "bound", "status"], rows, failure
 
 
 # suite name -> suite function, in the order `verify all` runs them
@@ -258,16 +267,18 @@ def cmd_verify(args) -> int:
     seed = cfg.get("seed", 0)
     failed = False
     for name in VERIFY_SUITES if args.suite == "all" else [args.suite]:
-        bad = False
+        failures = []
         try:
-            for csv_name, header, rows, file_bad in VERIFY_SUITES[name](cfg, grid, p, seed):
+            for csv_name, header, rows, failure in VERIFY_SUITES[name](cfg, grid, p, seed):
                 _write_csv(os.path.join(outdir, csv_name), header, rows)
-                bad |= file_bad
+                if failure:
+                    failures.append(failure)
         except NonFiniteFieldError as exc:
-            _err(f"verify {name}: {exc}")
-            bad = True
-        print(f"verify {name}: {'FAIL' if bad else 'ok'}")
-        failed |= bad
+            failures.append(str(exc))
+        if failures:
+            _err(f"verify {name}: {'; '.join(failures)}")
+        print(f"verify {name}: {'FAIL' if failures else 'ok'}")
+        failed |= bool(failures)
     return EXIT_FAIL if failed else EXIT_OK
 
 

@@ -240,9 +240,7 @@ def _mode_unit_vectors(grid):
             yield i, j, s, e
 
 
-@pytest.mark.parametrize("N,K,h", [(8, 8, 1.0), (16, 64, 0.7)])
-@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.005, 1.0])
-def test_phi1_matches_augmented_expm(N, K, h, t):
+def _phi1_relative_error(N, K, h, t):
     grid = Grid(N, K, h)
     op = StokesOperator(grid)
     basis = VerticalBasis(grid)
@@ -263,7 +261,58 @@ def test_phi1_matches_augmented_expm(N, K, h, t):
         cpar = e @ c
         cperp = c - np.outer(e, cpar)
         expect[:, i, j, :] = perp_phi1 * cperp + np.outer(e, blocks[s] @ cpar)
-    assert np.abs(got - expect).max() <= 1e-11 * np.abs(expect).max()
+    return np.abs(got - expect).max() / np.abs(expect).max()
+
+
+@pytest.mark.parametrize("N,K,h", [(8, 8, 1.0), (16, 64, 0.7)])
+@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.005, 1.0])
+def test_phi1_matches_augmented_expm(N, K, h, t):
+    assert _phi1_relative_error(N, K, h, t) <= 1e-11
+
+
+@pytest.mark.parametrize("N,K,h", [(8, 8, 1.0), (16, 64, 0.7)])
+def test_phi1_small_time_free_of_cancellation(N, K, h):
+    # phi1 is elementwise in the rotated basis, with no (e^{tB} - I) / t to cancel
+    assert _phi1_relative_error(N, K, h, 1e-6) <= 1e-13
+
+
+@pytest.mark.parametrize("K,h", [(1, 1.0), (8, 0.7), (16, 1.0), (64, 1e-3), (8, 1e-14), (8, 1e-20)])
+def test_parallel_eigendecomposition(K, h):
+    # theta, Q diagonalize the symmetrized block -diag(lambda^2) + c 1 1^T:
+    # theta <= 0 with one exact zero, whose column is 1/lambda^2 normalized
+    basis = VerticalBasis(Grid(4, K, h))
+    lam, theta, Q = basis.lambdas, basis.theta, basis.Q
+    assert theta.max() == 0.0 and np.count_nonzero(theta == 0.0) == 1
+    H = 2.0 / (h**2 * basis.sigmaK) - np.diag(lam**2)
+    null = Q[:, theta == 0.0][:, 0]
+    assert np.allclose(null * np.linalg.norm(lam**-2.0), lam**-2.0, rtol=1e-15, atol=0)
+    assert np.abs(H @ null).max() <= 1e-15 * K * np.abs(H).max()
+    assert np.abs(Q.T @ Q - np.eye(K)).max() <= 1e-14 * K
+    # and M_z = diag(1/lambda) Q Theta Q^T diag(lambda)
+    Mz = StokesOperator(Grid(4, K, h)).Mz
+    rebuilt = (Q * theta / lam[:, None]) @ (Q.T * lam)
+    assert np.abs(rebuilt - Mz).max() <= 1e-14 * K * np.abs(Mz).max()
+
+
+@pytest.mark.parametrize("h,tol", [(1.0, 1e-13), (1e-3, 5e-9)])
+def test_parallel_exp_matches_40_digit_expm(h, tol):
+    # oracle: M_z from the closed-form lambda_k and sigma_K in 40 digits,
+    # exponentiated by mpmath (at h = 1e-3 scipy's Pade expm is off by 5e-8)
+    mp = pytest.importorskip("mpmath")
+    K = 16
+    basis = Grid(4, K, h).basis
+    with mp.workdps(40):
+        depth = mp.mpf(h)
+        lam = [(2 * k + 1) * mp.pi / (2 * depth) for k in range(K)]
+        c = 1 / sum(x**-2 for x in lam)  # lambda_k b_k = 2 / (h^2 sigma_K)
+        Mz = mp.matrix(K, K)
+        for i in range(K):
+            for j in range(K):
+                Mz[i, j] = c * lam[j] / lam[i] - (lam[i] ** 2 if i == j else 0)
+        for t in (1e-4, 2.5e-3, 0.1, 1.0):
+            expect = np.array(mp.expm(t * Mz).tolist(), dtype=float)
+            err = np.abs(hydrostokes.semigroup.expm(basis, t) - expect).max()
+            assert err <= tol * np.abs(expect).max(), t
 
 
 @pytest.mark.parametrize("N,K,h", [(8, 8, 1.0), (16, 12, 0.7), (8, 32, 0.7)])
@@ -480,21 +529,25 @@ def test_split_assemble_round_trip(grid8):
 
 
 def test_one_exponential_block_per_time(grid8, monkeypatch):
-    # phi1 and the semigroup share the block e^{t M_z}; the resolvent needs none
+    # the semigroup builds one block e^{t M_z} per time; phi1 works in the
+    # rotated basis and the resolvent solves in closed form, so they build none
     calls = []
+    build = hydrostokes.semigroup.expm
 
-    def counting_expm(a):
-        calls.append(a.shape)
-        return expm(a)
+    def counting_expm(basis, t):
+        calls.append(t)
+        return build(basis, t)
 
     monkeypatch.setattr(hydrostokes.semigroup, "expm", counting_expm)
     op = StokesOperator(grid8)
     v = random_field(grid8, ncomp=2, seed=12)
     op.phi1_apply(0.02, v)
-    op.semigroup_apply(0.02, v)
-    assert calls == [(8, 8)]
     op.resolvent_apply(0.3 + 2.0j, v)
-    assert calls == [(8, 8)]
+    assert calls == []
+    op.semigroup_apply(0.02, v)
+    op.semigroup_apply(0.02, v)
+    op.semigroup_apply(0.03, v)
+    assert calls == [0.02, 0.03]
 
 
 def test_semigroup_cache_reuse(grid8):
