@@ -261,12 +261,11 @@ def resolvent_scan(
 ) -> ScanReport:
     """Sectorial resolvent estimate ratios over lambda in Sigma_theta.
 
-    Only the real part Re (lambda - A)^{-1} f enters the left-hand side, and
-    |Re v| <= |v| pointwise, so for complex lambda the ratios can understate
-    the sectorial bound.  A is real, so that real part is
-    ((lambda - A)^{-1} + (conj lambda - A)^{-1}) f / 2, and it is the same
-    for lambda and conj lambda: the ratio at -psi is the one at +psi, so each
-    conjugate pair is solved once and its ratio written in both rows.
+    The left-hand side measures the real field Re (lambda - A)^{-1} f that
+    ``resolvent_apply`` returns, and |Re v| <= |v| pointwise, so for complex
+    lambda the ratios can understate the sectorial bound.  That real part is
+    the same for lambda and conj lambda, so each conjugate pair is solved
+    once, at psi >= 0, and its ratio written in both rows.
     """
     op = grid.stokes
     psis = np.array([0.0, 0.5, 0.9]) * theta
@@ -284,12 +283,10 @@ def resolvent_scan(
             for psi in psis[psis >= 0]:
                 lam = mod * np.exp(1j * psi)
                 try:
-                    v = op.resolvent_apply(lam, datum)
-                    vbar = v if psi == 0 else op.resolvent_apply(np.conj(lam), datum)
+                    nodes = NodeValues(op.resolvent_apply(lam, datum))
                 except SingularityError:
                     ratio_at[psi] = None
                     continue
-                nodes = NodeValues(SpectralField(0.5 * (v.coeffs + vbar.coeffs), grid))
                 un = nodes.norm("u", q, p)
                 if derivative_datum:
                     lhs = np.sqrt(abs(lam)) * un
@@ -318,6 +315,9 @@ def horizontal_multiplier_scan(
     tau_grid, n_samples: int, N: int = 32, seed: int = 0, theta: float = np.pi / 3
 ) -> ScanReport:
     """|tau|^{1/2} ||grad_H e^{tau Delta_H} Q f||_inf / ||f||_inf on the 2-torus."""
+    taus = np.asarray(tau_grid, dtype=complex)
+    if not (theta < np.pi / 2 and np.all(np.isfinite(taus) & (np.abs(np.angle(taus)) < theta))):
+        raise ValueError("tau must be finite and lie in a sector of half-angle theta < pi/2")
     grid = Grid(N, 1, 1.0)
     xix, xiy = grid.xi_vectors()
     xi2 = xix**2 + xiy**2
@@ -333,9 +333,7 @@ def horizontal_multiplier_scan(
             skipped += 1
             continue
         qf = helmholtz_2d(ghat, grid)
-        for tau in np.asarray(tau_grid, dtype=complex):
-            if abs(np.angle(tau)) >= theta or theta >= np.pi / 2:
-                raise ValueError("tau must lie in a sector of half-angle < pi/2")
+        for tau in taus:
             heat = np.exp(-tau * xi2) * qf
             gx = _phys2d(1j * xix * heat, N)
             gy = _phys2d(1j * xiy * heat, N)

@@ -29,12 +29,15 @@ benchmark retargets those spans (ROADMAP item 1).
 one-dimensional quotient.  The solenoidal spectrum of the parallel block is
 Theta with its exact zero removed (Golub, SIAM Rev. 1973).
 
-Because M_z is diagonal plus rank one, the shifted system (mu - M_z) x = y
-has the Sherman-Morrison solution, evaluated for all modes at once; the
-resolvent's correction is its rank-one term at mu = lambda + |xi|^2.  There
-is one operator per grid, ``Grid.stokes``, shared with its exponential memo
-by every caller.  eigenvalue_report builds the spectrum of every mode at
-once, by broadcasting Theta against |xi|^2.
+The resolvent is the same elementwise recipe at f(z) = 1/(lambda - z), with
+denominators d = lambda + |xi|^2 + lambda_k^2 (the heat block) and
+e = lambda + |xi|^2 - Theta (the rotated parallel block).  A is real, so the
+real field Re (lambda - A)^{-1} f has the multipliers Re 1/d and Re 1/e;
+that is what ``resolvent_apply`` returns, the resolvent itself for real
+lambda, and it is the same for lambda and conj lambda.  There is one
+operator per grid, ``Grid.stokes``, shared with its exponential memo by
+every caller.  eigenvalue_report builds the spectrum of every mode at once,
+by broadcasting Theta against |xi|^2.
 """
 
 import threading
@@ -90,11 +93,9 @@ class StokesOperator:
         # rank-one bottom-shear coupling b lambda^T, parallel component only
         self.b = self.basis.betas_t / grid.h
         self.Mz = np.diag(-self.lam2) + np.outer(self.b, lam)
-        self.Mz_eigs = self.basis.theta  # ascending, with an exact zero
 
         self.xi2 = grid.xi2
         self.xi_hat = grid.xi_hat
-        self.s_values = np.unique(self.xi2)
         self.cache = SemigroupCache()
 
     # -- per-mode structure -------------------------------------------------
@@ -119,6 +120,15 @@ class StokesOperator:
             out_k += xi_k[:, :, None] * c
         return SpectralField(out, v.grid)
 
+    def _rotated(self, g, diag):
+        """The correction of f(A) for _per_mode, from g = f(Theta - |xi|^2) and diag.
+
+        f(M_z - s) = diag(1/lambda) Q f(Theta - s) Q^T diag(lambda), applied
+        to c_par, minus the heat multiplier diag = f(-lambda^2 - s).
+        """
+        lam, Q = self.basis.lambdas, self.basis.Q
+        return lambda cpar: ((cpar * lam) @ Q * g) @ Q.T / lam - diag * cpar
+
     # -- operator ----------------------------------------------------------
 
     def apply_A(self, v: SpectralField) -> SpectralField:
@@ -128,18 +138,6 @@ class StokesOperator:
 
     def _exp_block(self, t: float) -> np.ndarray:
         return self.cache.get_or_compute(t, lambda: expm(self.basis, t))
-
-    def _rank_one(self, d, y):
-        """(mu - M_z)^{-1} y - y / d per mode, d = mu + lambda^2; d and y are (N, N/2+1, K).
-
-        mu - M_z = diag(d) - b lambda^T, and this is the Sherman-Morrison
-        rank-one term of its inverse.  The caller keeps mu off the spectrum.
-        The relative round-off grows like eps / min|d|, so mu within 1e-8 of
-        some -lambda_k^2 (a heat eigenvalue) costs about 8 digits.
-        """
-        lam = self.basis.lambdas
-        bd = self.b / d
-        return bd * (((y / d) @ lam) / (1.0 - bd @ lam))[:, :, None]
 
     def semigroup_apply(self, t: float, v: SpectralField) -> SpectralField:
         """e^{tA} v via per-mode exponentials."""
@@ -159,35 +157,25 @@ class StokesOperator:
         if t <= 0:
             raise ValueError(f"phi1 time must be > 0, got {t}")
         s = self.xi2[:, :, None]
-        lam, Q = self.basis.lambdas, self.basis.Q
         diag = _phi1(-t * (s + self.lam2))
-        rotated = _phi1(t * (self.basis.theta - s))
-
-        def corr(cpar):
-            # phi1(t(M_z - s)) = diag(1/lambda) Q phi1(t(Theta - s)) Q^T diag(lambda)
-            return ((cpar * lam) @ Q * rotated) @ Q.T / lam - diag * cpar
-
-        return self._per_mode(g, corr, diag)
+        return self._per_mode(g, self._rotated(_phi1(t * (self.basis.theta - s)), diag), diag)
 
     def resolvent_apply(self, lam: complex, f: SpectralField) -> SpectralField:
-        """(lam - A)^{-1} f, closed-form on every mode block.
+        """Re (lam - A)^{-1} f, a real field; the resolvent itself for real lam.
 
-        For complex lam these are the columns n <= N/2 of a complex field;
-        A is real, so its real part is the mean of this and conj lam's.
+        Raises SingularityError when lam is within SINGULARITY_TOL of an
+        eigenvalue of some mode block.
         """
-        self._check_not_spectrum(lam)
-        d = lam + self.xi2[:, :, None] + self.lam2
-        return self._per_mode(f, lambda cpar: self._rank_one(d, cpar), 1.0 / d)
-
-    def _check_not_spectrum(self, lam: complex):
-        shifts = self.s_values[:, None]
-        par = self.Mz_eigs[None, :] - shifts
-        diag = -self.lam2[None, :] - shifts
-        dist = min(np.abs(lam - par).min(), np.abs(lam - diag).min())
+        s = self.xi2[:, :, None]
+        d = lam + s + self.lam2
+        e = lam + s - self.basis.theta
+        dist = min(np.abs(d).min(), np.abs(e).min())
         if dist < SINGULARITY_TOL:
             raise SingularityError(
                 f"lambda = {lam} is within {dist:.2e} of the discrete spectrum"
             )
+        diag = (1.0 / d).real
+        return self._per_mode(f, self._rotated((1.0 / e).real, diag), diag)
 
     # -- spectrum ----------------------------------------------------------
 
@@ -205,7 +193,7 @@ class StokesOperator:
         if subspace not in ("full", "solenoidal"):
             raise ValueError(f"unknown subspace {subspace!r}")
         N = self.grid.N
-        par_eigs = self.Mz_eigs
+        par_eigs = self.basis.theta
         if subspace == "solenoidal":
             par_eigs = np.delete(par_eigs, np.argmin(np.abs(par_eigs)))
         xix, xiy = self.grid.xi_vectors()  # every (m, n), not only the stored half

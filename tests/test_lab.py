@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hydrostokes.basis import Grid
-from hydrostokes.fields import NodeValues, SpectralField
+from hydrostokes.fields import NodeValues
 from hydrostokes.lab import (
     SEMIGROUP_COMBOS,
     ScanReport,
@@ -189,8 +189,8 @@ def test_resolvent_scan_derivative_datum(grid8):
 
 
 def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
-    # psi in {0, +-0.45 theta, +-0.81 theta}: psi = 0 takes one solve, each
-    # conjugate pair two, and -psi repeats the ratio of +psi
+    # psi in {0, +-0.45 theta, +-0.81 theta}: one solve per psi >= 0, since
+    # Re (lam - A)^{-1} f is the same at conj lam, and -psi repeats the ratio of +psi
     solves = []
     apply = StokesOperator.resolvent_apply
 
@@ -201,7 +201,7 @@ def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
     monkeypatch.setattr(StokesOperator, "resolvent_apply", counted)
     theta, moduli = 0.9 * np.pi, np.geomspace(0.1, 10, 3)
     rep = resolvent_scan(theta, moduli, 2, np.inf, 4.0, grid8, seed=0)
-    assert len(solves) == 5 * 2 * len(moduli)
+    assert len(solves) == 3 * 2 * len(moduli)
     assert len(rep.ratios) == 5 * 2 * len(moduli)
     ratio = dict(zip(rep.params, rep.ratios))
     for (i, mod, psi), r in ratio.items():
@@ -211,8 +211,7 @@ def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
     f = random_field(grid8, seed=0, solenoidal=True)
     mod, psi = moduli[1], -0.9 * theta
     lam = mod * np.exp(1j * psi)
-    v, vbar = (grid8.stokes.resolvent_apply(z, f) for z in (lam, np.conj(lam)))
-    nodes = NodeValues(SpectralField(0.5 * (v.coeffs + vbar.coeffs), grid8))
+    nodes = NodeValues(grid8.stokes.resolvent_apply(lam, f))
     lhs = abs(lam) * nodes.norm("u", np.inf, 4.0) + np.sqrt(abs(lam)) * nodes.norm(
         "grad", np.inf, 4.0
     )
@@ -227,6 +226,14 @@ def test_multiplier_scan_finite():
 def test_multiplier_scan_rejects_bad_sector():
     with pytest.raises(ValueError):
         horizontal_multiplier_scan(np.array([0.1]), 2, theta=1.8)
+
+
+@pytest.mark.parametrize("tau", [2j, np.nan, complex(0.1, np.nan), np.inf])
+@pytest.mark.parametrize("n_samples", [0, 2])
+def test_multiplier_scan_checks_tau_before_drawing(tau, n_samples):
+    # the whole tau grid is checked up front, so no draw is needed to reject it
+    with pytest.raises(ValueError, match="sector"):
+        horizontal_multiplier_scan([0.1, tau], n_samples, N=8)
 
 
 def test_q_growth_trend():

@@ -345,7 +345,8 @@ def test_semigroup_matches_dense_expm(N, K, h, t):
 @pytest.mark.parametrize("lam", [1.0, 0.3 + 2.0j, 100 * np.exp(0.9j * np.pi), -2.0 + 0.5j])
 def test_resolvent_matches_dense_solve(N, K, h, lam):
     # per mode, A acts on the 2K coefficients (both components) as
-    # -(s + lambda^2) plus e e^T (x) R; solve (lam - A) x = f densely
+    # -(s + lambda^2) plus e e^T (x) R; the real part of the dense inverse of
+    # lam - A, applied to f, gives the real field Re (lam - A)^{-1} f
     grid = Grid(N, K, h)
     op = StokesOperator(grid)
     basis = VerticalBasis(grid)
@@ -356,14 +357,14 @@ def test_resolvent_matches_dense_solve(N, K, h, lam):
     expect = np.empty_like(f.coeffs)
     for i, j, s, e in _mode_unit_vectors(grid):
         A = -np.diag(np.tile(s + lam2, 2)) + np.kron(np.outer(e, e), R)
-        x = np.linalg.solve(lam * np.eye(2 * K) - A, f.coeffs[:, i, j, :].ravel())
+        x = np.linalg.inv(lam * np.eye(2 * K) - A).real @ f.coeffs[:, i, j, :].ravel()
         expect[:, i, j, :] = x.reshape(2, K)
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 def test_real_part_of_complex_resolvent(grid8):
-    # A is real, so Re (lam - A)^{-1} f = ((lam - A)^{-1} + (conj lam - A)^{-1}) f / 2;
-    # oracle: the Hermitian part of dense per-mode solves over the full plane
+    # A is real, so the real field Re (lam - A)^{-1} f has the Hermitian part of
+    # the complex field's coefficients; oracle: dense per-mode solves over the full plane
     op = StokesOperator(grid8)
     lam2 = op.basis.lambdas**2
     R = np.outer(op.basis.betas_t / grid8.h, op.basis.lambdas)
@@ -379,8 +380,18 @@ def test_real_part_of_complex_resolvent(grid8):
             x = np.linalg.solve(lam * np.eye(16) - A, f.full()[:, i, j, :].ravel())
             complex_full[:, i, j, :] = x.reshape(2, 8)
     expect = hermitian_part(complex_full)[:, :, :5]
-    got = 0.5 * (op.resolvent_apply(lam, f).coeffs + op.resolvent_apply(np.conj(lam), f).coeffs)
+    got = op.resolvent_apply(lam, f).coeffs
     assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("grid", [Grid(8, 8, 1.0), Grid(16, 16, 1.0), Grid(16, 64, 0.7)])
+@pytest.mark.parametrize("lam", [0.3 + 2.0j, 100 * np.exp(0.9j * np.pi), -2.0 + 0.5j])
+def test_resolvent_conjugate_pair_bitwise_equal(grid, lam):
+    # the real part is the same at lam and conj lam, to the last bit: the
+    # scan solves each pair once and writes its ratio in both rows
+    f = random_field(grid, ncomp=2, seed=5)
+    a, b = (grid.stokes.resolvent_apply(z, f).coeffs for z in (lam, np.conj(lam)))
+    assert np.array_equal(a, b)
 
 
 def test_resolvent_diagonal_mode(grid8):
@@ -397,10 +408,18 @@ def test_resolvent_diagonal_mode(grid8):
 def test_resolvent_residual(grid8):
     op = StokesOperator(grid8)
     f = random_field(grid8, ncomp=2, seed=7)
-    for lam in (1.0, 0.3 + 2.0j):
-        v = op.resolvent_apply(lam, f)
-        res = lam * v.coeffs - op.apply_A(v).coeffs - f.coeffs
-        assert np.abs(res).max() <= 1e-12 * np.abs(f.coeffs).max()
+    v = op.resolvent_apply(1.0, f)
+    res = v.coeffs - op.apply_A(v).coeffs - f.coeffs
+    assert np.abs(res).max() <= 1e-12 * np.abs(f.coeffs).max()
+    # u = Re (lam - A)^{-1} f solves the real equation
+    # (|lam|^2 - 2 Re lam A + A^2) u = (Re lam - A) f
+    lam = 0.3 + 2.0j
+    u = op.resolvent_apply(lam, f)
+    Au = op.apply_A(u)
+    AAu = op.apply_A(Au).coeffs
+    lhs = abs(lam) ** 2 * u.coeffs - 2 * lam.real * Au.coeffs + AAu
+    rhs = lam.real * f.coeffs - op.apply_A(f).coeffs
+    assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
 
 
 def test_resolvent_singular_at_eigenvalue(grid8):
@@ -451,7 +470,7 @@ def test_origin_rows_are_vertical_heat():
 def _per_mode_report_loop(op, subspace):
     """The per-mode double loop eigenvalue_report replaced, as an oracle."""
     N, lam2 = op.grid.N, op.lam2
-    par_eigs = op.Mz_eigs
+    par_eigs = op.basis.theta
     if subspace == "solenoidal":
         par_eigs = np.delete(par_eigs, np.argmin(np.abs(par_eigs)))
     rows = []
@@ -529,8 +548,8 @@ def test_split_assemble_round_trip(grid8):
 
 
 def test_one_exponential_block_per_time(grid8, monkeypatch):
-    # the semigroup builds one block e^{t M_z} per time; phi1 works in the
-    # rotated basis and the resolvent solves in closed form, so they build none
+    # the semigroup builds one block e^{t M_z} per time; phi1 and the
+    # resolvent work elementwise in the rotated basis, so they build none
     calls = []
     build = hydrostokes.semigroup.expm
 
