@@ -6,7 +6,9 @@ directions); there is no aliased path.  Coefficients are padded along m and
 n only, and fields.NodeValues with the padded grid's basis takes each
 field's K working modes to the padded nodes; the first K columns of that
 grid's analysis table truncate in z.  The vertical velocity w lives in the
-cosine/constant span and is carried as node values only.
+cosine/constant span and is carried as node values only.  The solver forms
+every transport term, the Picard forcing F(v_ref + V) - F(v_ref) included,
+from one :func:`advection` product per field.
 """
 
 import numpy as np
@@ -131,19 +133,6 @@ def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralFie
     """Dealiased (u1 . grad) v2 in convective form; v2 defaults to v1."""
     gp, n1, n2 = _node_sets(v1, v2)
     return _truncated(_advective_product(n1, n2), gp, v1.grid)
-
-
-def coupled_advection(V: SpectralField, r: SpectralField) -> SpectralField:
-    """Dealiased (V.grad)V + (V.grad)r + (r.grad)V, the Picard coupling term.
-
-    Equals advection(V, V) + advection(V, r) + advection(r, V) up to round-off,
-    but transforms V and r once each and does one forward transform.  The
-    three products are formed separately, not as B(V+r, V+r) - B(r, r),
-    which would cancel badly when V is small.
-    """
-    gp, nV, nr = _node_sets(V, r)
-    prod = _advective_product(nV, nV) + _advective_product(nV, nr) + _advective_product(nr, nV)
-    return _truncated(prod, gp, V.grid)
 
 
 def divergence_form(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:

@@ -42,7 +42,7 @@ def project_hydrostatic(f: SpectralField) -> SpectralField:
 
 
 def check_solenoidal(f: SpectralField) -> float:
-    """Max over wavenumbers of |xi . mean|, normalized by the L^2 norm of f."""
+    """Max over wavenumbers of |xi . mean| over ||f||_{L^2} / sqrt(h), which carries no h."""
     if f.ncomp != 2:
         raise ValueError(f"solenoidality check needs ncomp=2, got {f.ncomp}")
     g = f.grid
@@ -51,7 +51,7 @@ def check_solenoidal(f: SpectralField) -> float:
     scale = f.norm2()
     if scale == 0.0:
         return 0.0
-    return float(div / scale)
+    return float(div * np.sqrt(g.h) / scale)
 
 
 def recover_pressure_gradient(v: SpectralField, f: SpectralField) -> np.ndarray:

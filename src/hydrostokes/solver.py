@@ -3,9 +3,9 @@
 Rough initial data a is split as a = a_ref + a_0 with a_ref = e^{delta A} a
 smooth and a_0 small.  The reference part is advanced by an exponential-Euler
 integrator; the remainder V = v - v_ref is constructed by Picard iteration on
-the Duhamel integral with the coupling nonlinearity, starting from
-e^{tA} a_0 and applying only the one-step exponential e^{dt A}.  The
-iteration is monitored through the S(T)-norm
+the Duhamel integral with forcing F(v_ref + V) - F(v_ref), whose F(v_ref) the
+reference solve has formed, starting from e^{tA} a_0 and applying only the
+one-step exponential e^{dt A}.  The iteration is monitored through the S(T)-norm
 max(sup ||D||, sup t^{1/2} ||grad D||) of each difference D = V_{m+1} - V_m,
 with mixed L^inf_H L^p_z norms; :class:`IterationReport` keeps those norms
 and nothing else.  Every nonlinear term is dealiased (2/3 rule) and every
@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import Grid
 from .fields import NodeValues, SpectralField
-from .nonlinear import advection, coupled_advection
+from .nonlinear import advection
 from .projection import check_solenoidal, project_hydrostatic
 
 # Most time steps round(T/dt) a solve may take.  The trajectory keeps every
@@ -154,6 +154,11 @@ def _forcing(f: SpectralField) -> SpectralField:
     return project_hydrostatic(SpectralField(-f.coeffs, f.grid))
 
 
+def _forcings(snaps, known_F=()):
+    """F(v) = -P (u . grad) v at every node: ``known_F`` at the first nodes, the rest formed."""
+    return list(known_F) + [_forcing(advection(s)) for s in snaps[len(known_F) :]]
+
+
 def _duhamel(a: SpectralField, F, times):
     """Trapezoidal Duhamel sums S_n = e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds.
 
@@ -184,7 +189,7 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
 
     F(v) = -P (u . grad) v; the nodes are the multiples of ``config.dt`` up to
     ``config.T``.  ``diagnostics["F"]`` keeps F(v_n) for the nodes 0..n-1,
-    which :func:`mild_residual` can reuse instead of forming them again.
+    which :func:`picard_iterate` and :func:`mild_residual` reuse rather than form again.
     """
     dt, op = config.dt, a_ref.grid.stokes
     nsteps = int(round(config.T / dt))
@@ -208,30 +213,34 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     return Trajectory(times, snaps, {"F": F_list})
 
 
-def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig):
+def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, known_F=()):
     """Duhamel fixed-point iteration for the rough remainder V.
 
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
-    F_m = -P( (U_m.grad)V_m + (U_m.grad)v_ref + (u_ref.grad)V_m ),
+    F_m = F(v_ref + V_m) - F(v_ref) and F(v) = -P (u . grad) v,
     the integral by trapezoidal quadrature on the time grid ``v_ref.times``,
     which must be uniform.  The first iterate e^{t_n A} a_0 is the same
     recurrence with zero forcing, so the whole iteration applies only
-    e^{dt A}.  Per iteration each node costs one :func:`coupled_advection`
-    call and one semigroup apply (the recurrence in :func:`_duhamel`), and
-    the iteration takes one S(T)-norm, that of V_{m+1} - V_m; v_ref's node
-    values are rebuilt every iteration rather than held, which keeps peak
-    memory flat.  Stopping at ``config.max_picard`` returns the report with
-    ``converged`` False; :func:`full_solve` treats that as a failure.
+    e^{dt A}.  F(v_ref) is formed once, taken from ``known_F`` at its first
+    nodes (as :func:`reference_solve` leaves it); then each iteration costs
+    one :func:`advection` and one semigroup apply per node (the recurrence in
+    :func:`_duhamel`) and one S(T)-norm, that of V_{m+1} - V_m.  Stopping at
+    ``config.max_picard`` returns the report with ``converged`` False;
+    :func:`full_solve` treats that as a failure.
     """
-    times = v_ref.times
-    V = list(_duhamel(a0, [SpectralField.zeros(a0.grid)] * len(times), times))
+    times, grid = v_ref.times, a0.grid
+    V = list(_duhamel(a0, [SpectralField.zeros(grid)] * len(times), times))
+    F_ref = _forcings(v_ref.snapshots, known_F)
     report = IterationReport()
 
     for _ in range(config.max_picard):
-        F = [_forcing(coupled_advection(v, r)) for v, r in zip(V, v_ref.snapshots)]
+        F = []
+        for v, r, f in zip(V, v_ref.snapshots, F_ref):
+            total = _forcing(advection(SpectralField(r.coeffs + v.coeffs, grid)))
+            F.append(SpectralField(total.coeffs - f.coeffs, grid))
         Vnew = list(_duhamel(a0, F, times))
 
-        diff = [SpectralField(a.coeffs - b.coeffs, a0.grid) for a, b in zip(Vnew, V)]
+        diff = [SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew, V)]
         dS = _s_norm(diff, times, config.p)
         report.diff_S.append(dS)
         V = Vnew
@@ -282,8 +291,8 @@ def full_solve(a: SpectralField, config: SolverConfig):
             snaps = vref.snapshots
             report = IterationReport(converged=True)
         else:
+            V, report = picard_iterate(a0, vref, config, known_F)
             known_F = ()  # F(v_ref + V) must be formed from the sum
-            V, report = picard_iterate(a0, vref, config)
             if not report.converged:
                 raise SolverDivergenceError(
                     f"Picard iteration stopped at its cap of {config.max_picard} iterations: "
@@ -325,8 +334,7 @@ def mild_residual(traj: Trajectory, known_F=()) -> np.ndarray:
     :func:`reference_solve` does); only the remaining nodes are computed.
     The time nodes must be uniform; residual[0] is 0 by construction.
     """
-    F = list(known_F) + [_forcing(advection(s)) for s in traj.snapshots[len(known_F) :]]
-    sums = _duhamel(traj.snapshots[0], F, traj.times)
+    sums = _duhamel(traj.snapshots[0], _forcings(traj.snapshots, known_F), traj.times)
     return np.array(
         [SpectralField(v.coeffs - s.coeffs, v.grid).norm2() for v, s in zip(traj.snapshots, sums)]
     )

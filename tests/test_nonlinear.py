@@ -19,7 +19,6 @@ from hydrostokes.nonlinear import (
     _node_sets,
     _truncated,
     advection,
-    coupled_advection,
     divergence_form,
     pad_coeffs,
     truncate_coeffs,
@@ -166,12 +165,17 @@ def test_advection_matches_divergence_form(grid16):
         assert np.abs(a.coeffs - d.coeffs).max() <= 1e-9 * scale
 
 
-def test_coupled_advection_matches_three_terms(grid16):
-    V = random_field(grid16, ncomp=2, seed=11, solenoidal=True, amplitude=0.1)
+@pytest.mark.parametrize("amplitude", [1e-1, 1e-3, 1e-6])
+def test_advection_difference_matches_three_terms(grid16, amplitude):
+    # the Picard forcing subtracts B(r, r) from B(r + V, r + V); the
+    # cancellation costs no more than the round-off of B(r, r) itself, even
+    # when V is small against r
+    V = random_field(grid16, ncomp=2, seed=11, solenoidal=True, amplitude=amplitude)
     r = random_field(grid16, ncomp=2, seed=12, solenoidal=True)
+    base = advection(r).coeffs
+    diff = advection(SpectralField(r.coeffs + V.coeffs, grid16)).coeffs - base
     ref = advection(V, V).coeffs + advection(V, r).coeffs + advection(r, V).coeffs
-    fused = coupled_advection(V, r)
-    assert np.abs(fused.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.abs(diff - ref).max() <= 1e-14 * np.abs(base).max()
 
 
 def test_advection_bilinear_consistency(grid8):

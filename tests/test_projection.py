@@ -130,6 +130,13 @@ def test_check_solenoidal_zero(grid8):
     assert check_solenoidal(f) == 0.0
 
 
+@pytest.mark.parametrize("h", [1.0, 1e-4, 1e-8, 1e-14, 1e-20])
+def test_check_solenoidal_depth_invariant(h):
+    # the defect of exactly projected data is round-off at every depth
+    pf = project_hydrostatic(random_field(Grid(8, 8, h), ncomp=2, seed=0))
+    assert check_solenoidal(pf) <= 1e-13
+
+
 def test_check_solenoidal_hand_value(grid8):
     # f = (cos 2 pi x, 0) x phi_0: defect |xi| |mean phi_0| / ||f||_{L^2}
     # = 2 pi (2/pi) / (2 ||f||) with ||f|| = 1/2, giving exactly 4

@@ -185,13 +185,13 @@ def test_picard_rejects_non_uniform_reference(op16, monkeypatch):
     a0 = random_field(op16.grid, ncomp=2, seed=12, solenoidal=True, amplitude=0.01)
     vref = _zero_traj(op16, [0.0, 0.01, 0.02, 0.035, 0.05])
     advected = []
-    coupled = hydrostokes.solver.coupled_advection
+    real_advection = hydrostokes.solver.advection
 
-    def counted(v, r):
-        advected.append(v)
-        return coupled(v, r)
+    def counted(*args, **kwargs):
+        advected.append(1)
+        return real_advection(*args, **kwargs)
 
-    monkeypatch.setattr(hydrostokes.solver, "coupled_advection", counted)
+    monkeypatch.setattr(hydrostokes.solver, "advection", counted)
     with pytest.raises(ValueError, match="uniformly spaced"):
         picard_iterate(a0, vref, cfg)
     # the first iterate is already a Duhamel recurrence: the check fires
@@ -221,6 +221,50 @@ def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
     assert len(calls) == (m + 1) * (n - 1)
     # the whole iteration asks the operator for one exponential, e^{dt A}
     assert set(calls) == {cfg.dt}
+
+
+def _small_rough_split(cfg, seed=13):
+    """A reference solve on smooth data and a small rough remainder, on cfg's grid."""
+    a = random_field(cfg.grid(), ncomp=2, seed=seed, solenoidal=True, amplitude=0.05)
+    a_ref, _ = split_data(a, cfg.delta)
+    a0 = random_field(cfg.grid(), ncomp=2, seed=seed + 1, solenoidal=True, amplitude=0.01)
+    return a0, reference_solve(a_ref, cfg)
+
+
+def test_picard_known_forcing_is_bitwise_equal():
+    # F(v_ref) handed over from the reference solve, or formed afresh
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=4, picard_tol=0.0)
+    a0, vref = _small_rough_split(cfg)
+    known_F = vref.diagnostics["F"]
+    assert len(known_F) == len(vref.times) - 1
+    with_known, report_known = picard_iterate(a0, vref, cfg, known_F)
+    afresh, report = picard_iterate(a0, vref, cfg)
+    assert report_known.diff_S == report.diff_S
+    for a, b in zip(with_known.snapshots, afresh.snapshots):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@pytest.mark.parametrize("known", [0, 3, 5])
+def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, known):
+    # F(v_ref) at the nodes known_F does not cover, then one product
+    # F(v_ref + V) per node and iteration
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=3, picard_tol=0.0)
+    a0, vref = _small_rough_split(cfg)
+    known_F = vref.diagnostics["F"][:known]
+    calls = []
+    real_advection = hydrostokes.solver.advection
+
+    def counted(*args, **kwargs):
+        calls.append(len(args))
+        return real_advection(*args, **kwargs)
+
+    monkeypatch.setattr(hydrostokes.solver, "advection", counted)
+    _, report = picard_iterate(a0, vref, cfg, known_F)
+    nodes = len(vref.times)
+    assert report.iterations == 3
+    assert len(calls) == report.iterations * nodes + (nodes - known)
+    # each is the self-product B(v, v) of one field
+    assert set(calls) == {1}
 
 
 def test_picard_takes_one_s_norm_per_iteration(monkeypatch):

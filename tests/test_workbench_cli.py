@@ -22,6 +22,7 @@ from hydrostokes.cli import main
 from hydrostokes.fields import NodeValues, PhysicalField, SpectralField, forward_transform
 from hydrostokes.lab import SEMIGROUP_COMBOS, ScanReport
 from hydrostokes.sampling import random_field
+from hydrostokes.solver import full_solve
 from hydrostokes.workbench import (
     CONFIG_KEYS,
     SNAPSHOT_HEADER,
@@ -475,6 +476,18 @@ ROUGH_8 = (
     "split.delta = 0.01\ndata.kind = rough-perturbation\ndata.rough = 1.0\n"
     "data.amplitude = 0.02\noutput.dir = out\n"
 )
+
+
+def test_rough_solve_converges_below_round_off(tmp_path):
+    # the Picard differences keep contracting past the default tolerance,
+    # down to round-off of the solution
+    cfg = parse_config(write(tmp_path, ROUGH_8 + "picard.tol = 1e-15\n"))
+    config = solver_config(cfg)
+    traj = full_solve(initial_data(cfg, config.grid()), config)
+    report = traj.diagnostics["picard"]
+    assert report.converged
+    assert report.iterations == 6
+    assert report.diff_S[-1] < 1e-15
 
 
 @pytest.mark.parametrize("h", ["1e-14", "1e-16", "1e-20"])
