@@ -3,7 +3,7 @@
 Normalization table (tested in tests/test_basis_fields.py):
 
   horizontal forward   rfft2 / N^2           -> classical Fourier coefficients, n <= N/2
-  horizontal inverse   irfft2 of the half spectrum * N^2
+  horizontal inverse   ifft along m, then irfft along n of the half spectrum, both * N
   vertical forward     @ basis.analysis      -> coefficients of phi_k      (DST-IV / K)
   vertical inverse     @ basis.sine          -> node values                (DST-IV / 2)
   vertical derivative  @ basis.dsine         -> sum a_k lambda_k cos(lambda_k (z_j+h))
@@ -15,12 +15,16 @@ grid size, so padding/truncation for dealiasing is plain index embedding,
 and in z it is a table slice: K modes go to a finer grid's nodes through
 the first K rows of its tables.
 
-NodeValues is the one path to several node quantities of a field (u, its
-first derivatives, w, div_H u): the products, the S(T)-norms and the lab
-scans read it; inverse_transform and vertical_derivative give one quantity.
-Every mixed norm L^q_H L^p_z of node values goes through column_norms, which
-takes the components as a list of node arrays (grad = [dx, dy, dz]) and sums
-their squares one at a time; a column norm that is not finite raises
+The horizontal inverse is two 1-D passes: a row pass (inverse DFT along m)
+and a column pass (inverse real DFT along n, zero-padding the N/2+1 stored
+columns onto the target grid).  NodeValues is the one path to several node
+quantities of a field (u, its first derivatives, w, div_H u), sharing the
+passes between them: the products, the S(T)-norms and the lab scans read it;
+inverse_transform, vertical_derivative and vertical_integral_from_bottom give
+one quantity through the same passes.  Every mixed norm L^q_H L^p_z of node
+values goes through column_norms, which takes the components as a list of
+node arrays (grad = [dx, dy, dz]), sums their squares one at a time and
+raises the sum to p/2; a column norm that is not finite raises
 NonFiniteFieldError, the norm's breakdown check.
 
 Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
@@ -152,22 +156,42 @@ def zero_nyquist(c: SpectralField) -> SpectralField:
 def forward_transform(f: PhysicalField) -> SpectralField:
     """Horizontal real DFT composed with the vertical DST-IV projection."""
     g = f.grid
-    return SpectralField(_rfft2(f.values @ g.basis.analysis, g.N), g)
+    return SpectralField(sfft.rfft2(f.values @ g.basis.analysis, axes=(1, 2)) / g.N**2, g)
 
 
-def _rfft2(a: np.ndarray, N: int) -> np.ndarray:
-    """Horizontal real DFT of node values to half-spectrum coefficients (fft2 / N^2)."""
-    return sfft.rfft2(a, axes=(1, 2)) / N**2
+def _pad_rows(a: np.ndarray, N: int, Np: int) -> np.ndarray:
+    """Embed FFT-ordered coefficients along m (axis 1), splitting the Nyquist
+    row -N/2 symmetrically onto +-N/2 so Hermitian symmetry is preserved."""
+    if Np == N:
+        return a
+    half = N // 2
+    out = np.zeros((a.shape[0], Np) + a.shape[2:], dtype=a.dtype)
+    out[:, :half] = a[:, :half]
+    out[:, Np - half + 1 :] = a[:, half + 1 :]
+    out[:, half] = 0.5 * a[:, half]
+    out[:, Np - half] = 0.5 * a[:, half]
+    return out
 
 
-def _irfft2(a: np.ndarray, N: int) -> np.ndarray:
-    """Horizontal inverse of half-spectrum coefficients (unscaled sum, i.e. ifft2 * N^2)."""
-    return sfft.irfft2(a, s=(N, N), axes=(1, 2), norm="forward")
+def _row_pass(a: np.ndarray) -> np.ndarray:
+    """Unscaled inverse DFT along m (axis 1) of half-spectrum coefficients."""
+    return sfft.ifft(a, axis=1, norm="forward")
+
+
+def _column_pass(a: np.ndarray, N: int) -> np.ndarray:
+    """Unscaled inverse real DFT along n (axis 2) onto N nodes; the columns
+    past those stored count as zero."""
+    return sfft.irfft(a, n=N, axis=2, norm="forward")
+
+
+def _inverse_lanes(c: SpectralField) -> np.ndarray:
+    """Node values along x and y of c's K modes on its own grid."""
+    return _column_pass(_row_pass(c.coeffs), c.grid.N)
 
 
 def inverse_transform(c: SpectralField) -> PhysicalField:
     """Exact inverse of :func:`forward_transform`."""
-    return PhysicalField(_irfft2(c.coeffs, c.grid.N) @ c.grid.basis.sine, c.grid)
+    return PhysicalField(_inverse_lanes(c) @ c.grid.basis.sine, c.grid)
 
 
 def horizontal_derivative(c: SpectralField, axis: str) -> SpectralField:
@@ -185,7 +209,7 @@ def vertical_derivative(c: SpectralField) -> PhysicalField:
     The derivative of a sine series lives in the cosine span, so the result
     is returned as node values, not re-projected.
     """
-    return PhysicalField(_irfft2(c.coeffs, c.grid.N) @ c.grid.basis.dsine, c.grid)
+    return PhysicalField(_inverse_lanes(c) @ c.grid.basis.dsine, c.grid)
 
 
 def vertical_mean(c: SpectralField) -> np.ndarray:
@@ -204,7 +228,7 @@ def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
     """
     if c.ncomp != 1:
         raise ValueError(f"expected a scalar field, got ncomp={c.ncomp}")
-    return PhysicalField(_irfft2(c.coeffs, c.grid.N) @ c.grid.basis.antideriv, c.grid)
+    return PhysicalField(_inverse_lanes(c) @ c.grid.basis.antideriv, c.grid)
 
 
 def divergence_h(v: SpectralField) -> SpectralField:
@@ -218,10 +242,28 @@ class NodeValues:
     """Node values u of a field c on ``basis.grid`` (default: c's own grid),
     and of dx, dy, dz, w = -int_{-h}^z div_H c and div = div_H c.
 
-    Each is an irfft2 of c's K modes as lanes times the first K rows of the
-    basis's tables, formed on first use; u and dz share one irfft2, w and
-    div another.  The products pass a finer grid's basis.
+    c's K modes go to the nodes of basis.grid as lanes, in two 1-D passes:
+    an inverse DFT along m of the rows, padded as pad_coeffs pads them, then
+    an inverse real DFT along n of the N/2+1 stored columns, which zero-pads
+    them onto the target grid.  The first K rows of the basis's tables take
+    the lanes to the nodes in z.  u, dz and dy share the row pass of c (dy
+    multiplies its columns by i xi_n), dx has the row pass of i xi_m c, with
+    the target grid's wavenumbers, and the lanes of div_H c are
+    (dx lanes)_0 + (dy lanes)_1: for a two-component field, two row passes
+    and three column passes give all six quantities.  Each quantity is
+    formed on first use.  An intermediate is cached only until every
+    quantity or intermediate that reads it (``_READERS``) has read it.  The
+    products pass the padded grid's basis.
     """
+
+    _READERS = {
+        "_padded": ("_rows", "_dx_lanes"),
+        "_rows": ("_lanes", "_dy_lanes"),
+        "_lanes": ("u", "dz"),
+        "_dx_lanes": ("dx", "_div_lanes"),
+        "_dy_lanes": ("dy", "_div_lanes"),
+        "_div_lanes": ("w", "div"),
+    }
 
     def __init__(self, c: SpectralField, basis: VerticalBasis | None = None):
         basis = c.grid.basis if basis is None else basis
@@ -230,41 +272,73 @@ class NodeValues:
         self.sine, self.dsine, self.antideriv = (
             t[:K] for t in (basis.sine, basis.dsine, basis.antideriv)
         )
+        self._unread = {name: set(readers) for name, readers in self._READERS.items()}
+
+    def _read(self, name: str, reader: str):
+        """The intermediate ``name`` for ``reader``; dropped once its last reader has it."""
+        value = getattr(self, name)
+        unread = self._unread[name]
+        unread.discard(reader)
+        if not unread:
+            del self.__dict__[name]
+        return value
+
+    @cached_property
+    def _padded(self):
+        # the Nyquist column stood for +-N/2 together; padded, it is +N/2 alone
+        N, Np = self.c.grid.N, self.grid.N
+        a = _pad_rows(self.c.coeffs, N, Np)
+        if Np > N:
+            a[:, :, N // 2] *= 0.5
+        return a
+
+    @cached_property
+    def _rows(self):
+        return _row_pass(self._read("_padded", "_rows"))
 
     @cached_property
     def _lanes(self):
-        return _irfft2(self.c.coeffs, self.c.grid.N)
+        return _column_pass(self._read("_rows", "_lanes"), self.grid.N)
+
+    @cached_property
+    def _dx_lanes(self):
+        xi = self.grid.xi[:, None, None]
+        rows = _row_pass(self._read("_padded", "_dx_lanes") * (1j * xi))
+        return _column_pass(rows, self.grid.N)
+
+    @cached_property
+    def _dy_lanes(self):
+        xi = self.grid.xi[: self.c.grid.N // 2 + 1, None]
+        return _column_pass(self._read("_rows", "_dy_lanes") * (1j * xi), self.grid.N)
 
     @cached_property
     def _div_lanes(self):
-        return _irfft2(divergence_h(self.c).coeffs, self.c.grid.N)[0]
-
-    def _derivative(self, axis):
-        return _irfft2(horizontal_derivative(self.c, axis).coeffs, self.c.grid.N) @ self.sine
+        dx, dy = self._read("_dx_lanes", "_div_lanes"), self._read("_dy_lanes", "_div_lanes")
+        return dx[0] + dy[1]
 
     @cached_property
     def u(self):
-        return self._lanes @ self.sine
+        return self._read("_lanes", "u") @ self.sine
 
     @cached_property
     def dz(self):
-        return self._lanes @ self.dsine
+        return self._read("_lanes", "dz") @ self.dsine
 
     @cached_property
     def dx(self):
-        return self._derivative("x")
+        return self._read("_dx_lanes", "dx") @ self.sine
 
     @cached_property
     def dy(self):
-        return self._derivative("y")
+        return self._read("_dy_lanes", "dy") @ self.sine
 
     @cached_property
     def w(self):
-        return -(self._div_lanes @ self.antideriv)
+        return -(self._read("_div_lanes", "w") @ self.antideriv)
 
     @cached_property
     def div(self):
-        return self._div_lanes @ self.sine
+        return self._read("_div_lanes", "div") @ self.sine
 
     def norm(self, name: str, q, p) -> float:
         """Mixed norm L^q_H L^p_z of one quantity, or of "grad" = (dx, dy, dz)."""
@@ -272,13 +346,13 @@ class NodeValues:
         return float(weighted_lp(column_norms(parts, self.grid, p), q, 1.0 / self.grid.N**2))
 
 
-def weighted_lp(a: np.ndarray, p, weight: float, axis=None):
+def weighted_lp(a: np.ndarray, p, weight: float):
     """(sum weight * a^p)^{1/p} of non-negative values a; the max for p = inf."""
     if p == np.inf:
-        return a.max(axis=axis)
+        return a.max()
     if p < 1:
         raise ValueError(f"exponents must be in [1, inf], got {p}")
-    return (np.sum(a**p, axis=axis) * weight) ** (1.0 / p)
+    return (np.sum(a**p) * weight) ** (1.0 / p)
 
 
 def column_norms(parts, grid: Grid, p) -> np.ndarray:
@@ -286,13 +360,19 @@ def column_norms(parts, grid: Grid, p) -> np.ndarray:
 
     ``parts`` lists node arrays whose components together make one field;
     their squares are summed one at a time, with no stacked copy.  Vertical
-    integrals use the midpoint rule (weight h/K).  A NaN, inf or overflowing
-    square or power makes its column non-finite, which raises
+    integrals use the midpoint rule (weight h/K), raising the summed squares
+    to p/2: one power per node, and a square for p = 4.  A NaN, inf or
+    overflowing square or power makes its column non-finite, which raises
     NonFiniteFieldError; the overflow itself is not also warned about.
     """
     with np.errstate(over="ignore"):
         sq = sum(c**2 for a in parts for c in a)
-        cols = weighted_lp(np.sqrt(sq), p, grid.h / grid.K, axis=2)
+        if p == np.inf:
+            cols = np.sqrt(sq.max(axis=2))
+        elif p < 1:
+            raise ValueError(f"exponents must be in [1, inf], got {p}")
+        else:
+            cols = (np.sum(sq ** (p / 2), axis=2) * (grid.h / grid.K)) ** (1.0 / p)
     if not np.all(np.isfinite(cols)):
         raise NonFiniteFieldError("a node value or its square is non-finite")
     return cols

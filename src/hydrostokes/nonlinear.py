@@ -2,13 +2,17 @@
 
 Every product is dealiased: formed pointwise on a 3/2-padded collocation
 grid and truncated back to the working resolution (2/3 rule in all three
-directions); there is no aliased path.  Coefficients are padded along m and
-n only, and fields.NodeValues with the padded grid's basis takes each
-field's K working modes to the padded nodes; the first K columns of that
+directions); there is no aliased path.  fields.NodeValues with the padded
+grid's basis takes each working-grid field to the padded nodes: its passes
+pad along m and n by transform length, and the first K rows of the padded
+grid's tables pad in z.  Back, a real DFT along n keeps the working columns,
+a DFT along m runs on those alone, and the first K columns of the padded
 grid's analysis table truncate in z.  The vertical velocity w lives in the
 cosine/constant span and is carried as node values only.  The solver forms
 every transport term, the Picard forcing F(v_ref + V) - F(v_ref) included,
-from one :func:`advection` product per field.
+from one :func:`advection` product per field.  pad_coeffs and
+truncate_coeffs embed and restrict coefficients; the tests check the
+products' passes against them.
 """
 
 import numpy as np
@@ -19,32 +23,12 @@ from .fields import (
     NodeValues,
     PhysicalField,
     SpectralField,
-    _rfft2,
+    _pad_rows,
     divergence_h,
     horizontal_derivative,
     vertical_integral_from_bottom,
     zero_nyquist,
 )
-
-
-def _lane_grid(gp: Grid, K: int) -> Grid:
-    """The horizontal grid of gp with K modes: where products on gp hold their
-    K-mode coefficients, padded along m and n only."""
-    return gp if gp.K == K else Grid(gp.N, K, gp.h)
-
-
-def _pad_rows(a: np.ndarray, N: int, Np: int) -> np.ndarray:
-    """Embed FFT-ordered coefficients along m (axis 1), splitting the Nyquist
-    row -N/2 symmetrically onto +-N/2 so Hermitian symmetry is preserved."""
-    if Np == N:
-        return a
-    half = N // 2
-    out = np.zeros((a.shape[0], Np) + a.shape[2:], dtype=a.dtype)
-    out[:, :half] = a[:, :half]
-    out[:, Np - half + 1 :] = a[:, half + 1 :]
-    out[:, half] = 0.5 * a[:, half]
-    out[:, Np - half] = 0.5 * a[:, half]
-    return out
 
 
 def _truncate_rows(a: np.ndarray, Np: int, N: int) -> np.ndarray:
@@ -100,20 +84,27 @@ def vertical_velocity_top(v: SpectralField) -> np.ndarray:
 
 
 def _advective_product(a: NodeValues, b: NodeValues) -> np.ndarray:
-    """Node values of (u_a . grad_H) v_b + w_a dz v_b."""
-    return a.u[0] * b.dx + a.u[1] * b.dy + a.w * b.dz
+    """Node values of (u_a . grad_H) v_b + w_a dz v_b, summed in place term by
+    term; each quantity is dropped from a and b once it is used."""
+    out = b.dz * a.w
+    del b.dz, a.w
+    out += b.dx * a.u[0]
+    del b.dx
+    out += b.dy * a.u[1]
+    del b.dy, a.u
+    return out
 
 
 def _node_sets(v1: SpectralField, v2: SpectralField | None):
     """Product grid gp and the node values there of v1 and v2, shared when v2
-    is v1 or None.  Each field is padded along m and n only, so its irfft2s
-    run on its K modes as lanes and gp's tables take them to gp's nodes."""
+    is v1 or None.  NodeValues pads each field along m and n in its
+    transforms, and gp's tables take its K modes to gp's nodes in z."""
     gp = v1.grid.padded
 
     def nodes(v):
         if v.ncomp != 2:
             raise ValueError(f"products need 2-component velocity fields, got ncomp={v.ncomp}")
-        return NodeValues(pad_coeffs(v, _lane_grid(gp, v.grid.K)), gp.basis)
+        return NodeValues(v, gp.basis)
 
     n1 = nodes(v1)
     return gp, n1, n1 if v2 is None or v2 is v1 else nodes(v2)
@@ -122,11 +113,14 @@ def _node_sets(v1: SpectralField, v2: SpectralField | None):
 def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
     """Coefficients of product node values on gp, truncated to grid.
 
-    The first K columns of gp's analysis table give the K modes kept, so the
-    rfft2 runs on K lanes.  Raises ValueError on non-finite products.
+    The first K columns of gp's analysis table give the K modes kept; the
+    real DFT along n keeps the N/2+1 columns of grid, so the DFT along m
+    runs on those alone.  Raises ValueError on non-finite products.
     """
     lanes = PhysicalField(prod, gp).values @ gp.basis.analysis[:, : grid.K]
-    return truncate_coeffs(SpectralField(_rfft2(lanes, gp.N), _lane_grid(gp, grid.K)), grid)
+    cols = sfft.rfft(lanes, axis=2, norm="forward")[:, :, : grid.N // 2 + 1]
+    rows = sfft.fft(cols, axis=1, norm="forward")
+    return zero_nyquist(SpectralField(_truncate_rows(rows, gp.N, grid.N), grid))
 
 
 def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:

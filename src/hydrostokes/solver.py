@@ -25,7 +25,8 @@ from .nonlinear import advection
 from .projection import check_solenoidal, project_hydrostatic
 
 # Most time steps round(T/dt) a solve may take.  The trajectory keeps every
-# node's snapshot; at 16^3 (131 kB each) this many already take 13 GB.
+# node's snapshot; at 16^3 (74 kB each, half a spectrum) this many already
+# take 7.4 GB.
 MAX_TIME_STEPS = 100_000
 
 

@@ -1,5 +1,7 @@
 """Dealiased advection, vertical velocity, and the divergence form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hydrostokes.fields import (
     PhysicalField,
     SpectralField,
     forward_transform,
+    hermitian_part,
     horizontal_derivative,
     inverse_transform,
     vertical_derivative,
@@ -103,6 +106,50 @@ def test_node_sets_match_padded_transforms(grid, padded):
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def _hermitian_field(grid, seed):
+    # random real field with nonzero Nyquist rows and columns
+    rng = np.random.default_rng(seed)
+    shape = (2, grid.N, grid.N, grid.K)
+    c = hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v = SpectralField.from_full(c, grid)
+    half = grid.N // 2
+    assert np.abs(v.coeffs[:, half]).min() > 0 and np.abs(v.coeffs[:, :, half]).min() > 0
+    return v
+
+
+@pytest.mark.parametrize(
+    "grid", [Grid(4, 1, 1.0), Grid(8, 8, 1.0), Grid(12, 5, 1.0), Grid(16, 16, 0.7)]
+)
+def test_padded_node_values_equal_padded_coeffs(grid):
+    # NodeValues pads the rows and the Nyquist column in its passes, as
+    # pad_coeffs pads the coefficients it is given on the padded horizontal grid
+    v = _hermitian_field(grid, seed=grid.N + grid.K)
+    gp = grid.padded
+    nodes = NodeValues(v, gp.basis)
+    ref = NodeValues(pad_coeffs(v, Grid(gp.N, grid.K, grid.h)), gp.basis)
+    for name in ("u", "dx", "dy", "dz", "w", "div"):
+        want = getattr(ref, name)
+        got = getattr(nodes, name)
+        assert got.shape[-3:] == (gp.N, gp.N, gp.K), name
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize(
+    "grid, gp", [(Grid(8, 8, 1.0), Grid(8, 8, 1.0)), (Grid(8, 5, 1.0), Grid(12, 8, 1.0)),
+                 (Grid(16, 16, 0.7), Grid(24, 24, 0.7))]
+)
+def test_truncated_equals_truncated_full_transform(grid, gp):
+    # the real DFT along n keeps grid's columns before the DFT along m
+    rng = np.random.default_rng(grid.N + grid.K)
+    prod = rng.standard_normal((2, gp.N, gp.N, gp.K))
+    want = truncate_coeffs(forward_transform(PhysicalField(prod, gp)), grid).coeffs
+    got = _truncated(prod, gp, grid).coeffs
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    prod[1, 2, 3, 0] = np.nan
+    with pytest.raises(ValueError):
+        _truncated(prod, gp, grid)
+
+
 # -- vertical velocity ----------------------------------------------------
 
 
@@ -176,6 +223,28 @@ def test_advection_difference_matches_three_terms(grid16, amplitude):
     diff = advection(SpectralField(r.coeffs + V.coeffs, grid16)).coeffs - base
     ref = advection(V, V).coeffs + advection(V, r).coeffs + advection(r, V).coeffs
     assert np.abs(diff - ref).max() <= 1e-14 * np.abs(base).max()
+
+
+def test_advection_of_one_field_equals_two_field_form(grid16):
+    # one product routine: a shared node set, or one per slot
+    v = random_field(grid16, ncomp=2, seed=13, solenoidal=True)
+    want = advection(v).coeffs
+    assert np.array_equal(advection(v, v).coeffs, want)
+    assert np.array_equal(advection(v, v.copy()).coeffs, want)
+
+
+def test_advection_transient_memory():
+    # each node quantity is dropped once the product has used it
+    grid = Grid(32, 32, 1.0)
+    v = random_field(grid, ncomp=2, seed=14, solenoidal=True)
+    advection(v)  # the padded grid's tables, outside the measurement
+    tracemalloc.start()
+    try:
+        advection(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_advection_bilinear_consistency(grid8):

@@ -446,23 +446,39 @@ def test_node_norms_equal_mixed_norms(op16):
     assert _node_norms(vs, times, 4.0) == want
 
 
-def test_node_norms_irfft2_per_node(monkeypatch):
-    # t > 0: one irfft2 for v and dz v, one each for dx v and dy v; t = 0: v only
+def test_node_norms_transform_passes_per_node(monkeypatch):
+    # t > 0: the row passes of v and dx v, and the column passes of v (for v
+    # and dz v), dx v and dy v; t = 0: one row and one column pass for v
     calls = []
-    irfft2 = hydrostokes.fields._irfft2
+    for name in ("_row_pass", "_column_pass"):
 
-    def counted(a, N):
-        calls.append(1)
-        return irfft2(a, N)
+        def counted(*args, name=name, run=getattr(hydrostokes.fields, name)):
+            calls.append(name)
+            return run(*args)
 
-    monkeypatch.setattr(hydrostokes.fields, "_irfft2", counted)
+        monkeypatch.setattr(hydrostokes.fields, name, counted)
     grid = Grid(8, 8, 1.0)
     vs = [random_field(grid, ncomp=2, seed=s) for s in (17, 18, 19)]
     _node_norms(vs[:1], [0.0], 4.0)
-    assert len(calls) == 1
+    assert sorted(calls) == ["_column_pass", "_row_pass"]
     calls.clear()
     _node_norms(vs, [0.0, 0.01, 0.02], 4.0)
-    assert len(calls) == 1 + 3 + 3
+    assert calls.count("_row_pass") == 1 + 2 + 2
+    assert calls.count("_column_pass") == 1 + 3 + 3
+
+
+def test_smooth_full_solve_is_first_order_in_time():
+    # exponential Euler: halving dt halves the difference between the final
+    # snapshots of successive step sizes
+    grid = Grid(8, 8, 1.0)
+    a = random_field(grid, ncomp=2, seed=4, solenoidal=True, amplitude=0.05)
+    finals = [
+        full_solve(a, SolverConfig(N=8, K=8, dt=dt, T=0.05, delta=0.0)).snapshots[-1].coeffs
+        for dt in (0.01, 0.005, 0.0025, 0.00125)
+    ]
+    diffs = [SpectralField(b - c, grid).norm2() for b, c in zip(finals, finals[1:])]
+    orders = np.log2(np.array(diffs[:-1]) / np.array(diffs[1:]))
+    assert np.all((0.9 <= orders) & (orders <= 1.3)), orders
 
 
 def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
