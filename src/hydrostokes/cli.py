@@ -9,7 +9,8 @@ its reasons on one ``error: verify <suite>:`` line to stderr.
 
 A computation that breaks down (a scan whose ratios are all inf at a tiny
 depth, say) shows up as a non-finite field or sup, which each command maps
-to its exit code, so numpy's floating-point warnings are switched off.
+to its exit code, so numpy's floating-point warnings are switched off.  An
+output file that cannot be written exits 2 with one ``error: output:`` line.
 
 On glibc, :func:`main` first raises the allocator's mmap and trim thresholds
 to 32 MiB, so the 0.1-2 MB node arrays that every product and norm frees stay
@@ -83,12 +84,18 @@ def _err(msg: str):
 
 
 def _write_csv(path: str, header, rows):
+    """CSV written to ``path + ".tmp"`` then renamed; the temp file is removed on failure."""
     tmp = path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _output_dir(cfg: dict) -> str:
@@ -345,7 +352,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     with np.errstate(all="ignore"):
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except OSError as exc:
+            # each command maps its own input errors; what is left is an output file
+            _err(f"output: {exc}")
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -3,9 +3,9 @@
 Rough initial data a is split as a = a_ref + a_0 with a_ref = e^{delta A} a
 smooth and a_0 small.  The reference part is advanced by an exponential-Euler
 integrator; the remainder V = v - v_ref is constructed by Picard iteration on
-the Duhamel integral with forcing F(v_ref + V) - F(v_ref), whose F(v_ref) the
-reference solve has formed, starting from e^{tA} a_0 and applying only the
-one-step exponential e^{dt A}.  The iteration is monitored through the S(T)-norm
+the Duhamel integral with forcing F(v_ref + V) - F(v_ref), starting from e^{tA} a_0
+and applying only e^{dt A}.  Each F(v) is formed once per solve and passed along
+as a list over the time nodes.  The iteration is monitored through the S(T)-norm
 max(sup ||D||, sup t^{1/2} ||grad D||) of each difference D = V_{m+1} - V_m,
 with mixed L^inf_H L^p_z norms; :class:`IterationReport` keeps those norms
 and nothing else.  Every nonlinear term is dealiased (2/3 rule) and every
@@ -155,16 +155,18 @@ def _forcing(f: SpectralField) -> SpectralField:
     return project_hydrostatic(SpectralField(-f.coeffs, f.grid))
 
 
-def _forcings(snaps, known_F=()):
-    """F(v) = -P (u . grad) v at every node: ``known_F`` at the first nodes, the rest formed."""
-    return list(known_F) + [_forcing(advection(s)) for s in snaps[len(known_F) :]]
+def _forcings(snaps, F=None):
+    """F(v) = -P (u . grad) v at every node: ``F``, one entry per node, or formed when None."""
+    if F is not None and len(F) != len(snaps):
+        raise ValueError(f"forcing list has {len(F)} entries for {len(snaps)} time nodes")
+    return [_forcing(advection(s)) for s in snaps] if F is None else F
 
 
 def _duhamel(a: SpectralField, F, times):
     """Trapezoidal Duhamel sums S_n = e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds.
 
-    F is given at every node of the uniform grid ``times``; yields S_n for
-    every node in turn, S_0 = a.  The trapezoid weights obey the recurrence
+    F, one entry per node of the uniform grid ``times``, is read in node order;
+    yields S_n for every node in turn, S_0 = a.  The trapezoid weights obey the recurrence
 
         G_0 = a,  G_n = e^{dt A}(G_{n-1} + w_{n-1} F_{n-1}),  S_n = G_n + (dt/2) F_n
 
@@ -178,19 +180,20 @@ def _duhamel(a: SpectralField, F, times):
     if np.any(np.abs(steps - dt) > 1e-9 * dt):
         raise ValueError("Duhamel sums need uniformly spaced time nodes")
     yield a.copy()
-    grid, G = a.grid, a.coeffs
-    for n in range(1, len(times)):
-        w = 0.5 * dt if n == 1 else dt
-        G = grid.stokes.semigroup_apply(dt, SpectralField(G + w * F[n - 1].coeffs, grid)).coeffs
-        yield SpectralField(G + 0.5 * dt * F[n].coeffs, grid)
+    grid, G, F = a.grid, a.coeffs, iter(F)
+    w, f = 0.5 * dt, next(F)
+    for _ in times[1:]:
+        G = grid.stokes.semigroup_apply(dt, SpectralField(G + w * f.coeffs, grid)).coeffs
+        w, f = dt, next(F)
+        yield SpectralField(G + 0.5 * dt * f.coeffs, grid)
 
 
 def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     """Exponential-Euler integration v_{n+1} = P(e^{dtA} v_n + dt phi1(dtA) F(v_n)).
 
     F(v) = -P (u . grad) v; the nodes are the multiples of ``config.dt`` up to
-    ``config.T``.  ``diagnostics["F"]`` keeps F(v_n) for the nodes 0..n-1,
-    which :func:`picard_iterate` and :func:`mild_residual` reuse rather than form again.
+    ``config.T``.  ``diagnostics["F"]`` keeps F(v_n) at every node, the last one
+    included, which :func:`picard_iterate` and :func:`mild_residual` reuse.
     """
     dt, op = config.dt, a_ref.grid.stokes
     nsteps = int(round(config.T / dt))
@@ -199,11 +202,9 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     snaps = [v]
     e0 = v.norm2()
     guard = max(e0, 1e-300) * 1e6
-    F_list = []
+    F_list = [_forcing(advection(v))]
     for _ in range(nsteps):
-        F = _forcing(advection(v))
-        F_list.append(F)
-        stepped = op.semigroup_apply(dt, v).coeffs + dt * op.phi1_apply(dt, F).coeffs
+        stepped = op.semigroup_apply(dt, v).coeffs + dt * op.phi1_apply(dt, F_list[-1]).coeffs
         v = project_hydrostatic(SpectralField(stepped, op.grid))
         e = v.norm2()
         if not np.isfinite(e) or e > guard:
@@ -211,10 +212,11 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
                 f"reference solve blew up: ||v|| = {e:.3e} vs initial {e0:.3e}"
             )
         snaps.append(v)
+        F_list.append(_forcing(advection(v)))
     return Trajectory(times, snaps, {"F": F_list})
 
 
-def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, known_F=()):
+def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, F_ref=None):
     """Duhamel fixed-point iteration for the rough remainder V.
 
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
@@ -222,24 +224,22 @@ def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, k
     the integral by trapezoidal quadrature on the time grid ``v_ref.times``,
     which must be uniform.  The first iterate e^{t_n A} a_0 is the same
     recurrence with zero forcing, so the whole iteration applies only
-    e^{dt A}.  F(v_ref) is formed once, taken from ``known_F`` at its first
-    nodes (as :func:`reference_solve` leaves it); then each iteration costs
-    one :func:`advection` and one semigroup apply per node (the recurrence in
-    :func:`_duhamel`) and one S(T)-norm, that of V_{m+1} - V_m.  Stopping at
-    ``config.max_picard`` returns the report with ``converged`` False;
-    :func:`full_solve` treats that as a failure.
+    e^{dt A}.  ``F_ref`` is F(v_ref) at every node, formed after the first
+    iterate when None.  Each iteration forms the totals F(v_ref + V_m), one
+    :func:`advection` per node, kept in ``diagnostics["F"]``, streams their
+    differences from F_ref into :func:`_duhamel` and takes one S(T)-norm, of
+    V_{m+1} - V_m.  Stopping at ``config.max_picard`` returns the report
+    with ``converged`` False; :func:`full_solve` treats that as a failure.
     """
-    times, grid = v_ref.times, a0.grid
+    times, refs, grid = v_ref.times, v_ref.snapshots, a0.grid
     V = list(_duhamel(a0, [SpectralField.zeros(grid)] * len(times), times))
-    F_ref = _forcings(v_ref.snapshots, known_F)
+    F_ref = _forcings(refs, F_ref)
     report = IterationReport()
 
     for _ in range(config.max_picard):
-        F = []
-        for v, r, f in zip(V, v_ref.snapshots, F_ref):
-            total = _forcing(advection(SpectralField(r.coeffs + v.coeffs, grid)))
-            F.append(SpectralField(total.coeffs - f.coeffs, grid))
-        Vnew = list(_duhamel(a0, F, times))
+        F = _forcings(SpectralField(r.coeffs + v.coeffs, grid) for r, v in zip(refs, V))
+        diffs = (SpectralField(t.coeffs - f.coeffs, grid) for t, f in zip(F, F_ref))
+        Vnew = list(_duhamel(a0, diffs, times))
 
         diff = [SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew, V)]
         dS = _s_norm(diff, times, config.p)
@@ -255,7 +255,7 @@ def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, k
                 "Picard iteration diverging: S-norm of differences doubled twice",
                 report=report,
             )
-    return Trajectory(times, V), report
+    return Trajectory(times, V, {"F": F}), report
 
 
 def _shrink_delta(a, config):
@@ -286,14 +286,13 @@ def full_solve(a: SpectralField, config: SolverConfig):
     a_ref, a0, delta = _shrink_delta(a, config)
     try:
         vref = reference_solve(a_ref, config)
-        known_F = vref.diagnostics.pop("F")
+        snaps, F = vref.snapshots, vref.diagnostics.pop("F")
         if float(np.abs(a0.coeffs).max()) == 0.0:
-            # no rough part: v = v_ref, whose F is already known
-            snaps = vref.snapshots
+            # no rough part: v = v_ref
             report = IterationReport(converged=True)
         else:
-            V, report = picard_iterate(a0, vref, config, known_F)
-            known_F = ()  # F(v_ref + V) must be formed from the sum
+            V, report = picard_iterate(a0, vref, config, F)
+            F = V.diagnostics.pop("F")  # F(v_ref + V_m), the last iteration's totals
             if not report.converged:
                 raise SolverDivergenceError(
                     f"Picard iteration stopped at its cap of {config.max_picard} iterations: "
@@ -301,10 +300,7 @@ def full_solve(a: SpectralField, config: SolverConfig):
                     f"{config.picard_tol:.3e}",
                     report=report,
                 )
-            snaps = [
-                SpectralField(r.coeffs + s.coeffs, a.grid)
-                for r, s in zip(vref.snapshots, V.snapshots)
-            ]
+            snaps = [SpectralField(r.coeffs + s.coeffs, a.grid) for r, s in zip(snaps, V.snapshots)]
     except SolverDivergenceError as exc:
         raise SolverDivergenceError(
             f"{exc} (step-size number dt*max|u|*k_max = {step_number:.3e})", report=exc.report
@@ -318,7 +314,7 @@ def full_solve(a: SpectralField, config: SolverConfig):
         "sol_drift": np.array([check_solenoidal(s) for s in snaps]) * energy / (energy[0] or 1.0),
         "norm_inf_p": norm_inf_p,
         "t_sqrt_grad_norm": t_sqrt_grad_norm,
-        "residual": mild_residual(traj, known_F),
+        "residual": mild_residual(traj, F),
         "delta": delta,
         "step_number": step_number,
         "picard": report,
@@ -326,16 +322,17 @@ def full_solve(a: SpectralField, config: SolverConfig):
     return traj
 
 
-def mild_residual(traj: Trajectory, known_F=()) -> np.ndarray:
+def mild_residual(traj: Trajectory, F=None) -> np.ndarray:
     """Defect in the Duhamel identity per time node, in L^2.
 
     Uses the same trapezoidal quadrature, and the same O(n) recurrence, as
-    the Picard iteration, with F(v) = -P (u . grad) v.  ``known_F`` holds F
-    at the first nodes when the caller has formed it already (as
-    :func:`reference_solve` does); only the remaining nodes are computed.
-    The time nodes must be uniform; residual[0] is 0 by construction.
+    the Picard iteration, with F(v) = -P (u . grad) v at every node, formed
+    when None.  The time nodes must be uniform; residual[0] is 0.  On the
+    rough branch :func:`full_solve` passes F(v_ref + V_m) for v_ref + V_{m+1}:
+    by linearity that residual is v_ref's own defect (to 4e-16 relative), the
+    exponential-Euler step against the trapezoid sums, blind to the Picard lag
+    (bounded through ``diff_S[-1]``); it still catches a wrong v_ref + V sum.
     """
-    sums = _duhamel(traj.snapshots[0], _forcings(traj.snapshots, known_F), traj.times)
-    return np.array(
-        [SpectralField(v.coeffs - s.coeffs, v.grid).norm2() for v, s in zip(traj.snapshots, sums)]
-    )
+    snaps = traj.snapshots
+    S = _duhamel(snaps[0], _forcings(snaps, F), traj.times)
+    return np.array([SpectralField(v.coeffs - s.coeffs, v.grid).norm2() for v, s in zip(snaps, S)])

@@ -235,22 +235,48 @@ def test_picard_known_forcing_is_bitwise_equal():
     # F(v_ref) handed over from the reference solve, or formed afresh
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=4, picard_tol=0.0)
     a0, vref = _small_rough_split(cfg)
-    known_F = vref.diagnostics["F"]
-    assert len(known_F) == len(vref.times) - 1
-    with_known, report_known = picard_iterate(a0, vref, cfg, known_F)
+    F_ref = vref.diagnostics["F"]
+    assert len(F_ref) == len(vref.times)
+    given, report_given = picard_iterate(a0, vref, cfg, F_ref)
     afresh, report = picard_iterate(a0, vref, cfg)
-    assert report_known.diff_S == report.diff_S
-    for a, b in zip(with_known.snapshots, afresh.snapshots):
+    assert report_given.diff_S == report.diff_S
+    for a, b in zip(given.snapshots, afresh.snapshots):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    for a, b in zip(given.diagnostics["F"], afresh.diagnostics["F"]):
         assert np.array_equal(a.coeffs, b.coeffs)
 
 
-@pytest.mark.parametrize("known", [0, 3, 5])
-def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, known):
-    # F(v_ref) at the nodes known_F does not cover, then one product
+@pytest.mark.parametrize("short", [True, False], ids=["short", "long"])
+def test_picard_rejects_forcing_of_wrong_length(short):
+    # F(v_ref) is a list over every node, or nothing
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=2, picard_tol=0.0)
+    a0, vref = _small_rough_split(cfg)
+    F_ref = vref.diagnostics["F"]
+    F_ref = F_ref[:-1] if short else F_ref + F_ref[-1:]
+    with pytest.raises(ValueError, match="forcing list"):
+        picard_iterate(a0, vref, cfg, F_ref)
+    with pytest.raises(ValueError, match="forcing list"):
+        mild_residual(vref, F_ref)
+
+
+def test_reference_solve_keeps_the_forcing_at_every_node():
+    # the last node's F as well: no caller forms F(v_ref) again
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05)
+    _, vref = _small_rough_split(cfg)
+    F = vref.diagnostics["F"]
+    assert len(F) == len(vref.times)
+    last = hydrostokes.solver._forcings(vref.snapshots[-1:])[0]
+    assert np.array_equal(F[-1].coeffs, last.coeffs)
+    assert np.array_equal(mild_residual(vref, F), mild_residual(vref))
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["formed", "given"])
+def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, given):
+    # F(v_ref) at every node unless it is given, then one product
     # F(v_ref + V) per node and iteration
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=3, picard_tol=0.0)
     a0, vref = _small_rough_split(cfg)
-    known_F = vref.diagnostics["F"][:known]
+    F_ref = vref.diagnostics["F"] if given else None
     calls = []
     real_advection = hydrostokes.solver.advection
 
@@ -259,10 +285,10 @@ def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, known):
         return real_advection(*args, **kwargs)
 
     monkeypatch.setattr(hydrostokes.solver, "advection", counted)
-    _, report = picard_iterate(a0, vref, cfg, known_F)
+    _, report = picard_iterate(a0, vref, cfg, F_ref)
     nodes = len(vref.times)
     assert report.iterations == 3
-    assert len(calls) == report.iterations * nodes + (nodes - known)
+    assert len(calls) == report.iterations * nodes + (0 if given else nodes)
     # each is the self-product B(v, v) of one field
     assert set(calls) == {1}
 
@@ -386,6 +412,26 @@ def test_full_solve_rejects_data_on_another_grid():
         full_solve(a, SolverConfig(dt=0.01, T=0.05))
 
 
+def test_duhamel_reads_the_forcing_in_node_order(op16):
+    # a generator gives the list's sums bit for bit, and S_n is yielded
+    # once F has been read up to node n, no further
+    n, dt = 5, 0.0125
+    times = dt * np.arange(n)
+    a = random_field(op16.grid, ncomp=2, seed=14, solenoidal=True)
+    F = [random_field(op16.grid, ncomp=2, seed=20 + j, solenoidal=True) for j in range(n)]
+    read = []
+
+    def stream():
+        for j, f in enumerate(F):
+            read.append(j)
+            yield f
+
+    for k, (s, t) in enumerate(zip(_duhamel(a, stream(), times), _duhamel(a, F, times))):
+        assert np.array_equal(s.coeffs, t.coeffs)
+        assert read == list(range(k + 1)) if k else read == []
+    assert read == list(range(n))
+
+
 def test_duhamel_recurrence_matches_direct_sum(op16):
     # oracle: the trapezoid sum written out, each term its own semigroup apply
     n, dt = 9, 0.0125
@@ -496,3 +542,31 @@ def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
     traj = full_solve(a, cfg)
     assert len(calls) == len(traj.times)
     assert np.array_equal(traj.diagnostics["residual"], mild_residual(traj))
+
+
+def test_rough_full_solve_forms_each_nonlinearity_once(monkeypatch):
+    # the reference solve's F(v_ref), then the totals F(v_ref + V_m) of
+    # each Picard iteration, the last of which the residual reuses; the
+    # rough benchmark's data and time grid, at 8^3
+    cfg = SolverConfig(N=8, K=8, dt=0.0025, T=0.05)
+    a = random_field(
+        cfg.grid(), seed=3, decay=2.0, rough_amplitude=1.0, solenoidal=True, amplitude=0.02
+    )
+    calls = []
+    real_advection = hydrostokes.solver.advection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_advection(*args, **kwargs)
+
+    monkeypatch.setattr(hydrostokes.solver, "advection", counted)
+    traj = full_solve(a, cfg)
+    m, nodes = traj.diagnostics["picard"].iterations, len(traj.times)
+    assert m >= 2
+    assert len(calls) == (m + 1) * nodes
+    assert "F" not in traj.diagnostics
+    # against F(v_ref + V_{m+1}) formed from the snapshots: a Picard lag
+    # below the tolerance
+    afresh = mild_residual(traj)
+    res = traj.diagnostics["residual"]
+    assert np.abs(res - afresh).max() <= 1e-10 * afresh.max()

@@ -401,6 +401,31 @@ def test_cli_uncreatable_output_dir_exit_2(tmp_path, monkeypatch, capsys, comman
     assert "error: config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,blocked",
+    [
+        (["simulate"], "diagnostics.csv"),
+        (["simulate"], "snapshot_00000.hstk"),
+        (["verify", "kernel"], "kernel.csv"),
+        (["spectrum"], "spectrum.csv"),
+    ],
+)
+def test_cli_unwritable_output_file_exit_2(tmp_path, monkeypatch, capsys, command, blocked):
+    # an output path that is a directory: one error line, exit 2, no temp file left
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out" / blocked).mkdir(parents=True)
+    cfg = write(
+        tmp_path, "grid.n = 8\ngrid.k = 4\ntime.dt = 0.01\ntime.horizon = 0.02\noutput.dir = out\n"
+    )
+    assert run_cli(command + ["--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    left = {p.name for p in (tmp_path / "out").iterdir()}
+    assert not {n for n in left if n.endswith(".tmp") or n.startswith("tmp")}
+    assert (tmp_path / "out" / blocked).is_dir()
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["verify", "young"], ["verify", "semigroup"]])
 def test_cli_negative_seed_exit_2(tmp_path, monkeypatch, capsys, command):
     monkeypatch.chdir(tmp_path)
