@@ -45,6 +45,7 @@ from .semigroup import spectral_bound
 from .solver import SolverConfig, SolverDivergenceError, full_solve
 from .workbench import (
     ConfigError,
+    _atomic_open,
     config_grid,
     initial_data,
     parse_config,
@@ -84,18 +85,11 @@ def _err(msg: str):
 
 
 def _write_csv(path: str, header, rows):
-    """CSV written to ``path + ".tmp"`` then renamed; the temp file is removed on failure."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.isfile(tmp):
-            os.unlink(tmp)
-        raise
+    """CSV written whole or not at all, as snapshots are (``workbench._atomic_open``)."""
+    with _atomic_open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _output_dir(cfg: dict) -> str:

@@ -259,17 +259,17 @@ def resolvent_scan(
     seed: int = 0,
     derivative_datum: bool = False,
 ) -> ScanReport:
-    """Sectorial resolvent estimate ratios over lambda in Sigma_theta.
+    """Sectorial resolvent estimate ratios over lambda = |lambda| e^{i psi} in Sigma_theta.
 
     The left-hand side measures the real field Re (lambda - A)^{-1} f that
     ``resolvent_apply`` returns, and |Re v| <= |v| pointwise, so for complex
-    lambda the ratios can understate the sectorial bound.  That real part is
-    the same for lambda and conj lambda, so each conjugate pair is solved
-    once, at psi >= 0, and its ratio written in both rows.
+    lambda the ratios can understate the sectorial bound.  A is real, so that
+    real part is the same for lambda and conj lambda: the scan covers the
+    sector's upper half, psi in {0, 0.5 theta, 0.9 theta}, one solve per
+    conjugate pair.
     """
     op = grid.stokes
     psis = np.array([0.0, 0.5, 0.9]) * theta
-    psis = np.unique(np.concatenate([psis, -psis]))
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
         f = random_field(grid, seed=seed + i, solenoidal=True)
@@ -279,26 +279,19 @@ def resolvent_scan(
             continue
         datum = horizontal_derivative(f, "x") if derivative_datum else f
         for mod in lam_moduli:
-            ratio_at = {}  # psi >= 0 -> ratio, None within reach of the spectrum
-            for psi in psis[psis >= 0]:
+            for psi in psis:
                 lam = mod * np.exp(1j * psi)
                 try:
                     nodes = NodeValues(op.resolvent_apply(lam, datum))
                 except SingularityError:
-                    ratio_at[psi] = None
+                    skipped += 1
                     continue
                 un = nodes.norm("u", q, p)
                 if derivative_datum:
                     lhs = np.sqrt(abs(lam)) * un
                 else:
                     lhs = abs(lam) * un + np.sqrt(abs(lam)) * nodes.norm("grad", q, p)
-                ratio_at[psi] = lhs / fn
-            for psi in psis:
-                ratio = ratio_at[abs(psi)]
-                if ratio is None:
-                    skipped += 1
-                    continue
-                ratios.append(ratio)
+                ratios.append(lhs / fn)
                 params.append((i, mod, psi))
     name = "resolvent_dz" if derivative_datum else "resolvent"
     return ScanReport(name, params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)

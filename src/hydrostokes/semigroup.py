@@ -20,9 +20,11 @@ to all modes at once, and the semigroup uses one K x K block e^{t M_z},
 shared by all wavenumbers at time t and scaled by exp(-t |xi|^2).  Theta <= 0,
 so no block overflows, whatever the depth.  That block is built by
 ``basis.parallel_exp``, bound here as ``expm`` and memoized per t in
-``SemigroupCache``: the benchmark's tracer counts block builds at
-``semigroup.expm`` and wraps the cache by name, so both stay until the
-benchmark retargets those spans (ROADMAP item 1).
+``SemigroupCache``, a plain dict with no lock and no eviction: a solve asks
+for dt and each smoothing time it tries, a scan for its time grid, and no
+caller uses threads.  The benchmark's tracer counts block builds at
+``semigroup.expm`` and requests at ``SemigroupCache.get_or_compute``, so
+both names stay until the benchmark retargets those spans (ROADMAP item 1).
 
 1/lambda is a left null vector of M_z, so M_z maps into the solenoidal space
 {sum c_k/lambda_k = 0}, which is therefore invariant, and acts as 0 on the
@@ -40,9 +42,6 @@ every caller.  eigenvalue_report builds the spectrum of every mode at once,
 by broadcasting Theta against |xi|^2.
 """
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 
 from .basis import Grid
@@ -57,29 +56,19 @@ class SingularityError(ValueError):
 
 
 class SemigroupCache:
-    """Thread-safe LRU memo for the exponential blocks e^{t M_z}, keyed by t.
+    """Memo of the exponential blocks e^{t M_z}: a dict keyed by t.
 
     A block costs two K x K products, so the memo saves little; it stays
     because the benchmark's tracer wraps this class by name (ROADMAP item 1).
     """
 
-    def __init__(self, maxsize: int = 4096):
-        self.maxsize = maxsize
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
+    def __init__(self):
+        self._blocks = {}
 
     def get_or_compute(self, key, fn):
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-        val = fn()
-        with self._lock:
-            self._data[key] = val
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-        return val
+        if key not in self._blocks:
+            self._blocks[key] = fn()
+        return self._blocks[key]
 
 
 class StokesOperator:

@@ -136,7 +136,10 @@ def _node_norms(v_list, times, p):
 
 
 def _s_norm(v_list, times, p):
-    """S(T)-norm max(sup ||v||, sup_{t>0} t^{1/2} ||grad v||) of a discrete trajectory."""
+    """S(T)-norm max(sup ||v||, sup_{t>0} t^{1/2} ||grad v||) of a discrete trajectory.
+
+    ``v_list`` may be a generator: it is read once, in node order.
+    """
     s = 0.0
     for norm, grad in _node_norms(v_list, times, p):
         s = max(s, norm, grad)
@@ -240,8 +243,7 @@ def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, F
         F = _forcings(SpectralField(r.coeffs + v.coeffs, grid) for r, v in zip(refs, V))
         diffs = (SpectralField(t.coeffs - f.coeffs, grid) for t, f in zip(F, F_ref))
         Vnew = list(_duhamel(a0, diffs, times))
-
-        diff = [SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew, V)]
+        diff = (SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew, V))
         dS = _s_norm(diff, times, config.p)
         report.diff_S.append(dS)
         V = Vnew
@@ -259,15 +261,20 @@ def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, F
 
 
 def _shrink_delta(a, config):
-    """Halve the smoothing time until the rough part is below the threshold."""
+    """Halve the smoothing time until the rough part is below the threshold.
+
+    Tries at most 60 smoothing times, the last one untested, and returns
+    (a_ref, a_0, delta) with (a_ref, a_0) = split_data(a, delta).
+    """
     scale = mixed_norm(a, config.p)
     eps0 = config.eps0 if config.eps0 is not None else 0.05 * scale
     delta = config.delta
-    for _ in range(60):
-        a_ref, a0 = split_data(a, delta)
+    a_ref, a0 = split_data(a, delta)
+    for _ in range(59):
         if mixed_norm(a0, config.p) <= eps0 or delta == 0.0:
-            return a_ref, a0, delta
+            break
         delta /= 2.0
+        a_ref, a0 = split_data(a, delta)
     return a_ref, a0, delta
 
 

@@ -2,7 +2,7 @@
 
 import os
 import struct
-import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -163,6 +163,26 @@ def initial_data(cfg: dict, grid: Grid) -> SpectralField:
     return f
 
 
+@contextmanager
+def _atomic_open(path: str, mode: str, **kwargs):
+    """``open(path, mode)`` whose file appears at ``path`` only once it is complete.
+
+    The file is written as ``f"{path}.{pid}.tmp"`` in the same directory,
+    created by plain ``open`` so it takes the umask's mode, then renamed
+    onto ``path``; the temp file is removed on any failure.  The pid keeps
+    two processes writing the same path from sharing a temp file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.isfile(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_snapshot(path: str, field: SpectralField, time: float):
     """Binary snapshot, written to a temp file then renamed (no partial files)."""
     g = field.grid
@@ -171,16 +191,9 @@ def write_snapshot(path: str, field: SpectralField, time: float):
     )
     # the full plane, interleaved (re, im) little-endian f64 in index order comp, m, n, k
     body = field.full().astype("<c16").tobytes()
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)) or ".")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _atomic_open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 def read_snapshot(path: str):

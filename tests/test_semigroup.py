@@ -11,7 +11,7 @@ from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import SpectralField, hermitian_part
 from hydrostokes.projection import project_hydrostatic
 from hydrostokes.sampling import random_field, single_mode_field
-from hydrostokes.semigroup import SingularityError, StokesOperator, spectral_bound
+from hydrostokes.semigroup import SemigroupCache, SingularityError, StokesOperator, spectral_bound
 
 
 # -- operator blocks ------------------------------------------------------
@@ -388,7 +388,7 @@ def test_real_part_of_complex_resolvent(grid8):
 @pytest.mark.parametrize("lam", [0.3 + 2.0j, 100 * np.exp(0.9j * np.pi), -2.0 + 0.5j])
 def test_resolvent_conjugate_pair_bitwise_equal(grid, lam):
     # the real part is the same at lam and conj lam, to the last bit: the
-    # scan solves each pair once and writes its ratio in both rows
+    # scan solves each pair once, at psi >= 0
     f = random_field(grid, ncomp=2, seed=5)
     a, b = (grid.stokes.resolvent_apply(z, f).coeffs for z in (lam, np.conj(lam)))
     assert np.array_equal(a, b)
@@ -567,6 +567,29 @@ def test_one_exponential_block_per_time(grid8, monkeypatch):
     op.semigroup_apply(0.02, v)
     op.semigroup_apply(0.03, v)
     assert calls == [0.02, 0.03]
+
+
+def test_semigroup_cache_is_a_plain_memo(grid8, monkeypatch):
+    # each t is built once and kept for the operator's lifetime: no eviction,
+    # and nothing to size, so the memo takes no argument
+    calls = []
+    build = hydrostokes.semigroup.expm
+
+    def counting_expm(basis, t):
+        calls.append(t)
+        return build(basis, t)
+
+    monkeypatch.setattr(hydrostokes.semigroup, "expm", counting_expm)
+    op = StokesOperator(grid8)
+    v = random_field(grid8, ncomp=2, seed=3)
+    for t in (0.01, 0.01, 0.04, 0.01, 0.04):
+        op.semigroup_apply(t, v)
+    assert calls == [0.01, 0.04]
+    SemigroupCache()
+    with pytest.raises(TypeError):
+        SemigroupCache(4096)
+    with pytest.raises(TypeError):
+        SemigroupCache(maxsize=4096)
 
 
 def test_semigroup_cache_reuse(grid8):

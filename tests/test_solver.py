@@ -16,6 +16,7 @@ from hydrostokes.solver import (
     Trajectory,
     _duhamel,
     _node_norms,
+    _shrink_delta,
     full_solve,
     grad_mixed_norm,
     mild_residual,
@@ -91,6 +92,27 @@ def test_split_single_mode_scalar_formula(op16):
     a_ref, a0 = split_data(a, delta)
     mu = 4 * np.pi**2 + (np.pi / 2) ** 2
     assert a0.norm2() == pytest.approx((1 - np.exp(-mu * delta)) * a.norm2(), rel=1e-12)
+
+
+@pytest.mark.parametrize("delta,eps0", [(2.0**62, 0.0), (1.0, None)])
+def test_shrink_delta_returns_the_delta_of_its_split(delta, eps0):
+    # (2^62, 0): all 60 smoothing times leave a rough part above eps0 = 0, and
+    # the split returned is the last one tried, at 2^62 / 2^59 = 8; (1, None):
+    # the halving stops at the first delta whose rough part is small enough
+    cfg = SolverConfig(N=8, K=8, dt=0.005, T=0.01, delta=delta, eps0=eps0)
+    a = random_field(
+        cfg.grid(), seed=0, decay=2.0, rough_amplitude=1.0, solenoidal=True, amplitude=0.02
+    )
+    a_ref, a0, got = _shrink_delta(a, cfg)
+    b_ref, b0 = split_data(a, got)
+    assert np.array_equal(a_ref.coeffs, b_ref.coeffs)
+    assert np.array_equal(a0.coeffs, b0.coeffs)
+    if eps0 == 0.0:
+        assert got == 8.0
+    else:
+        eps = 0.05 * mixed_norm(a, cfg.p)
+        assert got < delta and mixed_norm(a0, cfg.p) <= eps
+        assert mixed_norm(split_data(a, 2 * got)[1], cfg.p) > eps
 
 
 # -- reference integrator -------------------------------------------------
@@ -300,6 +322,7 @@ def test_picard_takes_one_s_norm_per_iteration(monkeypatch):
     s_norm = hydrostokes.solver._s_norm
 
     def counted(v_list, times, p):
+        v_list = list(v_list)  # the differences may come as a generator
         calls.append(len(v_list))
         return s_norm(v_list, times, p)
 

@@ -29,6 +29,7 @@ from hydrostokes.workbench import (
     SNAPSHOT_MAGIC,
     SNAPSHOT_VERSION,
     ConfigError,
+    _atomic_open,
     initial_data,
     parse_config,
     read_snapshot,
@@ -300,6 +301,38 @@ def test_cli_simulate_zero_data(tmp_path, monkeypatch):
     with open(tmp_path / "out" / "diagnostics.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert all(float(r["energy"]) == 0.0 for r in rows)
+
+
+def test_cli_simulate_outputs_share_the_umask_mode(tmp_path, monkeypatch):
+    # snapshots and CSVs go through one writer: plain open, so both take
+    # 0o666 & ~umask, and no temp file is left behind
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, ROUGH_8)
+    old = os.umask(0o027)
+    try:
+        assert run_cli(["simulate", "--config", cfg]) == 0
+    finally:
+        os.umask(old)
+    out = tmp_path / "out"
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert "diagnostics.csv" in modes and "snapshot_00000.hstk" in modes
+    assert set(modes.values()) == {0o666 & ~0o027}
+    assert not [n for n in modes if n.endswith(".tmp")]
+
+
+def test_atomic_open_names_its_temp_file_by_pid(tmp_path):
+    path = str(tmp_path / "x.csv")
+    with _atomic_open(path, "w") as fh:
+        fh.write("partial")
+        assert os.listdir(tmp_path) == [f"x.csv.{os.getpid()}.tmp"]
+    assert os.listdir(tmp_path) == ["x.csv"]
+    # a failure while writing leaves the old file and no temp file
+    with pytest.raises(RuntimeError):
+        with _atomic_open(path, "w") as fh:
+            fh.write("new")
+            raise RuntimeError("interrupted")
+    assert os.listdir(tmp_path) == ["x.csv"]
+    assert (tmp_path / "x.csv").read_text() == "partial"
 
 
 def test_cli_norms_constant_one_snapshot(tmp_path, capsys):
