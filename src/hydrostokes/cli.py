@@ -187,8 +187,9 @@ def _verify_nonlinear(cfg, grid, p, seed):
 
 def _verify_recursion(cfg, grid, p, seed):
     cases = [(0.1, 1.0, 0.25), (0.0, 1.0, 0.5), (0.05, 2.0, 0.1)]
-    if "recursion.a0" in cfg:
-        cases = [(cfg["recursion.a0"], cfg.get("recursion.c1", 1.0), cfg.get("recursion.c2", 0.25))]
+    # any recursion.* key makes one case; the keys not given default to the first case's
+    if any(k.startswith("recursion.") for k in cfg):
+        cases = [tuple(cfg.get(f"recursion.{k}", d) for k, d in zip(("a0", "c1", "c2"), cases[0]))]
     rows = []
     for a0, c1, c2 in cases:
         try:

@@ -24,7 +24,8 @@ inverse_transform, vertical_derivative and vertical_integral_from_bottom give
 one quantity through the same passes.  Every mixed norm L^q_H L^p_z of node
 values goes through column_norms, which takes the components as a list of
 node arrays (grad = [dx, dy, dz]), sums their squares one at a time and
-raises the sum to p/2; a column norm that is not finite raises
+raises the sum to p/2, rescaling by the max only the columns whose powers
+leave the normal floats; a column norm that is not finite raises
 NonFiniteFieldError, the norm's breakdown check.
 
 Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
@@ -42,6 +43,8 @@ import scipy.fft as sfft
 from .basis import Grid, VerticalBasis
 
 REALITY_TOL = 1e-12
+# smallest normal float: a sum of powers below it has lost precision
+_TINY = np.finfo(float).tiny
 
 
 class NonFiniteFieldError(ValueError):
@@ -346,13 +349,32 @@ class NodeValues:
         return float(weighted_lp(column_norms(parts, self.grid, p), q, 1.0 / self.grid.N**2))
 
 
+def _max_scaled_lp(a: np.ndarray, p, weight: float, axis=None):
+    """(sum weight * a^p)^{1/p} along axis, formed as max a times that of
+    a / max a, so no power of finite a underflows to 0 or overflows; a zero
+    or non-finite max is left unscaled."""
+    top = a.max(axis=axis, keepdims=True)
+    top[~((top > 0) & (top < np.inf))] = 1.0
+    out = top * (np.sum((a / top) ** p, axis=axis, keepdims=True) * weight) ** (1.0 / p)
+    return out.squeeze(axis)
+
+
 def weighted_lp(a: np.ndarray, p, weight: float):
-    """(sum weight * a^p)^{1/p} of non-negative values a; the max for p = inf."""
+    """(sum weight * a^p)^{1/p} of non-negative values a; the max for p = inf.
+
+    Where weight * sum a^p falls below the normal floats or overflows, it is
+    summed again scaled by max a (:func:`_max_scaled_lp`), so a large p
+    reads neither 0 nor inf for finite nonzero a.
+    """
     if p == np.inf:
         return a.max()
     if p < 1:
         raise ValueError(f"exponents must be in [1, inf], got {p}")
-    return (np.sum(a**p) * weight) ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        inner = np.sum(a**p) * weight
+    if not _TINY <= inner < np.inf:
+        return _max_scaled_lp(a, p, weight)[()]
+    return inner ** (1.0 / p)
 
 
 def column_norms(parts, grid: Grid, p) -> np.ndarray:
@@ -361,9 +383,12 @@ def column_norms(parts, grid: Grid, p) -> np.ndarray:
     ``parts`` lists node arrays whose components together make one field;
     their squares are summed one at a time, with no stacked copy.  Vertical
     integrals use the midpoint rule (weight h/K), raising the summed squares
-    to p/2: one power per node, and a square for p = 4.  A NaN, inf or
-    overflowing square or power makes its column non-finite, which raises
-    NonFiniteFieldError; the overflow itself is not also warned about.
+    to p/2: one power per node, and a square for p = 4.  A column whose
+    weighted sum of powers falls below the normal floats or overflows is
+    summed again from its magnitudes scaled by their max
+    (:func:`_max_scaled_lp`).  A NaN, inf or overflowing square makes its
+    column non-finite, which raises NonFiniteFieldError; the overflow itself
+    is not also warned about.
     """
     with np.errstate(over="ignore"):
         sq = sum(c**2 for a in parts for c in a)
@@ -372,7 +397,12 @@ def column_norms(parts, grid: Grid, p) -> np.ndarray:
         elif p < 1:
             raise ValueError(f"exponents must be in [1, inf], got {p}")
         else:
-            cols = (np.sum(sq ** (p / 2), axis=2) * (grid.h / grid.K)) ** (1.0 / p)
+            w = grid.h / grid.K
+            inner = np.sum(sq ** (p / 2), axis=2) * w
+            cols = inner ** (1.0 / p)
+            redo = ~((inner >= _TINY) & (inner < np.inf))
+            if redo.any():
+                cols[redo] = _max_scaled_lp(np.sqrt(sq[redo]), p, w, axis=1)
     if not np.all(np.isfinite(cols)):
         raise NonFiniteFieldError("a node value or its square is non-finite")
     return cols

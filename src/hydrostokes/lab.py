@@ -8,7 +8,7 @@ resolution doubling; the few closed-form identities (kernel norms, the
 discrete Young inequality, the recursion bound) are checked exactly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft as sfft
@@ -48,14 +48,15 @@ KERNEL_QUAD_NODES = 2
 
 @dataclass
 class ScanReport:
+    """A scan's ratios, their sup and the samples skipped; ``stable`` is set by
+    resolution_stability: whether the sup held under resolution doubling."""
+
     estimate: str
     params: list  # one entry per sample point (tuples or scalars)
     ratios: np.ndarray
     sup_ratio: float = 0.0
-    resolutions: tuple = ()
     stable: bool | None = None
     skipped: int = 0
-    notes: str = ""
 
     def __post_init__(self):
         self.ratios = np.asarray(self.ratios, dtype=float)
@@ -114,7 +115,7 @@ def young_anisotropic_test(n_samples: int, q, p, seed: int = 0) -> ScanReport:
             continue
         ratios.append(norm_anisotropic(PhysicalField(conv[None], cube), q, p) / denom)
         params.append(i)
-    return ScanReport("young", params, ratios, skipped=skipped, notes=f"(q,p)=({q},{p})")
+    return ScanReport("young", params, ratios, skipped=skipped)
 
 
 # -- semigroup decay scans -------------------------------------------------
@@ -212,7 +213,7 @@ def _family_reports(combos, sample, lhs, t_grid, n_samples, p, grid: Grid, seed,
                 params[c].append((i, t))
         del datum  # before the next sample draws
     return {
-        c: ScanReport(c, params[c], ratios[c], resolutions=(grid.N, grid.K), skipped=skipped[c])
+        c: ScanReport(c, params[c], ratios[c], skipped=skipped[c])
         for c in combos
     }
 
@@ -294,7 +295,7 @@ def resolvent_scan(
                 ratios.append(lhs / fn)
                 params.append((i, mod, psi))
     name = "resolvent_dz" if derivative_datum else "resolvent"
-    return ScanReport(name, params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)
+    return ScanReport(name, params, ratios, skipped=skipped)
 
 
 # -- 2-d multiplier scan ---------------------------------------------------
@@ -302,6 +303,17 @@ def resolvent_scan(
 
 def _phys2d(ghat: np.ndarray, N: int) -> np.ndarray:
     return sfft.ifft2(ghat * N**2, axes=(-2, -1))
+
+
+def _draw_2d(rng, N: int, env=1.0) -> np.ndarray:
+    """Hermitian part of env times a complex Gaussian (2, N, N), real part drawn first."""
+    z = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
+    return hermitian_part(z * env)
+
+
+def _sup_2d(ghat: np.ndarray, N: int) -> float:
+    """Node sup of |f|, f the real 2-vector field of full-plane coefficients ghat."""
+    return np.linalg.norm(_phys2d(ghat, N).real, axis=0).max()
 
 
 def horizontal_multiplier_scan(
@@ -318,10 +330,8 @@ def horizontal_multiplier_scan(
     ratios, params, skipped = [], [], 0
     env = (1.0 + xi2 / (2 * np.pi) ** 2) ** (-1.0)
     for i in range(n_samples):
-        ghat = (rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))) * env
-        # enforce reality of the sample field
-        ghat = hermitian_part(ghat)
-        fn = np.abs(np.linalg.norm(_phys2d(ghat, N).real, axis=0)).max()
+        ghat = _draw_2d(rng, N, env)
+        fn = _sup_2d(ghat, N)
         if fn < DENOM_FLOOR:
             skipped += 1
             continue
@@ -333,7 +343,7 @@ def horizontal_multiplier_scan(
             mag = np.sqrt((np.abs(gx) ** 2 + np.abs(gy) ** 2).sum(axis=0)).max()
             ratios.append(np.sqrt(abs(tau)) * mag / fn)
             params.append((i, complex(tau)))
-    return ScanReport("multiplier", params, ratios, resolutions=(N,), skipped=skipped)
+    return ScanReport("multiplier", params, ratios, skipped=skipped)
 
 
 def q_linfty_growth(N_list, seed: int = 0, n_samples: int = 10):
@@ -349,18 +359,14 @@ def q_linfty_growth(N_list, seed: int = 0, n_samples: int = 10):
         sup = 0.0
         for _ in range(n_samples):
             # rough sample: flat spectrum stresses the unboundedness
-            ghat = rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))
-            ghat = hermitian_part(ghat)
-            f = np.linalg.norm(_phys2d(ghat, N).real, axis=0).max()
-            qf = np.linalg.norm(_phys2d(helmholtz_2d(ghat, grid), N).real, axis=0).max()
-            sup = max(sup, qf / f)
+            ghat = _draw_2d(rng, N)
+            sup = max(sup, _sup_2d(helmholtz_2d(ghat, grid), N) / _sup_2d(ghat, N))
         # deterministic checkerboard of sign jumps: the known worst case, with
         # Riesz-transform log divergence along the discontinuity lines
         sq = np.sign(np.sin(2 * np.pi * grid.x))
         f1 = sq[:, None] * sq[None, :]
         ghat = np.stack([sfft.fft2(f1) / N**2, np.zeros((N, N), complex)])
-        qf = np.linalg.norm(_phys2d(helmholtz_2d(ghat, grid), N).real, axis=0).max()
-        sup = max(sup, qf / np.abs(f1).max())
+        sup = max(sup, _sup_2d(helmholtz_2d(ghat, grid), N) / np.abs(f1).max())
         out.append((N, sup))
     return out
 
@@ -404,7 +410,7 @@ def interpolation_ratio(
                 continue
             ratios.append(lhs / denom)
             params.append((i, r))
-    return ScanReport("interpolation", params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)
+    return ScanReport("interpolation", params, ratios, skipped=skipped)
 
 
 def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0) -> ScanReport:
@@ -415,12 +421,11 @@ def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0
     xix, xiy = grid.xi_vectors()
     env = (1.0 + (xix**2 + xiy**2) / (2 * np.pi) ** 2) ** (-0.75)
     for i in range(n_samples):
-        Fhat = (rng.standard_normal((2, N, N)) + 1j * rng.standard_normal((2, N, N))) * env
-        Fhat = hermitian_part(Fhat)
+        Fhat = _draw_2d(rng, N, env)
         # grad_H pi is the xi-parallel part of F
         grad = Fhat - helmholtz_2d(Fhat, grid)
         gphys = np.linalg.norm(_phys2d(grad, N).real, axis=0)
-        finf = np.linalg.norm(_phys2d(Fhat, N).real, axis=0).max()
+        finf = _sup_2d(Fhat, N)
         if finf < DENOM_FLOOR:
             skipped += 1
             continue
@@ -434,7 +439,7 @@ def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0
             denom = r ** (2.0 / p) * (1.0 + abs(np.log(r))) * finf
             ratios.append(lhs / denom)
             params.append((i, r))
-    return ScanReport("log_riesz", params, ratios, resolutions=(N,), skipped=skipped)
+    return ScanReport("log_riesz", params, ratios, skipped=skipped)
 
 
 # -- nonlinear estimate scans ----------------------------------------------
@@ -471,7 +476,7 @@ def nonlinear_estimate_scan(
             denom4 = min(g1 * n2, g2 * n1) / np.sqrt(t) + g1 * g2
             ratios.append(a / denom4)
             params.append((i, t, "iv"))
-    return ScanReport("nonlinear", params, ratios, resolutions=(grid.N, grid.K), skipped=skipped)
+    return ScanReport("nonlinear", params, ratios, skipped=skipped)
 
 
 # -- recursion lemma -------------------------------------------------------
@@ -503,9 +508,8 @@ def resolution_stability(base: ScanReport, fine: ScanReport):
     """Compare the sups of one scan at (N,K) and at (2N,2K).
 
     Marks ``base`` stable when its sup ratio moved by at most
-    STABILITY_REL_TOL, notes the drift, and returns (base, fine).
+    STABILITY_REL_TOL and returns (base, fine).
     """
     drift = abs(fine.sup_ratio - base.sup_ratio) / max(base.sup_ratio, DENOM_FLOOR)
     base.stable = drift <= STABILITY_REL_TOL
-    base.notes = (base.notes + f" drift={drift:.3f} vs ({fine.resolutions})").strip()
     return base, fine

@@ -32,15 +32,11 @@ from .fields import (
 
 
 def _truncate_rows(a: np.ndarray, Np: int, N: int) -> np.ndarray:
-    """Inverse of :func:`_pad_rows`: fold +-N/2 back into the -N/2 row."""
-    if Np == N:
-        return a
+    """The N of Np FFT-ordered rows along m (axis 1) that a grid of N keeps:
+    m = 0..N/2-1, then -N/2..-1.  Row -N/2 is the finer grid's -N/2 alone,
+    a Nyquist row that the callers zero."""
     half = N // 2
-    out = np.zeros((a.shape[0], N) + a.shape[2:], dtype=a.dtype)
-    out[:, :half] = a[:, :half]
-    out[:, half + 1 :] = a[:, Np - half + 1 :]
-    out[:, half] = a[:, half] + a[:, Np - half]
-    return out
+    return np.concatenate([a[:, :half], a[:, Np - half :]], axis=1)
 
 
 def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
@@ -60,7 +56,7 @@ def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
 def truncate_coeffs(c: SpectralField, target: Grid) -> SpectralField:
     """Restrict coefficients to a coarser grid (drop high modes)."""
     out = _truncate_rows(c.coeffs[:, :, : target.N // 2 + 1, : target.K], c.grid.N, target.N)
-    return zero_nyquist(SpectralField(np.ascontiguousarray(out), target))
+    return zero_nyquist(SpectralField(out, target))
 
 
 def vertical_velocity(v: SpectralField) -> PhysicalField:

@@ -125,9 +125,6 @@ class StokesOperator:
         corr = lambda cpar: (cpar @ self.basis.lambdas)[:, :, None] * self.b
         return self._per_mode(v, corr, -(self.xi2[:, :, None] + self.lam2))
 
-    def _exp_block(self, t: float) -> np.ndarray:
-        return self.cache.get_or_compute(t, lambda: expm(self.basis, t))
-
     def semigroup_apply(self, t: float, v: SpectralField) -> SpectralField:
         """e^{tA} v via per-mode exponentials."""
         if t < 0:
@@ -137,7 +134,8 @@ class StokesOperator:
             return v.copy()
         decay_h = np.exp(-t * self.xi2)[:, :, None]
         decay_z = np.exp(-t * self.lam2)
-        excess = (self._exp_block(t) - np.diag(decay_z)).T
+        block = self.cache.get_or_compute(t, lambda: expm(self.basis, t))
+        excess = (block - np.diag(decay_z)).T
         corr = lambda cpar: decay_h * (cpar @ excess)
         return self._per_mode(v, corr, decay_h * decay_z)
 

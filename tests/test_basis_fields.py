@@ -561,7 +561,45 @@ def test_norm_raises_when_squares_overflow(grid8):
 
 
 def test_norm_raises_when_column_powers_overflow(grid8):
-    # finite squares whose p-th powers overflow: raised, with no numpy warning
+    # finite squares whose powers overflow are rescaled, with no numpy
+    # warning: each column's norm is sqrt(2) * 1e100 on the unit-depth layer
     f = PhysicalField(np.full((2, 8, 8, 8), 1e100), grid8)
+    assert norm_anisotropic(f, np.inf, 4) == pytest.approx(np.sqrt(2) * 1e100, rel=1e-15)
+    assert norm_anisotropic(f, 1000, 4) == pytest.approx(np.sqrt(2) * 1e100, rel=1e-15)
+    # squares that overflow still raise, at finite p as at p = inf
+    f = PhysicalField(np.full((2, 8, 8, 8), 1e200), grid8)
     with pytest.raises(NonFiniteFieldError):
         norm_anisotropic(f, np.inf, 4)
+
+
+def _oracle_mixed_norm(u, grid, q, p):
+    """L^q_H L^p_z of node values u (ncomp, N, N, K) in 50-digit arithmetic.
+
+    Powers are exp(e log x): mpmath's exponent range does not underflow, and
+    the root 1/e divides the error of e log x by e.
+    """
+    mp = pytest.importorskip("mpmath")
+
+    def lp(values, e, weight):
+        if e == np.inf:
+            return max(values)
+        return (weight * sum(mp.exp(e * mp.log(v)) for v in values)) ** (1 / mp.mpf(e))
+
+    with mp.workdps(50):
+        mag = [
+            [mp.sqrt(sum(mp.mpf(float(c)) ** 2 for c in u[:, i, j, k])) for k in range(grid.K)]
+            for i in range(grid.N)
+            for j in range(grid.N)
+        ]
+        cols = [lp(col, p, mp.mpf(grid.h) / grid.K) for col in mag]
+        return float(lp(cols, q, mp.mpf(1) / grid.N**2))
+
+
+@pytest.mark.parametrize("q", [np.inf, 2, 1000])
+@pytest.mark.parametrize("p", [4, 200, 1000, 1e308])
+def test_mixed_norm_large_exponents_match_50_digit_sum(grid8, q, p):
+    # powers of node values near 0.05 underflow from p ~ 240 on: the kernels
+    # rescale by the max, so the norm neither reads 0 nor overflows
+    nodes = NodeValues(random_field(grid8, seed=0, amplitude=0.02))
+    got = nodes.norm("u", q, p)
+    assert got == pytest.approx(_oracle_mixed_norm(nodes.u, grid8, q, p), rel=1e-12, abs=0)

@@ -47,6 +47,25 @@ def test_pad_truncate_round_trip(grid16):
     assert np.abs(back.coeffs - f.coeffs).max() <= 1e-15
 
 
+@pytest.mark.parametrize("N,K", [(8, 8), (12, 5), (16, 16)])
+def test_truncate_keeps_rows_below_nyquist_bitwise(N, K):
+    # the padded rows +-N/2 hold arbitrary values; truncation keeps every
+    # mode |m|, n < N/2 as it is and leaves the Nyquist row and column empty
+    grid = Grid(N, K, 1.0)
+    big = grid.padded
+    rng = np.random.default_rng(N + K)
+    shape = (2, big.N, big.N // 2 + 1, big.K)
+    c = SpectralField(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), big)
+    got = truncate_coeffs(c, grid).coeffs
+    half = N // 2
+    m = np.r_[0:half, big.N - half : big.N]
+    keep = np.ones(N, bool)
+    keep[half] = False
+    want = c.coeffs[:, m][:, :, : half + 1, :K]
+    assert np.array_equal(got[:, keep, :half], want[:, keep, :half])
+    assert not got[:, half].any() and not got[:, :, half].any()
+
+
 def test_pad_preserves_physical_values(grid8):
     from hydrostokes.fields import inverse_transform
 

@@ -410,6 +410,19 @@ def test_cli_norms_exponents(tmp_path, capsys):
     assert "L^1_H L^inf_z = " in capsys.readouterr().out
 
 
+def test_cli_norms_large_vertical_exponent_nonzero(tmp_path, capsys):
+    # every node power underflows at p = 1000; the rescaled norm lies
+    # between the p = 4 and p = inf norms of the same field
+    snap = str(tmp_path / "a.hstk")
+    f = random_field(Grid(8, 8, 1.0), seed=0, amplitude=0.02)
+    write_snapshot(snap, f, 0.0)
+    assert run_cli(["norms", snap, "--p", "1000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    got = float(next(x for x in out if x.startswith("L^inf_H L^1000_z")).split("=")[1])
+    nodes = NodeValues(f)
+    assert nodes.norm("u", np.inf, 4) < got <= nodes.norm("u", np.inf, np.inf)
+
+
 @pytest.mark.parametrize(
     "command,text",
     [
@@ -690,6 +703,19 @@ def test_cli_verify_recursion_violation_exit_1(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write(tmp_path, "recursion.a0 = 0.2\nrecursion.c1 = 1.0\nrecursion.c2 = 0.25\n")
     assert run_cli(["verify", "recursion", "--config", cfg]) == 1
+
+
+def test_cli_verify_recursion_one_key_makes_one_case(tmp_path, monkeypatch):
+    # recursion.c1 alone makes one case, a0 and c2 from the first default
+    # case; 4 * 100 * 0.1 >= (1 - 0.25)^2 breaks the lemma's hypothesis
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "recursion.c1 = 100\n")
+    assert run_cli(["verify", "recursion", "--config", cfg]) == 1
+    with open(tmp_path / "recursion.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["a0"], r["c1"], r["c2"], r["bound"]) for r in rows] == [
+        ("0.1", "100.0", "0.25", "error")
+    ]
 
 
 def test_cli_verify_non_finite_sup_exit_1(tmp_path, monkeypatch, capsys):
