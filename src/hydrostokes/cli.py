@@ -162,12 +162,9 @@ def _verify_semigroup(cfg, grid, p, seed):
 
 
 def _verify_resolvent(cfg, grid, p, seed):
-    for csv_name, dz in (("resolvent.csv", False), ("resolvent_dz.csv", True)):
-        rep = resolvent_scan(
-            0.9 * np.pi, np.geomspace(0.1, 100, 7), 5, np.inf, p, grid, seed=seed,
-            derivative_datum=dz,
-        )
-        yield _scan(csv_name, rep)
+    reports = resolvent_scan(np.geomspace(0.1, 100, 7), 5, p, grid, seed=seed)
+    for name, rep in reports.items():
+        yield _scan(f"{name}.csv", rep)
 
 
 def _verify_multiplier(cfg, grid, p, seed):
@@ -176,7 +173,7 @@ def _verify_multiplier(cfg, grid, p, seed):
 
 
 def _verify_interpolation(cfg, grid, p, seed):
-    rep = interpolation_ratio(10, max(p, 2.5), 2, (0.1, 0.2, 0.3), grid, seed=seed)
+    rep = interpolation_ratio(10, max(p, 2.5), (0.1, 0.2, 0.3), grid, seed=seed)
     yield _scan("interpolation.csv", rep)
 
 

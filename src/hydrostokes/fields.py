@@ -162,9 +162,11 @@ def forward_transform(f: PhysicalField) -> SpectralField:
     return SpectralField(sfft.rfft2(f.values @ g.basis.analysis, axes=(1, 2)) / g.N**2, g)
 
 
-def _pad_rows(a: np.ndarray, N: int, Np: int) -> np.ndarray:
-    """Embed FFT-ordered coefficients along m (axis 1), splitting the Nyquist
-    row -N/2 symmetrically onto +-N/2 so Hermitian symmetry is preserved."""
+def _pad_half_spectrum(a: np.ndarray, N: int, Np: int) -> np.ndarray:
+    """Embed half-spectrum coefficients of a grid of N into one of Np >= N
+    (a itself when Np == N).  The Nyquist row -N/2 is split onto +-N/2 and
+    the Nyquist column, which stood for +-N/2 together, is halved, so
+    Hermitian symmetry is preserved."""
     if Np == N:
         return a
     half = N // 2
@@ -173,6 +175,7 @@ def _pad_rows(a: np.ndarray, N: int, Np: int) -> np.ndarray:
     out[:, Np - half + 1 :] = a[:, half + 1 :]
     out[:, half] = 0.5 * a[:, half]
     out[:, Np - half] = 0.5 * a[:, half]
+    out[:, :, half] *= 0.5
     return out
 
 
@@ -288,12 +291,7 @@ class NodeValues:
 
     @cached_property
     def _padded(self):
-        # the Nyquist column stood for +-N/2 together; padded, it is +N/2 alone
-        N, Np = self.c.grid.N, self.grid.N
-        a = _pad_rows(self.c.coeffs, N, Np)
-        if Np > N:
-            a[:, :, N // 2] *= 0.5
-        return a
+        return _pad_half_spectrum(self.c.coeffs, self.c.grid.N, self.grid.N)
 
     @cached_property
     def _rows(self):

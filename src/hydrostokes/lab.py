@@ -21,7 +21,6 @@ from .fields import (
     column_norms,
     forward_transform,
     hermitian_part,
-    horizontal_derivative,
     inverse_transform,
     norm_anisotropic,
     vertical_derivative,
@@ -34,6 +33,10 @@ from .semigroup import SingularityError, spectral_bound
 from .solver import grad_mixed_norm, mixed_norm
 
 DENOM_FLOOR = 1e-14
+# half-angles of the sectors the resolvent scan samples lambda and the
+# multiplier scan accepts tau in; e^{tau Delta_H} is analytic below pi/2
+RESOLVENT_THETA = 0.9 * np.pi
+MULTIPLIER_THETA = np.pi / 3
 # side of the periodic cube the Young samples live on (even, >= 4)
 YOUNG_GRID = 8
 # iterations of the recursion a_{m+1} = a0 + c1 a_m^2 + c2 a_m that are checked
@@ -250,52 +253,46 @@ def smoothing_trend(grid: Grid, p: float, seed: int = 0):
 # -- resolvent scans -------------------------------------------------------
 
 
-def resolvent_scan(
-    theta: float,
-    lam_moduli,
-    n_samples: int,
-    q,
-    p,
-    grid: Grid,
-    seed: int = 0,
-    derivative_datum: bool = False,
-) -> ScanReport:
-    """Sectorial resolvent estimate ratios over lambda = |lambda| e^{i psi} in Sigma_theta.
+def resolvent_scan(lam_moduli, n_samples: int, p, grid: Grid, seed: int = 0) -> dict:
+    """Sectorial resolvent ratios over lambda = |lambda| e^{i psi}, |psi| < RESOLVENT_THETA.
 
-    The left-hand side measures the real field Re (lambda - A)^{-1} f that
-    ``resolvent_apply`` returns, and |Re v| <= |v| pointwise, so for complex
-    lambda the ratios can understate the sectorial bound.  A is real, so that
-    real part is the same for lambda and conj lambda: the scan covers the
-    sector's upper half, psi in {0, 0.5 theta, 0.9 theta}, one solve per
-    conjugate pair.
+    Returns {"resolvent": ..., "resolvent_dz": ...}: with v = Re (lambda - A)^{-1} f
+    and norms in L^inf_H L^p_z, (|lambda| ||v|| + |lambda|^{1/2} ||grad v||) / ||f||
+    and |lambda|^{1/2} ||dx v|| / ||f||, both from one solve per sample and
+    lambda (dx commutes with the per-mode resolvent).  As |Re v| <= |v|, complex
+    lambda can understate the sectorial bound.  A is real, so Re v is the same
+    at conj lambda: the scan covers psi in {0, 0.5, 0.9} RESOLVENT_THETA.
+    Raises ValueError unless every modulus is positive and finite.
     """
+    mods = np.asarray(lam_moduli, dtype=float)
+    if not np.all(np.isfinite(mods) & (mods > 0)):
+        raise ValueError(f"lambda moduli must be positive and finite, got {lam_moduli}")
     op = grid.stokes
-    psis = np.array([0.0, 0.5, 0.9]) * theta
-    ratios, params, skipped = [], [], 0
+    psis = np.array([0.0, 0.5, 0.9]) * RESOLVENT_THETA
+    params, ratios, dz_ratios, skipped = [], [], [], 0
     for i in range(n_samples):
         f = random_field(grid, seed=seed + i, solenoidal=True)
-        fn = NodeValues(f).norm("u", q, p)
+        fn = NodeValues(f).norm("u", np.inf, p)
         if fn < DENOM_FLOOR:
             skipped += 1
             continue
-        datum = horizontal_derivative(f, "x") if derivative_datum else f
         for mod in lam_moduli:
             for psi in psis:
                 lam = mod * np.exp(1j * psi)
                 try:
-                    nodes = NodeValues(op.resolvent_apply(lam, datum))
+                    nodes = NodeValues(op.resolvent_apply(lam, f))
                 except SingularityError:
                     skipped += 1
                     continue
-                un = nodes.norm("u", q, p)
-                if derivative_datum:
-                    lhs = np.sqrt(abs(lam)) * un
-                else:
-                    lhs = abs(lam) * un + np.sqrt(abs(lam)) * nodes.norm("grad", q, p)
+                root = np.sqrt(abs(lam))
+                lhs = abs(lam) * nodes.norm("u", np.inf, p) + root * nodes.norm("grad", np.inf, p)
                 ratios.append(lhs / fn)
+                dz_ratios.append(root * nodes.norm("dx", np.inf, p) / fn)
                 params.append((i, mod, psi))
-    name = "resolvent_dz" if derivative_datum else "resolvent"
-    return ScanReport(name, params, ratios, skipped=skipped)
+    return {
+        "resolvent": ScanReport("resolvent", params, ratios, skipped=skipped),
+        "resolvent_dz": ScanReport("resolvent_dz", params, dz_ratios, skipped=skipped),
+    }
 
 
 # -- 2-d multiplier scan ---------------------------------------------------
@@ -316,13 +313,12 @@ def _sup_2d(ghat: np.ndarray, N: int) -> float:
     return np.linalg.norm(_phys2d(ghat, N).real, axis=0).max()
 
 
-def horizontal_multiplier_scan(
-    tau_grid, n_samples: int, N: int = 32, seed: int = 0, theta: float = np.pi / 3
-) -> ScanReport:
-    """|tau|^{1/2} ||grad_H e^{tau Delta_H} Q f||_inf / ||f||_inf on the 2-torus."""
+def horizontal_multiplier_scan(tau_grid, n_samples: int, N: int = 32, seed: int = 0) -> ScanReport:
+    """|tau|^{1/2} ||grad_H e^{tau Delta_H} Q f||_inf / ||f||_inf on the 2-torus,
+    tau finite with |arg tau| < MULTIPLIER_THETA (ValueError otherwise)."""
     taus = np.asarray(tau_grid, dtype=complex)
-    if not (theta < np.pi / 2 and np.all(np.isfinite(taus) & (np.abs(np.angle(taus)) < theta))):
-        raise ValueError("tau must be finite and lie in a sector of half-angle theta < pi/2")
+    if not np.all(np.isfinite(taus) & (np.abs(np.angle(taus)) < MULTIPLIER_THETA)):
+        raise ValueError("tau must be finite and lie in the sector |arg tau| < pi/3")
     grid = Grid(N, 1, 1.0)
     xix, xiy = grid.xi_vectors()
     xi2 = xix**2 + xiy**2
@@ -383,18 +379,17 @@ def _disk_mask(grid: Grid, center, r: float) -> np.ndarray:
     return dx**2 + dy**2 <= r**2
 
 
-def interpolation_ratio(
-    n_samples: int, p: float, q, r_grid, grid: Grid, seed: int = 0
-) -> ScanReport:
-    """Local sup bound via r^{-2/p}(||v|| + r ||grad_H v||) on horizontal disks."""
+def interpolation_ratio(n_samples: int, p: float, r_grid, grid: Grid, seed: int = 0) -> ScanReport:
+    """Local sup bound via r^{-2/p}(||v|| + r ||grad_H v||) on horizontal disks,
+    each column measured in L^2_z."""
     if not p > 2:
         raise ValueError(f"interpolation scan needs p > 2, got {p}")
     rng = np.random.default_rng(seed)
     ratios, params, skipped = [], [], 0
     for i in range(n_samples):
         nodes = NodeValues(random_field(grid, seed=seed + i, decay=2.5))
-        vcol = column_norms([nodes.u], grid, q)
-        gcol = column_norms([nodes.dx, nodes.dy], grid, q)
+        vcol = column_norms([nodes.u], grid, 2)
+        gcol = column_norms([nodes.dx, nodes.dy], grid, 2)
         center = rng.random(2)
         for r in r_grid:
             mask = _disk_mask(grid, center, r)

@@ -23,7 +23,7 @@ from .fields import (
     NodeValues,
     PhysicalField,
     SpectralField,
-    _pad_rows,
+    _pad_half_spectrum,
     divergence_h,
     horizontal_derivative,
     vertical_integral_from_bottom,
@@ -40,16 +40,11 @@ def _truncate_rows(a: np.ndarray, Np: int, N: int) -> np.ndarray:
 
 
 def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
-    """Embed coefficients into a finer grid (coefficients are grid-free).
-
-    Along n a prefix copy; the Nyquist column stood for +-N/2 together and
-    on the finer grid is +N/2 alone (with its mirror -N/2), so it is halved.
-    """
+    """Embed coefficients into a finer grid (coefficients are grid-free):
+    rows and columns as ``fields._pad_half_spectrum`` pads them, a prefix copy in k."""
     g = c.grid
     out = SpectralField.zeros(target, c.ncomp)
-    out.coeffs[:, :, : g.N // 2 + 1, : g.K] = _pad_rows(c.coeffs, g.N, target.N)
-    if target.N > g.N:
-        out.coeffs[:, :, g.N // 2] *= 0.5
+    out.coeffs[:, :, : g.N // 2 + 1, : g.K] = _pad_half_spectrum(c.coeffs, g.N, target.N)
     return out
 
 
@@ -125,17 +120,18 @@ def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralFie
     return _truncated(_advective_product(n1, n2), gp, v1.grid)
 
 
-def divergence_form(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:
-    """Dealiased (u1 . grad) v2 assembled conservatively.
+def divergence_form(v: SpectralField) -> SpectralField:
+    """Dealiased (u . grad) v assembled conservatively, the reference form
+    that tests compare :func:`advection` with.
 
-    Horizontal part: grad_H . (v1 (x) v2) from pointwise tensor products.
-    Vertical part: dz(w1 v2) = -(div_H v1) v2 + w1 dz v2, using that the
-    z-derivative of w1 is exactly -div_H v1 by construction (the product
-    w1 v2 itself has no exact representation in the mixed basis).
+    Horizontal part: grad_H . (v (x) v) from pointwise tensor products.
+    Vertical part: dz(w v) = -(div_H v) v + w dz v, using that the
+    z-derivative of w is exactly -div_H v by construction (the product
+    w v itself has no exact representation in the mixed basis).
     """
-    gp, n1, n2 = _node_sets(v1, v2)
-    out = _truncated(-n1.div * n2.u + n1.w * n2.dz, gp, v1.grid)
+    gp, n, _ = _node_sets(v, None)
+    out = _truncated(-n.div * n.u + n.w * n.dz, gp, v.grid)
     for i, axis in enumerate(("x", "y")):
-        flux = _truncated(n1.u[i] * n2.u, gp, v1.grid)
+        flux = _truncated(n.u[i] * n.u, gp, v.grid)
         out.coeffs += horizontal_derivative(flux, axis).coeffs
     return out

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hydrostokes.basis import Grid
-from hydrostokes.fields import NodeValues
+from hydrostokes.fields import NodeValues, horizontal_derivative
 from hydrostokes.lab import (
+    RESOLVENT_THETA,
     SEMIGROUP_COMBOS,
     ScanReport,
     horizontal_multiplier_scan,
@@ -175,21 +176,19 @@ def test_decay_scan_resolution_stability(grid8):
 
 
 def test_resolvent_scan_finite(grid8):
-    rep = resolvent_scan(0.9 * np.pi, np.geomspace(0.1, 10, 4), 3, np.inf, 4.0, grid8, seed=0)
+    rep = resolvent_scan(np.geomspace(0.1, 10, 4), 3, 4.0, grid8, seed=0)["resolvent"]
     assert np.isfinite(rep.sup_ratio)
     assert rep.skipped == 0
 
 
 def test_resolvent_scan_derivative_datum(grid8):
-    rep = resolvent_scan(
-        0.9 * np.pi, np.geomspace(0.1, 10, 4), 3, np.inf, 4.0, grid8, seed=0,
-        derivative_datum=True,
-    )
+    rep = resolvent_scan(np.geomspace(0.1, 10, 4), 3, 4.0, grid8, seed=0)["resolvent_dz"]
     assert np.isfinite(rep.sup_ratio)
+    assert rep.skipped == 0
 
 
 def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
-    # psi in {0, 0.45 theta, 0.81 theta}: one solve and one row per psi >= 0,
+    # psi in {0, 0.45 pi, 0.81 pi}: one solve and one row per psi >= 0,
     # since Re (lam - A)^{-1} f is the same at conj lam
     solves = []
     apply = StokesOperator.resolvent_apply
@@ -199,8 +198,8 @@ def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
         return apply(self, lam, f)
 
     monkeypatch.setattr(StokesOperator, "resolvent_apply", counted)
-    theta, moduli = 0.9 * np.pi, np.geomspace(0.1, 10, 3)
-    rep = resolvent_scan(theta, moduli, 2, np.inf, 4.0, grid8, seed=0)
+    moduli = np.geomspace(0.1, 10, 3)
+    rep = resolvent_scan(moduli, 2, 4.0, grid8, seed=0)["resolvent"]
     assert len(solves) == 3 * 2 * len(moduli)
     assert len(rep.ratios) == 3 * 2 * len(moduli)
     assert all(psi >= 0 for _, _, psi in rep.params)
@@ -208,7 +207,7 @@ def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
     # the ratio solved at -psi itself equals the +psi row
     monkeypatch.setattr(StokesOperator, "resolvent_apply", apply)
     f = random_field(grid8, seed=0, solenoidal=True)
-    mod, psi = moduli[1], 0.9 * theta
+    mod, psi = moduli[1], 0.9 * RESOLVENT_THETA
     lam = mod * np.exp(-1j * psi)
     nodes = NodeValues(grid8.stokes.resolvent_apply(lam, f))
     lhs = abs(lam) * nodes.norm("u", np.inf, 4.0) + np.sqrt(abs(lam)) * nodes.norm(
@@ -217,14 +216,56 @@ def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
     assert ratio[(0, mod, psi)] == lhs / NodeValues(f).norm("u", np.inf, 4.0)
 
 
+def test_resolvent_scan_one_solve_feeds_both_reports(grid8, monkeypatch):
+    # dx commutes with the per-mode resolvent, so the dz ratio is read from
+    # the solve of f: it equals the ratio solved from dx f itself
+    solves = []
+    apply = StokesOperator.resolvent_apply
+
+    def counted(self, lam, f):
+        solves.append(lam)
+        return apply(self, lam, f)
+
+    monkeypatch.setattr(StokesOperator, "resolvent_apply", counted)
+    n_samples, moduli, p = 3, np.geomspace(0.1, 100, 4), 4.0
+    reps = resolvent_scan(moduli, n_samples, p, grid8, seed=5)
+    assert len(solves) == n_samples * 3 * len(moduli)
+    monkeypatch.setattr(StokesOperator, "resolvent_apply", apply)
+    assert list(reps) == ["resolvent", "resolvent_dz"]
+    base, dz = reps.values()
+    assert dz.estimate == "resolvent_dz"
+    assert len(base.params) == len(solves) and dz.params == base.params
+    for (i, mod, psi), r, r_dz in zip(base.params, base.ratios, dz.ratios):
+        f = random_field(grid8, seed=5 + i, solenoidal=True)
+        fn = NodeValues(f).norm("u", np.inf, p)
+        lam = mod * np.exp(1j * psi)
+        nodes = NodeValues(grid8.stokes.resolvent_apply(lam, f))
+        lhs = abs(lam) * nodes.norm("u", np.inf, p) + np.sqrt(abs(lam)) * nodes.norm(
+            "grad", np.inf, p
+        )
+        assert r == lhs / fn
+        v_dx = grid8.stokes.resolvent_apply(lam, horizontal_derivative(f, "x"))
+        ref = np.sqrt(abs(lam)) * NodeValues(v_dx).norm("u", np.inf, p) / fn
+        assert r_dz == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, np.nan])
+def test_resolvent_scan_rejects_bad_modulus(grid8, bad):
+    # a point off the sector or on the spectrum is not scanned, nor skipped
+    with pytest.raises(ValueError, match="positive and finite"):
+        resolvent_scan([0.1, bad], 2, 4.0, grid8)
+
+
 def test_multiplier_scan_finite():
     rep = horizontal_multiplier_scan(np.geomspace(1e-2, 1.0, 4), 4, N=16, seed=0)
     assert np.isfinite(rep.sup_ratio)
 
 
 def test_multiplier_scan_rejects_bad_sector():
-    with pytest.raises(ValueError):
-        horizontal_multiplier_scan(np.array([0.1]), 2, theta=1.8)
+    # the sector's half-angle is pi/3: arg tau = 1.0 is inside, 1.1 is not
+    horizontal_multiplier_scan([np.exp(1.0j)], 1, N=8)
+    with pytest.raises(ValueError, match="sector"):
+        horizontal_multiplier_scan([np.exp(1.1j)], 1, N=8)
 
 
 @pytest.mark.parametrize("tau", [2j, np.nan, complex(0.1, np.nan), np.inf])
@@ -247,11 +288,11 @@ def test_q_growth_trend():
 
 def test_interpolation_requires_p_above_two(grid8):
     with pytest.raises(ValueError):
-        interpolation_ratio(2, 2.0, 2, (0.2,), grid8)
+        interpolation_ratio(2, 2.0, (0.2,), grid8)
 
 
 def test_interpolation_ratio_finite(grid8):
-    rep = interpolation_ratio(5, 4.0, 2, (0.15, 0.3), grid8, seed=0)
+    rep = interpolation_ratio(5, 4.0, (0.15, 0.3), grid8, seed=0)
     assert np.isfinite(rep.sup_ratio)
     assert rep.sup_ratio > 0
 

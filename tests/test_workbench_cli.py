@@ -723,7 +723,10 @@ def test_cli_verify_non_finite_sup_exit_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(
         hydrostokes.cli,
         "resolvent_scan",
-        lambda *args, **kwargs: ScanReport("resolvent", [0], [np.nan]),
+        lambda *args, **kwargs: {
+            "resolvent": ScanReport("resolvent", [0], [np.nan]),
+            "resolvent_dz": ScanReport("resolvent_dz", [0], [1.0]),
+        },
     )
     assert run_cli(["verify", "resolvent"]) == 1
     # the FAIL says why, on one stderr line naming the CSV
@@ -741,6 +744,8 @@ def test_cli_verify_all_reports_each_suite_from_its_own_result(tmp_path, monkeyp
             called.add(name)
             if name == "semigroup_decay_scan":  # one report per combo
                 return {c: ScanReport(c, [0], [sup]) for c in SEMIGROUP_COMBOS}
+            if name == "resolvent_scan":
+                return {c: ScanReport(c, [0], [sup]) for c in ("resolvent", "resolvent_dz")}
             return ScanReport(name, [0], [sup])
 
         return scan
@@ -776,6 +781,7 @@ def test_cli_verify_all_reports_each_suite_from_its_own_result(tmp_path, monkeyp
     # the suites look each scan up in cli at call time, so every stub ran
     assert called == set(scans) | {"resolution_stability"}
     assert all(os.path.exists(f"semigroup_{combo}.csv") for combo in SEMIGROUP_COMBOS)
+    assert os.path.exists("resolvent.csv") and os.path.exists("resolvent_dz.csv")
 
 
 def test_cli_verify_unknown_suite():
