@@ -129,9 +129,6 @@ class PhysicalField:
     def ncomp(self):
         return self.values.shape[0]
 
-    def copy(self):
-        return PhysicalField(self.values.copy(), self.grid)
-
 
 def _mirror(c: np.ndarray) -> np.ndarray:
     """conj c(-m,-n) at (m, n), for full-plane coefficients c[comp, m, n, ...]."""

@@ -5,7 +5,10 @@ the unknown constant) over a parameter grid and random sample fields, and
 reports the empirical supremum.  The constants in the underlying inequalities
 are existential, so scans assert only finiteness and stability under
 resolution doubling; the few closed-form identities (kernel norms, the
-discrete Young inequality, the recursion bound) are checked exactly.
+discrete Young inequality, the recursion bound) are checked exactly.  No
+sample is dropped for a small denominator: each denominator is a norm of a
+random sample of unit amplitude, and column_norms rescales rather than
+underflowing, so it is positive at any depth and exponent.
 """
 
 from dataclasses import dataclass
@@ -32,6 +35,7 @@ from .sampling import random_field
 from .semigroup import SingularityError, spectral_bound
 from .solver import grad_mixed_norm, mixed_norm
 
+# floor of resolution_stability's relative drift, for a sup ratio of 0
 DENOM_FLOOR = 1e-14
 # half-angles of the sectors the resolvent scan samples lambda and the
 # multiplier scan accepts tau in; e^{tau Delta_H} is analytic below pi/2
@@ -51,7 +55,8 @@ KERNEL_QUAD_NODES = 2
 
 @dataclass
 class ScanReport:
-    """A scan's ratios, their sup and the samples skipped; ``stable`` is set by
+    """A scan's ratios, their sup and the points it could not evaluate (a
+    lambda on the spectrum, a disk with no node); ``stable`` is set by
     resolution_stability: whether the sup held under resolution doubling."""
 
     estimate: str
@@ -105,20 +110,16 @@ def young_anisotropic_test(n_samples: int, q, p, seed: int = 0) -> ScanReport:
     Scalar samples live on the unit 3-torus, viewed as the unit-depth layer.
     """
     rng = np.random.default_rng(seed)
-    ratios, params, skipped = [], [], 0
+    ratios = []
     vol = 1.0 / YOUNG_GRID**3
     cube = Grid(YOUNG_GRID, YOUNG_GRID, 1.0)
-    for i in range(n_samples):
+    for _ in range(n_samples):
         f = rng.standard_normal((YOUNG_GRID,) * 3)
         g = rng.standard_normal((YOUNG_GRID,) * 3)
         conv = sfft.ifftn(sfft.fftn(f) * sfft.fftn(g)).real * vol
         denom = np.sum(np.abs(g)) * vol * norm_anisotropic(PhysicalField(f[None], cube), q, p)
-        if denom < DENOM_FLOOR:
-            skipped += 1
-            continue
         ratios.append(norm_anisotropic(PhysicalField(conv[None], cube), q, p) / denom)
-        params.append(i)
-    return ScanReport("young", params, ratios, skipped=skipped)
+    return ScanReport("young", list(range(n_samples)), ratios)
 
 
 # -- semigroup decay scans -------------------------------------------------
@@ -195,30 +196,18 @@ def _family_reports(combos, sample, lhs, t_grid, n_samples, p, grid: Grid, seed,
     before the next family draws.
     """
     op = grid.stokes
-    params = {c: [] for c in combos}
+    params = []
     ratios = {c: [] for c in combos}
-    skipped = dict.fromkeys(combos, 0)
     for i in range(n_samples):
         datum, denoms = sample(grid, seed + i, p)
-        live = []
-        for c in combos:
-            if denoms[c] < DENOM_FLOOR:
-                skipped[c] += 1
-            else:
-                live.append(c)
-        if not live:
-            continue
         for t in t_grid:
             vals = lhs(t, op.semigroup_apply(t, datum), p)
             weight = np.exp(beta * t)
-            for c in live:
+            for c in combos:
                 ratios[c].append(vals[c] / (weight * denoms[c]))
-                params[c].append((i, t))
+            params.append((i, t))
         del datum  # before the next sample draws
-    return {
-        c: ScanReport(c, params[c], ratios[c], skipped=skipped[c])
-        for c in combos
-    }
+    return {c: ScanReport(c, params, ratios[c]) for c in combos}
 
 
 def semigroup_decay_scan(t_grid, n_samples: int, p: float, grid: Grid, seed: int = 0) -> dict:
@@ -273,9 +262,6 @@ def resolvent_scan(lam_moduli, n_samples: int, p, grid: Grid, seed: int = 0) -> 
     for i in range(n_samples):
         f = random_field(grid, seed=seed + i, solenoidal=True)
         fn = NodeValues(f).norm("u", np.inf, p)
-        if fn < DENOM_FLOOR:
-            skipped += 1
-            continue
         for mod in lam_moduli:
             for psi in psis:
                 lam = mod * np.exp(1j * psi)
@@ -323,14 +309,11 @@ def horizontal_multiplier_scan(tau_grid, n_samples: int, N: int = 32, seed: int 
     xix, xiy = grid.xi_vectors()
     xi2 = xix**2 + xiy**2
     rng = np.random.default_rng(seed)
-    ratios, params, skipped = [], [], 0
+    ratios, params = [], []
     env = (1.0 + xi2 / (2 * np.pi) ** 2) ** (-1.0)
     for i in range(n_samples):
         ghat = _draw_2d(rng, N, env)
         fn = _sup_2d(ghat, N)
-        if fn < DENOM_FLOOR:
-            skipped += 1
-            continue
         qf = helmholtz_2d(ghat, grid)
         for tau in taus:
             heat = np.exp(-tau * xi2) * qf
@@ -339,7 +322,7 @@ def horizontal_multiplier_scan(tau_grid, n_samples: int, N: int = 32, seed: int 
             mag = np.sqrt((np.abs(gx) ** 2 + np.abs(gy) ** 2).sum(axis=0)).max()
             ratios.append(np.sqrt(abs(tau)) * mag / fn)
             params.append((i, complex(tau)))
-    return ScanReport("multiplier", params, ratios, skipped=skipped)
+    return ScanReport("multiplier", params, ratios)
 
 
 def q_linfty_growth(N_list, seed: int = 0, n_samples: int = 10):
@@ -399,11 +382,7 @@ def interpolation_ratio(n_samples: int, p: float, r_grid, grid: Grid, seed: int 
             lhs = vcol[mask].max()
             vp = weighted_lp(vcol[mask], p, 1.0 / grid.N**2)
             gp = weighted_lp(gcol[mask], p, 1.0 / grid.N**2)
-            denom = r ** (-2.0 / p) * (vp + r * gp)
-            if denom < DENOM_FLOOR:
-                skipped += 1
-                continue
-            ratios.append(lhs / denom)
+            ratios.append(lhs / (r ** (-2.0 / p) * (vp + r * gp)))
             params.append((i, r))
     return ScanReport("interpolation", params, ratios, skipped=skipped)
 
@@ -421,18 +400,14 @@ def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0
         grad = Fhat - helmholtz_2d(Fhat, grid)
         gphys = np.linalg.norm(_phys2d(grad, N).real, axis=0)
         finf = _sup_2d(Fhat, N)
-        if finf < DENOM_FLOOR:
-            skipped += 1
-            continue
         center = rng.random(2)
         for r in r_grid:
             mask = _disk_mask(grid, center, r)
             if not mask.any():
                 skipped += 1
                 continue
-            lhs = (np.sum(gphys[mask] ** p) / N**2) ** (1.0 / p)
-            denom = r ** (2.0 / p) * (1.0 + abs(np.log(r))) * finf
-            ratios.append(lhs / denom)
+            lhs = weighted_lp(gphys[mask], p, 1.0 / N**2)
+            ratios.append(lhs / (r ** (2.0 / p) * (1.0 + abs(np.log(r))) * finf))
             params.append((i, r))
     return ScanReport("log_riesz", params, ratios, skipped=skipped)
 
@@ -451,14 +426,11 @@ def nonlinear_estimate_scan(
 ) -> ScanReport:
     """Ratios for the four semigroup-nonlinearity estimates."""
     op = grid.stokes
-    ratios, params, skipped = [], [], 0
+    ratios, params = [], []
     for i in range(n_pairs):
         v1 = random_field(grid, seed=seed + 2 * i, solenoidal=True)
         v2 = random_field(grid, seed=seed + 2 * i + 1, solenoidal=True)
         (n1, g1), (n2, g2) = _sup_norms(v1, p), _sup_norms(v2, p)
-        if min(n1, n2, g1, g2) < DENOM_FLOOR:
-            skipped += 1
-            continue
         nl = project_hydrostatic(advection(v1, v2))
         for t in np.asarray(t_grid, dtype=float):
             a, b = _sup_norms(op.semigroup_apply(t, nl), p)
@@ -471,7 +443,7 @@ def nonlinear_estimate_scan(
             denom4 = min(g1 * n2, g2 * n1) / np.sqrt(t) + g1 * g2
             ratios.append(a / denom4)
             params.append((i, t, "iv"))
-    return ScanReport("nonlinear", params, ratios, skipped=skipped)
+    return ScanReport("nonlinear", params, ratios)
 
 
 # -- recursion lemma -------------------------------------------------------

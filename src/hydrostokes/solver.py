@@ -266,12 +266,13 @@ def _shrink_delta(a, config):
     Tries at most 60 smoothing times, the last one untested, and returns
     (a_ref, a_0, delta) with (a_ref, a_0) = split_data(a, delta).
     """
-    scale = mixed_norm(a, config.p)
-    eps0 = config.eps0 if config.eps0 is not None else 0.05 * scale
     delta = config.delta
     a_ref, a0 = split_data(a, delta)
+    if delta == 0.0:  # no rough part to measure
+        return a_ref, a0, delta
+    eps0 = config.eps0 if config.eps0 is not None else 0.05 * mixed_norm(a, config.p)
     for _ in range(59):
-        if mixed_norm(a0, config.p) <= eps0 or delta == 0.0:
+        if mixed_norm(a0, config.p) <= eps0:
             break
         delta /= 2.0
         a_ref, a0 = split_data(a, delta)

@@ -9,6 +9,10 @@ from hydrostokes.lab import (
     RESOLVENT_THETA,
     SEMIGROUP_COMBOS,
     ScanReport,
+    _disk_mask,
+    _draw_2d,
+    _phys2d,
+    _sup_2d,
     horizontal_multiplier_scan,
     interpolation_ratio,
     kernel_l1_norm,
@@ -22,6 +26,7 @@ from hydrostokes.lab import (
     smoothing_trend,
     young_anisotropic_test,
 )
+from hydrostokes.projection import helmholtz_2d
 from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
 
@@ -302,6 +307,34 @@ def test_log_riesz_ratio_finite():
     assert np.isfinite(rep.sup_ratio)
 
 
+def test_log_riesz_ratio_sums_by_weighted_lp():
+    # every power gphys^p overflows at p = 1000 and 1e5; the rescaled L^p
+    # norm does not
+    for p, sup in ((1000.0, 0.29242), (1e5, 0.29333)):
+        rep = log_riesz_ratio(5, p, (0.15, 0.3), N=16, seed=0)
+        assert np.all(np.isfinite(rep.ratios))
+        assert rep.sup_ratio == pytest.approx(sup, abs=1e-5)
+    # at p = 4 the rescue path is idle and 1/N^2 is a power of two: the
+    # ratios are those of the plain sum, bit for bit
+    N, p, r_grid = 16, 4.0, (0.15, 0.3)
+    grid = Grid(N, 1, 1.0)
+    rng = np.random.default_rng(0)
+    xix, xiy = grid.xi_vectors()
+    env = (1.0 + (xix**2 + xiy**2) / (2 * np.pi) ** 2) ** (-0.75)
+    want = []
+    for _ in range(5):
+        Fhat = _draw_2d(rng, N, env)
+        gphys = np.linalg.norm(_phys2d(Fhat - helmholtz_2d(Fhat, grid), N).real, axis=0)
+        finf = _sup_2d(Fhat, N)
+        center = rng.random(2)
+        for r in r_grid:
+            lhs = (np.sum(gphys[_disk_mask(grid, center, r)] ** p) / N**2) ** (1.0 / p)
+            want.append(lhs / (r ** (2.0 / p) * (1.0 + abs(np.log(r))) * finf))
+    rep = log_riesz_ratio(5, p, r_grid, N=N, seed=0)
+    assert rep.skipped == 0
+    assert np.array_equal(rep.ratios, want)
+
+
 # -- nonlinear scan -------------------------------------------------------
 
 
@@ -310,6 +343,26 @@ def test_nonlinear_scan_four_ratio_families(grid8):
     tags = {t for (*_, t) in rep.params}
     assert tags == {"i", "ii", "iii", "iv"}
     assert np.isfinite(rep.sup_ratio)
+
+
+# -- tiny depth -----------------------------------------------------------
+
+
+def test_scans_keep_every_sample_at_tiny_depth():
+    # at h = 1e-20 and p = 1 every denominator is of order h, and none is
+    # dropped: each scan returns all its rows
+    g = Grid(8, 8, 1e-20)
+    with np.errstate(all="ignore"):
+        nl = nonlinear_estimate_scan(2, [0.1, 1.0], 1.0, g)
+        res = resolvent_scan([0.1, 10.0], 2, 1.0, g)
+        sg = semigroup_decay_scan([1e-3, 1.0], 2, 1.0, g)
+    assert len(nl.ratios) == 16 and np.all(np.isfinite(nl.ratios))
+    for rep in res.values():
+        assert len(rep.ratios) == 12 and np.all(np.isfinite(rep.ratios))
+        assert rep.skipped == 0
+    assert list(sg) == list(SEMIGROUP_COMBOS)
+    for rep in sg.values():
+        assert len(rep.ratios) == len(rep.params) == 4
 
 
 # -- recursion lemma ------------------------------------------------------

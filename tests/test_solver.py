@@ -115,6 +115,26 @@ def test_shrink_delta_returns_the_delta_of_its_split(delta, eps0):
         assert mixed_norm(split_data(a, 2 * got)[1], cfg.p) > eps
 
 
+@pytest.mark.parametrize("delta,eps0,norms", [(0.0, None, 0), (1.0, 1e9, 1)])
+def test_shrink_delta_measures_only_what_it_reads(monkeypatch, delta, eps0, norms):
+    # delta = 0 leaves a rough part that is zero by construction, and a given
+    # eps0 needs no norm of the data: only a0 at delta = 1 is measured
+    cfg = SolverConfig(N=8, K=8, dt=0.005, T=0.01, delta=delta, eps0=eps0)
+    a = random_field(cfg.grid(), seed=0, decay=2.0, rough_amplitude=1.0, solenoidal=True)
+    measured = []
+
+    def counted(f, p):
+        measured.append(f)
+        return mixed_norm(f, p)
+
+    monkeypatch.setattr(hydrostokes.solver, "mixed_norm", counted)
+    a_ref, a0, got = _shrink_delta(a, cfg)
+    assert got == delta and len(measured) == norms
+    b_ref, b0 = split_data(a, delta)
+    assert np.array_equal(a_ref.coeffs, b_ref.coeffs)
+    assert np.array_equal(a0.coeffs, b0.coeffs)
+
+
 # -- reference integrator -------------------------------------------------
 
 

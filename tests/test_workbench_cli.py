@@ -605,6 +605,22 @@ def test_cli_verify_resolvent_tiny_depth_passes(tmp_path, monkeypatch, capsys):
     assert max(ratios["resolvent_dz"]) <= 1e-12
 
 
+def test_cli_verify_all_tiny_depth_writes_every_row(tmp_path, monkeypatch, capsys):
+    # at h = 1e-20 and p = 1 every denominator is of order h; no sample is
+    # dropped, so every CSV has rows and only the semigroup suite fails
+    # (e^{beta t} underflows, so its ratios are inf)
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "grid.n = 8\ngrid.k = 8\ngrid.h = 1e-20\nnorm.p = 1\noutput.dir = out\n")
+    assert run_cli(["verify", "all", "--config", cfg]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: verify semigroup:")
+    csvs = sorted((tmp_path / "out").glob("*.csv"))
+    assert len(csvs) == 14
+    for path in csvs:
+        with open(path) as fh:
+            assert len(list(csv.DictReader(fh))) >= 1, path.name
+
+
 def test_cli_verify_nonlinear_tiny_depth_passes(tmp_path, monkeypatch, capsys):
     # every term of the estimate decays like the semigroup: ratios at round-off
     monkeypatch.chdir(tmp_path)
