@@ -177,10 +177,6 @@ class VerticalBasis:
         self.theta = _read_only(theta)
         self.Q = _read_only(Q)
 
-    def sample(self, z):
-        """phi_k evaluated at points z, shape (K, len(z))."""
-        return np.sin(np.outer(self.lambdas, np.asarray(z) + self.grid.h))
-
 
 def parallel_exp(basis: VerticalBasis, t: float) -> np.ndarray:
     """e^{t M_z} = diag(1/lambda) Q e^{t Theta} Q^T diag(lambda), for t >= 0.

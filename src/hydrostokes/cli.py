@@ -285,14 +285,17 @@ def cmd_norms(args) -> int:
     try:
         field, time = read_snapshot(args.snapshot)
         nodes = NodeValues(field)
-        # both norms before any output: one whose squares overflow is an error
+        # every norm before any output: one beyond the float range is an error
         mixed, sup = nodes.norm("u", args.q, args.p), nodes.norm("u", np.inf, np.inf)
+        l2 = field.norm2()
+        if not np.all(np.isfinite([mixed, l2, sup])):
+            raise NonFiniteFieldError("a norm is beyond the float range")
     except (ConfigError, OSError, NonFiniteFieldError) as exc:
         _err(f"snapshot: {exc}")
         return EXIT_CONFIG
     print(f"time = {time:.10g}")
     print(f"L^{args.q:g}_H L^{args.p:g}_z = {mixed:.12e}")
-    print(f"L^2 = {field.norm2():.12e}")
+    print(f"L^2 = {l2:.12e}")
     print(f"sup = {sup:.12e}")
     return EXIT_OK
 

@@ -8,6 +8,7 @@ Normalization table (tested in tests/test_basis_fields.py):
   vertical inverse     @ basis.sine          -> node values                (DST-IV / 2)
   vertical derivative  @ basis.dsine         -> sum a_k lambda_k cos(lambda_k (z_j+h))
   integral from -h     @ basis.antideriv     -> sum a_k (1 - cos(lambda_k (z_j+h))) / lambda_k
+                                                (NodeValues.w only)
 
 The vertical transforms are matmuls against K x K tables on Grid.basis (see
 VerticalBasis).  With these scalings coefficients are independent of the
@@ -20,12 +21,14 @@ and a column pass (inverse real DFT along n, zero-padding the N/2+1 stored
 columns onto the target grid).  NodeValues is the one path to several node
 quantities of a field (u, its first derivatives, w, div_H u), sharing the
 passes between them: the products, the S(T)-norms and the lab scans read it;
-inverse_transform, vertical_derivative and vertical_integral_from_bottom give
-one quantity through the same passes.  Every mixed norm L^q_H L^p_z of node
-values goes through column_norms, which takes the components as a list of
-node arrays (grad = [dx, dy, dz]), sums their squares one at a time and
-raises the sum to p/2, rescaling by the max only the columns whose powers
-leave the normal floats; a column norm that is not finite raises
+inverse_transform and vertical_derivative give one quantity through the same
+passes.  Every mixed norm L^q_H L^p_z of node values goes through
+column_norms, which takes the components as a list of node arrays (grad =
+[dx, dy, dz]), sums their squares one at a time and raises the sum to p/2
+(the max at p = inf).  Only the columns whose squares or powers leave the
+normal floats are formed again, from their components divided by the
+column's max |c|.  A column norm is non-finite only for a non-finite node
+value or a norm beyond the float range, and then raises
 NonFiniteFieldError, the norm's breakdown check.
 
 Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
@@ -197,15 +200,6 @@ def inverse_transform(c: SpectralField) -> PhysicalField:
     return PhysicalField(_inverse_lanes(c) @ c.grid.basis.sine, c.grid)
 
 
-def horizontal_derivative(c: SpectralField, axis: str) -> SpectralField:
-    """d/dx or d/dy: coefficient-wise multiplication by i*xi."""
-    if axis not in ("x", "y"):
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    xi = c.grid.xi
-    mult = xi[:, None, None] if axis == "x" else xi[: c.grid.N // 2 + 1, None]
-    return SpectralField(c.coeffs * (1j * mult), c.grid)
-
-
 def vertical_derivative(c: SpectralField) -> PhysicalField:
     """d/dz evaluated at the nodes via the cosine series.
 
@@ -221,24 +215,6 @@ def vertical_mean(c: SpectralField) -> np.ndarray:
     Exact: the integral of phi_k is 1/lambda_k.  Returns shape (ncomp, N, N/2+1).
     """
     return np.sum(c.coeffs / c.grid.basis.lambdas, axis=3) / c.grid.h
-
-
-def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
-    """Antiderivative int_{-h}^z of a scalar field, as node values.
-
-    Per mode the antiderivative of phi_k is (1 - cos(lambda_k (z+h)))/lambda_k,
-    so the result vanishes identically at z = -h.
-    """
-    if c.ncomp != 1:
-        raise ValueError(f"expected a scalar field, got ncomp={c.ncomp}")
-    return PhysicalField(_inverse_lanes(c) @ c.grid.basis.antideriv, c.grid)
-
-
-def divergence_h(v: SpectralField) -> SpectralField:
-    """Horizontal divergence i xi . c of a 2-component field, as a spectral scalar."""
-    xi = v.grid.xi
-    xix, xiy = xi[:, None, None], xi[: v.grid.N // 2 + 1, None]
-    return SpectralField(1j * (xix * v.coeffs[0] + xiy * v.coeffs[1])[None], v.grid)
 
 
 class NodeValues:
@@ -378,28 +354,31 @@ def column_norms(parts, grid: Grid, p) -> np.ndarray:
     ``parts`` lists node arrays whose components together make one field;
     their squares are summed one at a time, with no stacked copy.  Vertical
     integrals use the midpoint rule (weight h/K), raising the summed squares
-    to p/2: one power per node, and a square for p = 4.  A column whose
-    weighted sum of powers falls below the normal floats or overflows is
-    summed again from its magnitudes scaled by their max
-    (:func:`_max_scaled_lp`).  A NaN, inf or overflowing square makes its
-    column non-finite, which raises NonFiniteFieldError; the overflow itself
-    is not also warned about.
+    to p/2: one power per node, and a square for p = 4; p = inf takes the
+    max.  A column whose weighted sum of powers (or max square) falls below
+    the normal floats or overflows is formed again from its components
+    divided by the column's max |c|, so no square or power of it leaves the
+    float range (:func:`_max_scaled_lp`).  A column norm is non-finite only
+    for a NaN or inf node value or a norm beyond the float range, and then
+    raises NonFiniteFieldError; the overflow itself is not also warned about.
     """
+    if p < 1:
+        raise ValueError(f"exponents must be in [1, inf], got {p}")
+    w = grid.h / grid.K
     with np.errstate(over="ignore"):
         sq = sum(c**2 for a in parts for c in a)
-        if p == np.inf:
-            cols = np.sqrt(sq.max(axis=2))
-        elif p < 1:
-            raise ValueError(f"exponents must be in [1, inf], got {p}")
-        else:
-            w = grid.h / grid.K
-            inner = np.sum(sq ** (p / 2), axis=2) * w
-            cols = inner ** (1.0 / p)
-            redo = ~((inner >= _TINY) & (inner < np.inf))
-            if redo.any():
-                cols[redo] = _max_scaled_lp(np.sqrt(sq[redo]), p, w, axis=1)
+        inner = sq.max(axis=2) if p == np.inf else np.sum(sq ** (p / 2), axis=2) * w
+        cols = np.sqrt(inner) if p == np.inf else inner ** (1.0 / p)
+        redo = ~((inner >= _TINY) & (inner < np.inf))
+        if redo.any():
+            comps = [c[redo] for a in parts for c in a]
+            top = np.max([np.abs(c).max(axis=1) for c in comps], axis=0)
+            top[~((top > 0) & (top < np.inf))] = 1.0
+            mag = np.sqrt(sum((c / top[:, None]) ** 2 for c in comps))
+            scaled = mag.max(axis=1) if p == np.inf else _max_scaled_lp(mag, p, w, axis=1)
+            cols[redo] = top * scaled
     if not np.all(np.isfinite(cols)):
-        raise NonFiniteFieldError("a node value or its square is non-finite")
+        raise NonFiniteFieldError("a node value or a column norm is non-finite")
     return cols
 
 

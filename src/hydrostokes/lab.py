@@ -9,6 +9,11 @@ discrete Young inequality, the recursion bound) are checked exactly.  No
 sample is dropped for a small denominator: each denominator is a norm of a
 random sample of unit amplitude, and column_norms rescales rather than
 underflowing, so it is positive at any depth and exponent.
+
+These are the scans that ``hydrostokes verify`` runs.  The paper's two L^inf
+facts, that Q is unbounded on L^inf and the log-Riesz bound, and the
+small-time smoothing trend are checked by the tests alone, with their
+reference implementations (tests/oracles.py).
 """
 
 from dataclasses import dataclass
@@ -226,19 +231,6 @@ def semigroup_decay_scan(t_grid, n_samples: int, p: float, grid: Grid, seed: int
     return reports
 
 
-def smoothing_trend(grid: Grid, p: float, seed: int = 0):
-    """t^{1/2} ||grad e^{tA} f|| on a geometric small-t grid, smooth solenoidal f.
-
-    For data in the solenoidal space this quantity tends to 0 with t.
-    """
-    op = grid.stokes
-    t_grid = np.geomspace(1e-5, 1e-1, 9)
-    f = random_field(grid, seed=seed, decay=4.0, solenoidal=True)
-    return t_grid, np.array(
-        [np.sqrt(t) * grad_mixed_norm(op.semigroup_apply(t, f), p) for t in t_grid]
-    )
-
-
 # -- resolvent scans -------------------------------------------------------
 
 
@@ -325,31 +317,6 @@ def horizontal_multiplier_scan(tau_grid, n_samples: int, N: int = 32, seed: int 
     return ScanReport("multiplier", params, ratios)
 
 
-def q_linfty_growth(N_list, seed: int = 0, n_samples: int = 10):
-    """sup ||Qf||_inf / ||f||_inf per resolution.
-
-    The 2-d Helmholtz projection is unbounded on L^inf, so this grows with N;
-    reported as a trend, not asserted.
-    """
-    out = []
-    for N in N_list:
-        grid = Grid(N, 1, 1.0)
-        rng = np.random.default_rng(seed)
-        sup = 0.0
-        for _ in range(n_samples):
-            # rough sample: flat spectrum stresses the unboundedness
-            ghat = _draw_2d(rng, N)
-            sup = max(sup, _sup_2d(helmholtz_2d(ghat, grid), N) / _sup_2d(ghat, N))
-        # deterministic checkerboard of sign jumps: the known worst case, with
-        # Riesz-transform log divergence along the discontinuity lines
-        sq = np.sign(np.sin(2 * np.pi * grid.x))
-        f1 = sq[:, None] * sq[None, :]
-        ghat = np.stack([sfft.fft2(f1) / N**2, np.zeros((N, N), complex)])
-        sup = max(sup, _sup_2d(helmholtz_2d(ghat, grid), N) / np.abs(f1).max())
-        out.append((N, sup))
-    return out
-
-
 # -- interpolation and log-Riesz scans ------------------------------------
 
 
@@ -385,31 +352,6 @@ def interpolation_ratio(n_samples: int, p: float, r_grid, grid: Grid, seed: int 
             ratios.append(lhs / (r ** (-2.0 / p) * (vp + r * gp)))
             params.append((i, r))
     return ScanReport("interpolation", params, ratios, skipped=skipped)
-
-
-def log_riesz_ratio(n_samples: int, p: float, r_grid, N: int = 32, seed: int = 0) -> ScanReport:
-    """||grad_H pi||_{L^p(B_r)} / (r^{2/p}(1+|log r|) ||F||_inf), Delta_H pi = div_H F."""
-    grid = Grid(N, 1, 1.0)
-    rng = np.random.default_rng(seed)
-    ratios, params, skipped = [], [], 0
-    xix, xiy = grid.xi_vectors()
-    env = (1.0 + (xix**2 + xiy**2) / (2 * np.pi) ** 2) ** (-0.75)
-    for i in range(n_samples):
-        Fhat = _draw_2d(rng, N, env)
-        # grad_H pi is the xi-parallel part of F
-        grad = Fhat - helmholtz_2d(Fhat, grid)
-        gphys = np.linalg.norm(_phys2d(grad, N).real, axis=0)
-        finf = _sup_2d(Fhat, N)
-        center = rng.random(2)
-        for r in r_grid:
-            mask = _disk_mask(grid, center, r)
-            if not mask.any():
-                skipped += 1
-                continue
-            lhs = weighted_lp(gphys[mask], p, 1.0 / N**2)
-            ratios.append(lhs / (r ** (2.0 / p) * (1.0 + abs(np.log(r))) * finf))
-            params.append((i, r))
-    return ScanReport("log_riesz", params, ratios, skipped=skipped)
 
 
 # -- nonlinear estimate scans ----------------------------------------------

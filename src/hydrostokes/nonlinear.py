@@ -1,4 +1,4 @@
-"""Vertical velocity reconstruction and the advective nonlinearity.
+"""The advective nonlinearity.
 
 Every product is dealiased: formed pointwise on a 3/2-padded collocation
 grid and truncated back to the working resolution (2/3 rule in all three
@@ -10,9 +10,9 @@ a DFT along m runs on those alone, and the first K columns of the padded
 grid's analysis table truncate in z.  The vertical velocity w lives in the
 cosine/constant span and is carried as node values only.  The solver forms
 every transport term, the Picard forcing F(v_ref + V) - F(v_ref) included,
-from one :func:`advection` product per field.  pad_coeffs and
-truncate_coeffs embed and restrict coefficients; the tests check the
-products' passes against them.
+from one :func:`advection` product per field.  pad_coeffs embeds
+coefficients in a finer grid; the tests check the products' passes against
+it.
 """
 
 import numpy as np
@@ -24,9 +24,6 @@ from .fields import (
     PhysicalField,
     SpectralField,
     _pad_half_spectrum,
-    divergence_h,
-    horizontal_derivative,
-    vertical_integral_from_bottom,
     zero_nyquist,
 )
 
@@ -46,32 +43,6 @@ def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
     out = SpectralField.zeros(target, c.ncomp)
     out.coeffs[:, :, : g.N // 2 + 1, : g.K] = _pad_half_spectrum(c.coeffs, g.N, target.N)
     return out
-
-
-def truncate_coeffs(c: SpectralField, target: Grid) -> SpectralField:
-    """Restrict coefficients to a coarser grid (drop high modes)."""
-    out = _truncate_rows(c.coeffs[:, :, : target.N // 2 + 1, : target.K], c.grid.N, target.N)
-    return zero_nyquist(SpectralField(out, target))
-
-
-def vertical_velocity(v: SpectralField) -> PhysicalField:
-    """w = -int_{-h}^z div_H v; vanishes identically at the bottom."""
-    if v.ncomp != 2:
-        raise ValueError(f"vertical velocity needs ncomp=2, got {v.ncomp}")
-    w = vertical_integral_from_bottom(divergence_h(v))
-    w.values = -w.values
-    return w
-
-
-def vertical_velocity_top(v: SpectralField) -> np.ndarray:
-    """w evaluated exactly at z = 0, shape (N, N).
-
-    Per mode w(0) = -sum_k d_k / lambda_k with d the divergence coefficients,
-    which vanishes identically on solenoidal fields.
-    """
-    d = divergence_h(v)
-    top = -np.sum(d.coeffs[0] / v.grid.basis.lambdas, axis=2)
-    return sfft.irfft2(top, s=(v.grid.N, v.grid.N), norm="forward")
 
 
 def _advective_product(a: NodeValues, b: NodeValues) -> np.ndarray:
@@ -118,20 +89,3 @@ def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralFie
     """Dealiased (u1 . grad) v2 in convective form; v2 defaults to v1."""
     gp, n1, n2 = _node_sets(v1, v2)
     return _truncated(_advective_product(n1, n2), gp, v1.grid)
-
-
-def divergence_form(v: SpectralField) -> SpectralField:
-    """Dealiased (u . grad) v assembled conservatively, the reference form
-    that tests compare :func:`advection` with.
-
-    Horizontal part: grad_H . (v (x) v) from pointwise tensor products.
-    Vertical part: dz(w v) = -(div_H v) v + w dz v, using that the
-    z-derivative of w is exactly -div_H v by construction (the product
-    w v itself has no exact representation in the mixed basis).
-    """
-    gp, n, _ = _node_sets(v, None)
-    out = _truncated(-n.div * n.u + n.w * n.dz, gp, v.grid)
-    for i, axis in enumerate(("x", "y")):
-        flux = _truncated(n.u[i] * n.u, gp, v.grid)
-        out.coeffs += horizontal_derivative(flux, axis).coeffs
-    return out

@@ -52,28 +52,3 @@ def check_solenoidal(f: SpectralField) -> float:
     if scale == 0.0:
         return 0.0
     return float(div * np.sqrt(g.h) / scale)
-
-
-def recover_pressure_gradient(v: SpectralField, f: SpectralField) -> np.ndarray:
-    """Surface-pressure gradient from Delta_H pi = div_H fbar - div_H (dz v at bottom)/h.
-
-    Returns Fourier coefficients of grad_H pi, shape (2, N, N/2+1).  The bottom
-    shear per mode is sum_k lambda_k c_k since phi_k'(-h) = lambda_k.
-    """
-    g = v.grid
-    shear = np.sum(v.coeffs * g.basis.lambdas, axis=3) / g.h  # (2, N, N/2+1)
-    rhs = vertical_mean(f) - shear
-    par = np.einsum("cmn,cmn->mn", g.xi_hat, rhs)
-    return g.xi_hat * par[None, :, :]
-
-
-def recover_pressure(v: SpectralField, f: SpectralField) -> np.ndarray:
-    """Fourier coefficients of pi itself, zero-mean normalized, shape (N, N/2+1)."""
-    g = v.grid
-    grad = recover_pressure_gradient(v, f)
-    norm = np.sqrt(g.xi2)
-    norm[0, 0] = 1.0
-    # grad = i xi pihat  =>  pihat = -i xi . grad / |xi|^2 = -i xi_hat . grad / |xi|
-    pihat = -1j * np.einsum("cmn,cmn->mn", g.xi_hat, grad) / norm
-    pihat[0, 0] = 0.0
-    return pihat

@@ -8,8 +8,9 @@ M_z = diag(-lambda^2) + b lambda^T, every function f of A is therefore
 
     f(A) v = f(Delta) v + xi_hat (x) [f(M_z - |xi|^2) - f(-lambda^2 - |xi|^2)] c_par,
 
-the one assembly (``_per_mode``) of A, e^{tA}, phi1 and the resolvent; at
-xi = 0, xi_hat = 0 leaves the vertical heat block.
+the one assembly (``_per_mode``) of e^{tA}, phi1 and the resolvent; at
+xi = 0, xi_hat = 0 leaves the vertical heat block.  No command applies A
+itself or forms M_z as a matrix.
 
 lambda_k b_k is one constant, so diag(lambda) M_z diag(lambda)^{-1} is
 symmetric, and its one eigendecomposition Theta, Q per grid (on
@@ -77,12 +78,7 @@ class StokesOperator:
     def __init__(self, grid: Grid):
         self.grid = grid
         self.basis = grid.basis
-        lam = self.basis.lambdas
-        self.lam2 = lam**2
-        # rank-one bottom-shear coupling b lambda^T, parallel component only
-        self.b = self.basis.betas_t / grid.h
-        self.Mz = np.diag(-self.lam2) + np.outer(self.b, lam)
-
+        self.lam2 = self.basis.lambdas**2
         self.xi2 = grid.xi2
         self.xi_hat = grid.xi_hat
         self.cache = SemigroupCache()
@@ -119,11 +115,6 @@ class StokesOperator:
         return lambda cpar: ((cpar * lam) @ Q * g) @ Q.T / lam - diag * cpar
 
     # -- operator ----------------------------------------------------------
-
-    def apply_A(self, v: SpectralField) -> SpectralField:
-        """Delta v plus the bottom-shear coupling b (lambda . c_par) on the parallel part."""
-        corr = lambda cpar: (cpar @ self.basis.lambdas)[:, :, None] * self.b
-        return self._per_mode(v, corr, -(self.xi2[:, :, None] + self.lam2))
 
     def semigroup_apply(self, t: float, v: SpectralField) -> SpectralField:
         """e^{tA} v via per-mode exponentials."""

@@ -62,7 +62,7 @@ def continuum_energy_pairing(v: SpectralField, w: SpectralField, nq=160, pad=3):
     v must be a 2-component solenoidal field; w is 2-component.  Returns the
     pairing and the L2 norm of w for forming a relative measure.
     """
-    from hydrostokes.fields import divergence_h, horizontal_derivative, vertical_derivative
+    from oracles import divergence_h, horizontal_derivative
 
     grid = v.grid
     nx = pad * grid.N

@@ -16,17 +16,16 @@ from hydrostokes.fields import (
     column_norms,
     forward_transform,
     hermitian_part,
-    horizontal_derivative,
     inverse_transform,
     norm_anisotropic,
     vertical_derivative,
-    vertical_integral_from_bottom,
     vertical_mean,
     zero_nyquist,
 )
 from hydrostokes.projection import project_hydrostatic
 from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
+from oracles import horizontal_derivative, sample, vertical_integral_from_bottom
 
 
 # -- grid validation ------------------------------------------------------
@@ -91,7 +90,7 @@ def test_vertical_basis_eigenvalues_and_orthogonality():
     k = np.arange(12)
     assert np.allclose(basis.lambdas, (2 * k + 1) * np.pi / (2 * 0.7))
     # discrete orthogonality of phi_k at the midpoint nodes: sum = (K/2) delta
-    phi = basis.sample(grid.z)  # (K_nodes, K_modes)
+    phi = sample(basis, grid.z)  # (K_nodes, K_modes)
     gram = phi.T @ phi
     assert np.allclose(gram, 6.0 * np.eye(12), atol=1e-12)
 
@@ -353,8 +352,8 @@ def test_vertical_derivative_finite_difference_order():
 
     errs = []
     for eps in (1e-2, 5e-3):
-        phi_p = basis.sample(grid.z + eps)
-        phi_m = basis.sample(grid.z - eps)
+        phi_p = sample(basis, grid.z + eps)
+        phi_m = sample(basis, grid.z - eps)
         fd = np.einsum("smnk,kj->smnj", f.full(), (phi_p - phi_m) / (2 * eps))
         fd = sfft.ifft2(fd, axes=(1, 2)).real * grid.N**2
         errs.append(np.abs(fd - d.values).max())
@@ -405,7 +404,7 @@ def test_vertical_mean_quadrature_oracle(grid8):
     M = 200000
     zq = -1.0 + (2 * np.arange(M) + 1) / (2 * M)
     basis = VerticalBasis(grid8)
-    vals = np.einsum("smnk,kj->smnj", f.coeffs, basis.sample(zq))
+    vals = np.einsum("smnk,kj->smnj", f.coeffs, sample(basis, zq))
     quad = vals.mean(axis=3)[0]
     assert np.abs(m[0] - quad).max() <= 1e-9
 
@@ -553,23 +552,34 @@ def test_grad_norm_raises_on_one_non_finite_dz_node(grid8, bad, p):
         nodes.norm("grad", np.inf, p)
 
 
-def test_norm_raises_when_squares_overflow(grid8):
-    # finite node values whose squared magnitude is inf: a breakdown, not a norm
+def test_norm_rescales_when_squares_overflow(grid8):
+    # finite node values whose squared magnitude overflows are divided by the
+    # column's max before squaring: each column's norm is sqrt(2) * 1e200
     f = PhysicalField(np.full((2, 8, 8, 8), 1e200), grid8)
-    with pytest.raises(NonFiniteFieldError):
-        norm_anisotropic(f, np.inf, np.inf)
+    assert norm_anisotropic(f, np.inf, np.inf) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
 
 
-def test_norm_raises_when_column_powers_overflow(grid8):
+def test_norm_rescales_when_column_powers_overflow(grid8):
     # finite squares whose powers overflow are rescaled, with no numpy
     # warning: each column's norm is sqrt(2) * 1e100 on the unit-depth layer
     f = PhysicalField(np.full((2, 8, 8, 8), 1e100), grid8)
     assert norm_anisotropic(f, np.inf, 4) == pytest.approx(np.sqrt(2) * 1e100, rel=1e-15)
     assert norm_anisotropic(f, 1000, 4) == pytest.approx(np.sqrt(2) * 1e100, rel=1e-15)
-    # squares that overflow still raise, at finite p as at p = inf
+    # squares that overflow are rescaled too, at finite p as at p = inf
     f = PhysicalField(np.full((2, 8, 8, 8), 1e200), grid8)
-    with pytest.raises(NonFiniteFieldError):
-        norm_anisotropic(f, np.inf, 4)
+    assert norm_anisotropic(f, np.inf, 4) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+
+
+@pytest.mark.parametrize("p", [np.inf, 4, 2, 1])
+@pytest.mark.parametrize("name", ["u", "grad"])
+def test_norm_is_homogeneous_at_any_scale(name, p):
+    # ||amp f|| = amp ||f|| from amplitudes whose squares underflow to ones
+    # whose squares overflow: no column reads 0 or raises
+    f = random_field(Grid(8, 4, 1.0), ncomp=2, seed=0)
+    want = NodeValues(f).norm(name, np.inf, p)
+    for amp in 10.0 ** np.arange(-300, 301, 50):
+        got = NodeValues(SpectralField(amp * f.coeffs, f.grid)).norm(name, np.inf, p)
+        assert got == pytest.approx(amp * want, rel=1e-14), amp
 
 
 def _oracle_mixed_norm(u, grid, q, p):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hydrostokes.basis import Grid
-from hydrostokes.fields import NodeValues, horizontal_derivative
+from hydrostokes.fields import NodeValues
 from hydrostokes.lab import (
     RESOLVENT_THETA,
     SEMIGROUP_COMBOS,
@@ -16,19 +16,17 @@ from hydrostokes.lab import (
     horizontal_multiplier_scan,
     interpolation_ratio,
     kernel_l1_norm,
-    log_riesz_ratio,
     nonlinear_estimate_scan,
-    q_linfty_growth,
     recursion_bound_check,
     resolution_stability,
     resolvent_scan,
     semigroup_decay_scan,
-    smoothing_trend,
     young_anisotropic_test,
 )
 from hydrostokes.projection import helmholtz_2d
 from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
+from oracles import horizontal_derivative, log_riesz_ratio, q_linfty_growth, smoothing_trend
 
 
 # -- one-dimensional kernel -----------------------------------------------

@@ -13,22 +13,18 @@ from hydrostokes.fields import (
     SpectralField,
     forward_transform,
     hermitian_part,
-    horizontal_derivative,
     inverse_transform,
     vertical_derivative,
 )
-from hydrostokes.nonlinear import (
-    _advective_product,
-    _node_sets,
-    _truncated,
-    advection,
+from hydrostokes.nonlinear import _advective_product, _node_sets, _truncated, advection, pad_coeffs
+from hydrostokes.sampling import random_field, single_mode_field
+from oracles import (
     divergence_form,
-    pad_coeffs,
+    horizontal_derivative,
     truncate_coeffs,
     vertical_velocity,
     vertical_velocity_top,
 )
-from hydrostokes.sampling import random_field, single_mode_field
 
 
 # -- padding --------------------------------------------------------------

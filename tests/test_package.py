@@ -1,0 +1,78 @@
+"""The package's surface: every public function of src/ has a caller in src/."""
+
+import ast
+import pathlib
+from collections import Counter
+
+import hydrostokes
+
+SRC = pathlib.Path(hydrostokes.__file__).parent
+
+# the public names that no src/ code calls, each with its reason
+EXCEPTIONS = {
+    # the padding oracle of the products' passes; the resolution studies of
+    # ROADMAP items 2 and 14 embed one sample across grids through it
+    "nonlinear.pad_coeffs",
+    # the benchmark's worker reads the Picard count of a solve through it
+    "solver.IterationReport.iterations",
+    # one of NodeValues' six quantities, which norm(name) reads by name; it
+    # shares the lanes of w, and the tests' divergence-form oracle reads it
+    "fields.NodeValues.div",
+}
+
+
+def _public_defs(tree):
+    """(qualified name, is method, def node) of the module's and its classes' public defs."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, False, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", True, item
+
+
+def _reads(tree):
+    """Counts of the identifiers read in ``tree``, as bare names and as
+    attributes.  Comments are not in the tree, and docstrings are constants,
+    not identifiers."""
+    names, attrs = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+    return names, attrs
+
+
+def test_every_public_def_has_a_caller_in_src():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    names, attrs = Counter(), Counter()
+    for tree in trees.values():
+        n, a = _reads(tree)
+        names.update(n)
+        attrs.update(a)
+        # an import alone is not a read; a read of its alias reads the name it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.asname:
+                        names[alias.name] += n[alias.asname]
+    uncalled = set()
+    for mod, tree in trees.items():
+        for qual, method, node in _public_defs(tree):
+            own_names, own_attrs = _reads(node)
+            # a method is reached as an attribute, a function by name or as module.attr
+            outside = attrs[node.name] - own_attrs[node.name]
+            if not method:
+                outside += names[node.name] - own_names[node.name]
+            if not outside:
+                uncalled.add(f"{mod}.{qual}")
+    # an exception that src/ has come to call is dropped from the list
+    assert sorted(uncalled) == sorted(EXCEPTIONS)
+
+
+def test_package_init_holds_only_its_docstring():
+    # no re-export layer: callers import the modules the commands use
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    assert ast.get_docstring(tree) and len(tree.body) == 1

@@ -379,7 +379,7 @@ def test_cli_norms_bad_coefficients_exit_2(tmp_path, capsys, defect):
 @pytest.mark.parametrize("modes,value", [("origin", 1e308), ("one", 1e200)])
 def test_cli_norms_overflowing_snapshot_exit_2(tmp_path, capsys, modes, value):
     # finite coefficients whose node values (1e308 in every xi = 0 coefficient)
-    # or squared magnitude (1e200 at one mode) overflow: an error, not a norm
+    # or L^2 sum of squares (1e200 at one mode) overflow: an error, not a norm
     f = SpectralField.zeros(Grid(8, 4, 1.0))
     if modes == "origin":
         f.coeffs[:, 0, 0, :] = value
@@ -605,12 +605,15 @@ def test_cli_verify_resolvent_tiny_depth_passes(tmp_path, monkeypatch, capsys):
     assert max(ratios["resolvent_dz"]) <= 1e-12
 
 
-def test_cli_verify_all_tiny_depth_writes_every_row(tmp_path, monkeypatch, capsys):
-    # at h = 1e-20 and p = 1 every denominator is of order h; no sample is
-    # dropped, so every CSV has rows and only the semigroup suite fails
-    # (e^{beta t} underflows, so its ratios are inf)
+@pytest.mark.parametrize("h", ["1e-20", "1e-150"])
+def test_cli_verify_all_tiny_depth_writes_every_row(tmp_path, monkeypatch, capsys, h):
+    # at p = 1 every denominator is of order h; no sample is dropped, so
+    # every CSV has rows and only the semigroup suite fails (e^{beta t}
+    # underflows, so its ratios are inf).  At h = 1e-150 the boundary-flat
+    # datum's dz node values square past the float range; its column norms
+    # are rescaled, not non-finite
     monkeypatch.chdir(tmp_path)
-    cfg = write(tmp_path, "grid.n = 8\ngrid.k = 8\ngrid.h = 1e-20\nnorm.p = 1\noutput.dir = out\n")
+    cfg = write(tmp_path, f"grid.n = 8\ngrid.k = 8\ngrid.h = {h}\nnorm.p = 1\noutput.dir = out\n")
     assert run_cli(["verify", "all", "--config", cfg]) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: verify semigroup:")
