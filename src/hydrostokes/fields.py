@@ -1,8 +1,9 @@
 """Spectral and collocation fields, transforms and calculus on the layer.
 
-Normalization table (tested in tests/test_basis_fields.py):
+Normalization table (tested in tests/test_basis_fields.py); the horizontal
+transforms are numpy.fft's:
 
-  horizontal forward   rfft2 / N^2           -> classical Fourier coefficients, n <= N/2
+  horizontal forward   rfft along n, then fft along m, / N^2 -> classical Fourier coefficients
   horizontal inverse   ifft along m, then irfft along n of the half spectrum, both * N
   vertical forward     @ basis.analysis      -> coefficients of phi_k      (DST-IV / K)
   vertical inverse     @ basis.sine          -> node values                (DST-IV / 2)
@@ -19,7 +20,7 @@ the first K rows of its tables.
 The horizontal inverse is two 1-D passes: a row pass (inverse DFT along m)
 and a column pass (inverse real DFT along n, zero-padding the N/2+1 stored
 columns onto the target grid).  NodeValues is the one path to several node
-quantities of a field (u, its first derivatives, w, div_H u), sharing the
+quantities of a field (u, its first derivatives and w), sharing the
 passes between them: the products, the S(T)-norms and the lab scans read it;
 inverse_transform and vertical_derivative give one quantity through the same
 passes.  Every mixed norm L^q_H L^p_z of node values goes through
@@ -35,13 +36,19 @@ Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
 stores only the columns n = 0..N/2, as real-data FFTs do, and reality holds
 by construction.  Full-plane arrays enter through SpectralField.from_full,
 the one place that checks the symmetry, and leave through .full().
+Coefficients are c[comp, m, n, k] and node values f[comp, i, j, j_z].
+Between the horizontal and the vertical transforms (inside NodeValues,
+forward_transform and the products' truncation) the lanes are laid out
+(comp, m, k, n), m and n standing for the node indices i and j once their
+pass has run, so every real DFT runs on the last axis, where numpy's is
+fastest.  The z tables reach the lanes through a swapaxes(-1, -2) view,
+which BLAS reads as a transpose without a copy.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft as sfft
 
 from .basis import Grid, VerticalBasis
 
@@ -157,42 +164,52 @@ def zero_nyquist(c: SpectralField) -> SpectralField:
 
 
 def forward_transform(f: PhysicalField) -> SpectralField:
-    """Horizontal real DFT composed with the vertical DST-IV projection."""
+    """Horizontal real DFT composed with the vertical DST-IV projection.
+
+    The analysis table makes lanes [comp, i, k, j], so the real DFT along n
+    runs on the last axis; the DFT along m follows, and the coefficients are
+    swapped back to [comp, m, n, k] once."""
     g = f.grid
-    return SpectralField(sfft.rfft2(f.values @ g.basis.analysis, axes=(1, 2)) / g.N**2, g)
+    lanes = g.basis.analysis.T @ f.values.swapaxes(-1, -2)
+    coeffs = np.fft.fft(np.fft.rfft(lanes, axis=-1), axis=1) / g.N**2
+    return SpectralField(coeffs.swapaxes(-1, -2).copy(), g)
 
 
 def _pad_half_spectrum(a: np.ndarray, N: int, Np: int) -> np.ndarray:
-    """Embed half-spectrum coefficients of a grid of N into one of Np >= N
-    (a itself when Np == N).  The Nyquist row -N/2 is split onto +-N/2 and
-    the Nyquist column, which stood for +-N/2 together, is halved, so
-    Hermitian symmetry is preserved."""
+    """Half-spectrum coefficients a[comp, m, n, k] of a grid of N embedded in
+    the rows of one of Np >= N, as a new array laid out [comp, m, k, n].
+    Past N the Nyquist row -N/2 is split onto +-N/2 and the Nyquist column,
+    which stood for +-N/2 together, is halved, so Hermitian symmetry is
+    preserved."""
+    a = a.swapaxes(-1, -2)
     if Np == N:
-        return a
+        return a.copy()
     half = N // 2
     out = np.zeros((a.shape[0], Np) + a.shape[2:], dtype=a.dtype)
     out[:, :half] = a[:, :half]
     out[:, Np - half + 1 :] = a[:, half + 1 :]
     out[:, half] = 0.5 * a[:, half]
     out[:, Np - half] = 0.5 * a[:, half]
-    out[:, :, half] *= 0.5
+    out[..., half] *= 0.5
     return out
 
 
 def _row_pass(a: np.ndarray) -> np.ndarray:
     """Unscaled inverse DFT along m (axis 1) of half-spectrum coefficients."""
-    return sfft.ifft(a, axis=1, norm="forward")
+    return np.fft.ifft(a, axis=1, norm="forward")
 
 
 def _column_pass(a: np.ndarray, N: int) -> np.ndarray:
-    """Unscaled inverse real DFT along n (axis 2) onto N nodes; the columns
-    past those stored count as zero."""
-    return sfft.irfft(a, n=N, axis=2, norm="forward")
+    """Unscaled inverse real DFT along n (the last axis) onto N nodes; the
+    columns past those stored count as zero."""
+    return np.fft.irfft(a, n=N, axis=-1, norm="forward")
 
 
 def _inverse_lanes(c: SpectralField) -> np.ndarray:
-    """Node values along x and y of c's K modes on its own grid."""
-    return _column_pass(_row_pass(c.coeffs), c.grid.N)
+    """Node values along x and y of c's K modes on its own grid, [comp, i, j, k]:
+    a transposed view of the column pass's lanes, which BLAS reads as they lie."""
+    N = c.grid.N
+    return _column_pass(_row_pass(_pad_half_spectrum(c.coeffs, N, N)), N).swapaxes(-1, -2)
 
 
 def inverse_transform(c: SpectralField) -> PhysicalField:
@@ -219,20 +236,21 @@ def vertical_mean(c: SpectralField) -> np.ndarray:
 
 class NodeValues:
     """Node values u of a field c on ``basis.grid`` (default: c's own grid),
-    and of dx, dy, dz, w = -int_{-h}^z div_H c and div = div_H c.
+    and of dx, dy, dz and w = -int_{-h}^z div_H c.
 
-    c's K modes go to the nodes of basis.grid as lanes, in two 1-D passes:
-    an inverse DFT along m of the rows, padded as pad_coeffs pads them, then
-    an inverse real DFT along n of the N/2+1 stored columns, which zero-pads
-    them onto the target grid.  The first K rows of the basis's tables take
-    the lanes to the nodes in z.  u, dz and dy share the row pass of c (dy
-    multiplies its columns by i xi_n), dx has the row pass of i xi_m c, with
-    the target grid's wavenumbers, and the lanes of div_H c are
-    (dx lanes)_0 + (dy lanes)_1: for a two-component field, two row passes
-    and three column passes give all six quantities.  Each quantity is
-    formed on first use.  An intermediate is cached only until every
-    quantity or intermediate that reads it (``_READERS``) has read it.  The
-    products pass the padded grid's basis.
+    c's K modes go to the nodes of basis.grid as lanes [comp, m, k, n], in
+    two 1-D passes: an inverse DFT along m of the rows, padded as pad_coeffs
+    pads them, then an inverse real DFT along n, on the last axis, of the
+    N/2+1 stored columns, which zero-pads them onto the target grid.  The
+    first K rows of the basis's tables take the lanes to the nodes in z,
+    through a ``swapaxes(-1, -2)`` view that BLAS reads as it lies.  u, dz
+    and dy share the row pass of c (dy multiplies its columns by i xi_n), dx
+    has the row pass of i xi_m c, with the target grid's wavenumbers, and
+    the lanes of div_H c are (dx lanes)_0 + (dy lanes)_1: for a
+    two-component field, two row passes and three column passes give all
+    five quantities.  Each quantity is formed on first use.  An intermediate
+    is cached only until every quantity or intermediate that reads it
+    (``_READERS``) has read it.  The products pass the padded grid's basis.
     """
 
     _READERS = {
@@ -241,7 +259,7 @@ class NodeValues:
         "_lanes": ("u", "dz"),
         "_dx_lanes": ("dx", "_div_lanes"),
         "_dy_lanes": ("dy", "_div_lanes"),
-        "_div_lanes": ("w", "div"),
+        "_div_lanes": ("w",),
     }
 
     def __init__(self, c: SpectralField, basis: VerticalBasis | None = None):
@@ -282,7 +300,7 @@ class NodeValues:
 
     @cached_property
     def _dy_lanes(self):
-        xi = self.grid.xi[: self.c.grid.N // 2 + 1, None]
+        xi = self.grid.xi[: self.c.grid.N // 2 + 1]
         return _column_pass(self._read("_rows", "_dy_lanes") * (1j * xi), self.grid.N)
 
     @cached_property
@@ -292,27 +310,23 @@ class NodeValues:
 
     @cached_property
     def u(self):
-        return self._read("_lanes", "u") @ self.sine
+        return self._read("_lanes", "u").swapaxes(-1, -2) @ self.sine
 
     @cached_property
     def dz(self):
-        return self._read("_lanes", "dz") @ self.dsine
+        return self._read("_lanes", "dz").swapaxes(-1, -2) @ self.dsine
 
     @cached_property
     def dx(self):
-        return self._read("_dx_lanes", "dx") @ self.sine
+        return self._read("_dx_lanes", "dx").swapaxes(-1, -2) @ self.sine
 
     @cached_property
     def dy(self):
-        return self._read("_dy_lanes", "dy") @ self.sine
+        return self._read("_dy_lanes", "dy").swapaxes(-1, -2) @ self.sine
 
     @cached_property
     def w(self):
-        return -(self._read("_div_lanes", "w") @ self.antideriv)
-
-    @cached_property
-    def div(self):
-        return self._read("_div_lanes", "div") @ self.sine
+        return -(self._read("_div_lanes", "w").swapaxes(-1, -2) @ self.antideriv)
 
     def norm(self, name: str, q, p) -> float:
         """Mixed norm L^q_H L^p_z of one quantity, or of "grad" = (dx, dy, dz)."""

@@ -5,9 +5,11 @@ grid and truncated back to the working resolution (2/3 rule in all three
 directions); there is no aliased path.  fields.NodeValues with the padded
 grid's basis takes each working-grid field to the padded nodes: its passes
 pad along m and n by transform length, and the first K rows of the padded
-grid's tables pad in z.  Back, a real DFT along n keeps the working columns,
-a DFT along m runs on those alone, and the first K columns of the padded
-grid's analysis table truncate in z.  The vertical velocity w lives in the
+grid's tables pad in z.  Back, the first K columns of the padded grid's
+analysis table truncate in z first, into lanes [comp, i, k, j], so the real
+DFT along n runs on the last axis and keeps the working columns; a DFT
+along m runs on those alone.  Like every transform of the package, these
+are numpy.fft's.  The vertical velocity w lives in the
 cosine/constant span and is carried as node values only.  The solver forms
 every transport term, the Picard forcing F(v_ref + V) - F(v_ref) included,
 from one :func:`advection` product per field.  pad_coeffs embeds
@@ -16,7 +18,6 @@ it.
 """
 
 import numpy as np
-import scipy.fft as sfft
 
 from .basis import Grid
 from .fields import (
@@ -41,7 +42,8 @@ def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
     rows and columns as ``fields._pad_half_spectrum`` pads them, a prefix copy in k."""
     g = c.grid
     out = SpectralField.zeros(target, c.ncomp)
-    out.coeffs[:, :, : g.N // 2 + 1, : g.K] = _pad_half_spectrum(c.coeffs, g.N, target.N)
+    padded = _pad_half_spectrum(c.coeffs, g.N, target.N).swapaxes(-1, -2)
+    out.coeffs[:, :, : g.N // 2 + 1, : g.K] = padded
     return out
 
 
@@ -75,14 +77,18 @@ def _node_sets(v1: SpectralField, v2: SpectralField | None):
 def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
     """Coefficients of product node values on gp, truncated to grid.
 
-    The first K columns of gp's analysis table give the K modes kept; the
-    real DFT along n keeps the N/2+1 columns of grid, so the DFT along m
-    runs on those alone.  Raises ValueError on non-finite products.
+    The first K columns of gp's analysis table give the K modes kept, as
+    lanes [comp, i, k, j]; the real DFT along n, on the last axis, keeps the
+    N/2+1 columns of grid, so the DFT along m runs on those alone.  The
+    truncated rows are swapped back to [comp, m, n, k] once.  Raises
+    ValueError on non-finite products.
     """
-    lanes = PhysicalField(prod, gp).values @ gp.basis.analysis[:, : grid.K]
-    cols = sfft.rfft(lanes, axis=2, norm="forward")[:, :, : grid.N // 2 + 1]
-    rows = sfft.fft(cols, axis=1, norm="forward")
-    return zero_nyquist(SpectralField(_truncate_rows(rows, gp.N, grid.N), grid))
+    nodes = PhysicalField(prod, gp).values.swapaxes(-1, -2)
+    lanes = gp.basis.analysis[:, : grid.K].T @ nodes
+    # the kept columns are copied whole, so the DFT along m reads contiguous lanes
+    cols = np.fft.rfft(lanes, axis=-1, norm="forward")[..., : grid.N // 2 + 1].copy()
+    rows = _truncate_rows(np.fft.fft(cols, axis=1, norm="forward"), gp.N, grid.N)
+    return zero_nyquist(SpectralField(rows.swapaxes(-1, -2).copy(), grid))
 
 
 def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:

@@ -129,7 +129,7 @@ def divergence_form(v: SpectralField) -> SpectralField:
     w v itself has no exact representation in the mixed basis).
     """
     gp, n, _ = _node_sets(v, None)
-    out = _truncated(-n.div * n.u + n.w * n.dz, gp, v.grid)
+    out = _truncated(-(n.dx[0] + n.dy[1]) * n.u + n.w * n.dz, gp, v.grid)
     for i, axis in enumerate(("x", "y")):
         flux = _truncated(n.u[i] * n.u, gp, v.grid)
         out.coeffs += horizontal_derivative(flux, axis).coeffs

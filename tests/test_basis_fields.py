@@ -25,7 +25,8 @@ from hydrostokes.fields import (
 from hydrostokes.projection import project_hydrostatic
 from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
-from oracles import horizontal_derivative, sample, vertical_integral_from_bottom
+from hydrostokes.nonlinear import advection
+from oracles import divergence_h, horizontal_derivative, sample, vertical_integral_from_bottom
 
 
 # -- grid validation ------------------------------------------------------
@@ -186,6 +187,72 @@ def test_half_spectrum_transforms_match_complex_oracle(N):
         vertical_integral_from_bottom(SpectralField(f.coeffs[:1], grid)).values,
         _oracle_horizontal(prof, N),
     )
+
+
+def _embedded(c, target):
+    """Full-plane coefficients c (ncomp, N, N, K), Nyquist modes empty, at
+    their wavenumbers in target's (Np, Np, Kp) spectrum."""
+    N = c.shape[1]
+    idx = np.fft.fftfreq(N, 1.0 / N).astype(int)
+    out = np.zeros((c.shape[0], target.N, target.N, target.K), dtype=complex)
+    out[:, idx[:, None], idx[None, :], : c.shape[3]] = c
+    return out
+
+
+def _oracle_nodes(v, target):
+    """u, dx, dy, dz and w of v at target's nodes, by complex inverse DFTs
+    of the embedded full plane and scipy's DST-IV / DCT-IV of length Kp."""
+    Np, lam, xi = target.N, target.basis.lambdas, target.xi
+    c = _embedded(v.full(), target)
+    # w = -int_{-h}^z div_H v = sum_k b_k (cos(lambda_k (z+h)) - 1), b = div_H v / lambda
+    b = _embedded(divergence_h(v).full(), target) / lam
+    w = scipy.fft.dct(b, type=4, axis=3) / 2.0 - b.sum(axis=3, keepdims=True)
+
+    def sine(a):
+        return scipy.fft.dst(_oracle_horizontal(a, Np), type=4, axis=3) / 2.0
+
+    return {
+        "u": sine(c),
+        "dx": sine(1j * xi[:, None, None] * c),
+        "dy": sine(1j * xi[None, :, None] * c),
+        "dz": scipy.fft.dct(_oracle_horizontal(c * lam, Np), type=4, axis=3) / 2.0,
+        "w": _oracle_horizontal(w, Np)[0],
+    }
+
+
+LAYOUT_GRIDS = [Grid(8, 8, 1.0), Grid(16, 12, 0.3), Grid(12, 5, 2.0)]
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+@pytest.mark.parametrize("padded", [False, True])
+def test_node_value_lanes_match_complex_oracle(grid, padded):
+    # the lanes run (comp, m, k, n) with every real pass on the last axis;
+    # the node values they give are those of the complex full-plane oracle,
+    # on the field's own grid and on its padded grid
+    v = random_field(grid, ncomp=2, seed=grid.N + grid.K, solenoidal=True)
+    target = grid.padded if padded else grid
+    nodes = NodeValues(v, target.basis)
+    for name, want in _oracle_nodes(v, target).items():
+        got = getattr(nodes, name)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("grid", LAYOUT_GRIDS)
+def test_advection_matches_complex_oracle(grid):
+    # the product of the oracle's padded node values, analysed by a complex
+    # forward DFT and DST-IV on the padded grid and cut to grid's modes
+    # without the Nyquist row and column, is advection's result
+    v = random_field(grid, ncomp=2, seed=grid.N + grid.K, solenoidal=True)
+    gp, N = grid.padded, grid.N
+    n = _oracle_nodes(v, gp)
+    prod = n["u"][0] * n["dx"] + n["u"][1] * n["dy"] + n["w"] * n["dz"]
+    full = scipy.fft.fft2(scipy.fft.dst(prod, type=4, axis=3) / gp.K, axes=(1, 2)) / gp.N**2
+    idx = np.fft.fftfreq(N, 1.0 / N).astype(int)
+    want = full[:, idx[:, None], idx[None, :], : grid.K]
+    want[:, N // 2] = want[:, :, N // 2] = 0.0
+    got = advection(v).full()
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 8, 24, 48])

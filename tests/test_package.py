@@ -15,9 +15,6 @@ EXCEPTIONS = {
     "nonlinear.pad_coeffs",
     # the benchmark's worker reads the Picard count of a solve through it
     "solver.IterationReport.iterations",
-    # one of NodeValues' six quantities, which norm(name) reads by name; it
-    # shares the lanes of w, and the tests' divergence-form oracle reads it
-    "fields.NodeValues.div",
 }
 
 

@@ -869,13 +869,47 @@ def run_python(code, *args):
     return done.stdout
 
 
-def test_cli_import_leaves_scipy_integrate_out():
-    # neither the ODE oracle's integrator nor scipy.linalg is loaded at run time
+def test_cli_import_loads_no_scipy():
+    # the run time needs only numpy: the transforms are numpy.fft's, and
+    # scipy is left to the tests' oracles
     code = (
-        "import sys, hydrostokes.cli; "
-        "print([m for m in ('scipy.integrate', 'scipy.linalg') if m in sys.modules])"
+        "import sys, hydrostokes.cli, hydrostokes.workbench; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
     )
     assert run_python(code).strip() == "[]"
+
+
+# a finder that fails every import of scipy, installed before hydrostokes is
+_BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+from hydrostokes.cli import main
+simulate = main(["simulate", "--config", sys.argv[1]])
+verify = main(["verify", "all", "--config", sys.argv[2]])
+print("exit", simulate, verify)
+"""
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # simulate on the rough shape and verify all, both at 8^3, with no scipy
+    rough = write(
+        tmp_path,
+        "grid.n = 8\ngrid.k = 8\ntime.dt = 0.0025\ntime.horizon = 0.005\n"
+        "split.delta = 0.01\ndata.kind = rough-perturbation\ndata.rough = 1.0\n"
+        f"data.amplitude = 0.02\noutput.dir = {tmp_path / 'rough'}\n",
+        "rough.cfg",
+    )
+    verify = write(
+        tmp_path, f"grid.n = 8\ngrid.k = 8\noutput.dir = {tmp_path / 'verify'}\n", "verify.cfg"
+    )
+    out = run_python(_BLOCK_SCIPY, str(rough), str(verify))
+    assert out.splitlines()[-1] == "exit 0 0"
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt thresholds are glibc's")
