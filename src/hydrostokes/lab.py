@@ -8,7 +8,11 @@ resolution doubling; the few closed-form identities (kernel norms, the
 discrete Young inequality, the recursion bound) are checked exactly.  No
 sample is dropped for a small denominator: each denominator is a norm of a
 random sample of unit amplitude, and column_norms rescales rather than
-underflowing, so it is positive at any depth and exponent.
+underflowing, so it is positive at any depth and exponent.  The one point
+a scan drops is a disk of the interpolation scan that holds no node.
+
+The semigroup scan propagates two data in turn, one sample at a time: P f0
+of a random f0, then P dz f of a boundary-flat f.
 
 These are the scans that ``hydrostokes verify`` runs.  The paper's two L^inf
 facts, that Q is unbounded on L^inf and the log-Riesz bound, and the
@@ -36,7 +40,7 @@ from .fields import (
 from .nonlinear import advection
 from .projection import helmholtz_2d, project_hydrostatic
 from .sampling import random_field
-from .semigroup import SingularityError, spectral_bound
+from .semigroup import spectral_bound
 from .solver import grad_mixed_norm, mixed_norm
 
 # floor of resolution_stability's relative drift, for a sup ratio of 0
@@ -59,8 +63,7 @@ KERNEL_QUAD_NODES = 2
 
 @dataclass
 class ScanReport:
-    """A scan's ratios, their sup and the points it could not evaluate (a
-    lambda on the spectrum, a disk with no node); ``stable`` is set by
+    """A scan's ratios and their sup; ``stable`` is set by
     resolution_stability: whether the sup held under resolution doubling."""
 
     estimate: str
@@ -68,7 +71,6 @@ class ScanReport:
     ratios: np.ndarray
     sup_ratio: float = 0.0
     stable: bool | None = None
-    skipped: int = 0
 
     def __post_init__(self):
         self.ratios = np.asarray(self.ratios, dtype=float)
@@ -154,83 +156,51 @@ def _boundary_flat_sample(grid: Grid, seed: int):
     return f, dzf
 
 
-def _projected_datum(grid: Grid, seed: int, p: float):
-    """Datum P f0 of grad_sg and grad_sg_proj, f0 = random_field(grid, seed).
-
-    random_field(solenoidal=True) draws the same f0 and rescales P f0.  Each
-    ratio is homogeneous of degree 0 in the field, so grad_sg's is that of
-    P f0 over ||P f0||, and one propagation serves both.
-    """
-    f = random_field(grid, seed=seed)
-    g = project_hydrostatic(f)
-    return g, {"grad_sg": mixed_norm(g, p), "grad_sg_proj": mixed_norm(f, p)}
-
-
-def _projected_lhs(t, v: SpectralField, p: float):
-    lhs = np.sqrt(t) * grad_mixed_norm(v, p)
-    return {"grad_sg": lhs, "grad_sg_proj": lhs}
-
-
-def _boundary_flat_datum(grid: Grid, seed: int, p: float):
-    """Datum P dz f of sg_proj_dz and grad_sg_proj_dz, f boundary-flat."""
-    f, dzf = _boundary_flat_sample(grid, seed)
-    fn = mixed_norm(f, p)
-    return project_hydrostatic(dzf), {"sg_proj_dz": fn, "grad_sg_proj_dz": fn}
-
-
-def _boundary_flat_lhs(t, v: SpectralField, p: float):
+def _sup_norms(v: SpectralField, p: float):
+    """(||v||, ||grad v||) in L^inf_H L^p_z, from one NodeValues."""
     nodes = NodeValues(v)
-    return {
-        "sg_proj_dz": np.sqrt(t) * nodes.norm("u", np.inf, p),
-        "grad_sg_proj_dz": t * nodes.norm("grad", np.inf, p),
-    }
-
-
-# sample families: (combos sharing one datum,
-#   sample(grid, seed, p) -> (datum, {combo: ||f||}),
-#   lhs(t, e^{tA} datum, p) -> {combo: left-hand side})
-_FAMILIES = (
-    (("grad_sg", "grad_sg_proj"), _projected_datum, _projected_lhs),
-    (("sg_proj_dz", "grad_sg_proj_dz"), _boundary_flat_datum, _boundary_flat_lhs),
-)
-
-
-def _family_reports(combos, sample, lhs, t_grid, n_samples, p, grid: Grid, seed, beta):
-    """One ScanReport per combo of a family, one semigroup_apply per sample and t.
-
-    A sample's intermediate fields die when ``sample`` returns, its datum
-    before the next sample draws, and the family's fields with this call,
-    before the next family draws.
-    """
-    op = grid.stokes
-    params = []
-    ratios = {c: [] for c in combos}
-    for i in range(n_samples):
-        datum, denoms = sample(grid, seed + i, p)
-        for t in t_grid:
-            vals = lhs(t, op.semigroup_apply(t, datum), p)
-            weight = np.exp(beta * t)
-            for c in combos:
-                ratios[c].append(vals[c] / (weight * denoms[c]))
-            params.append((i, t))
-        del datum  # before the next sample draws
-    return {c: ScanReport(c, params, ratios[c]) for c in combos}
+    return nodes.norm("u", np.inf, p), nodes.norm("grad", np.inf, p)
 
 
 def semigroup_decay_scan(t_grid, n_samples: int, p: float, grid: Grid, seed: int = 0) -> dict:
     """Weighted decay ratios of every derivative/projection/semigroup combo.
 
-    Returns {combo: ScanReport} in SEMIGROUP_COMBOS order.  Combos that
-    propagate the same datum share one semigroup sweep per sample: the
-    projected family (grad_sg, grad_sg_proj) and the boundary-flat family
-    (sg_proj_dz, grad_sg_proj_dz).
+    Returns {combo: ScanReport} in SEMIGROUP_COMBOS order, params (i, t)
+    with samples outermost, every ratio divided by e^{beta t}.  One sweep per
+    sample propagates P f0 for grad_sg (over ||P f0||) and grad_sg_proj
+    (over ||f0||); after every sample of it, one per sample propagates P dz f,
+    f boundary-flat, for sg_proj_dz and grad_sg_proj_dz (over ||f||).  Each
+    datum dies before the next draw.
     """
     beta = spectral_bound(grid)[0]
+    op = grid.stokes
     t_grid = np.asarray(t_grid, dtype=float)
-    reports = {}  # _FAMILIES lists the combos in SEMIGROUP_COMBOS order
-    for combos, sample, lhs in _FAMILIES:
-        reports.update(_family_reports(combos, sample, lhs, t_grid, n_samples, p, grid, seed, beta))
-    return reports
+    params = [(i, t) for i in range(n_samples) for t in t_grid]
+    ratios = {c: [] for c in SEMIGROUP_COMBOS}
+    # the ratios are scale-invariant, so P f0 stands for the solenoidal sample
+    for i in range(n_samples):
+        f = random_field(grid, seed=seed + i)
+        datum = project_hydrostatic(f)
+        pn, fn = mixed_norm(datum, p), mixed_norm(f, p)
+        del f
+        for t in t_grid:
+            lhs = np.sqrt(t) * grad_mixed_norm(op.semigroup_apply(t, datum), p)
+            weight = np.exp(beta * t)
+            ratios["grad_sg"].append(lhs / (weight * pn))
+            ratios["grad_sg_proj"].append(lhs / (weight * fn))
+        del datum  # before the next sample draws
+    for i in range(n_samples):
+        f, dzf = _boundary_flat_sample(grid, seed + i)
+        fn = mixed_norm(f, p)
+        datum = project_hydrostatic(dzf)
+        del f, dzf
+        for t in t_grid:
+            a, b = _sup_norms(op.semigroup_apply(t, datum), p)
+            weight = np.exp(beta * t)
+            ratios["sg_proj_dz"].append(np.sqrt(t) * a / (weight * fn))
+            ratios["grad_sg_proj_dz"].append(t * b / (weight * fn))
+        del datum
+    return {c: ScanReport(c, params, ratios[c]) for c in SEMIGROUP_COMBOS}
 
 
 # -- resolvent scans -------------------------------------------------------
@@ -245,6 +215,9 @@ def resolvent_scan(lam_moduli, n_samples: int, p, grid: Grid, seed: int = 0) -> 
     lambda (dx commutes with the per-mode resolvent).  As |Re v| <= |v|, complex
     lambda can understate the sectorial bound.  A is real, so Re v is the same
     at conj lambda: the scan covers psi in {0, 0.5, 0.9} RESOLVENT_THETA.
+    No scanned lambda is near the spectrum: d and e of resolvent_apply are
+    lambda plus a real mu >= 0, so |d|, |e| >= |lambda| sin(0.19 pi) > 0.56
+    |lambda| at psi = 0.81 pi, and >= |lambda| at the other two angles.
     Raises ValueError unless every modulus is positive and finite.
     """
     mods = np.asarray(lam_moduli, dtype=float)
@@ -252,26 +225,22 @@ def resolvent_scan(lam_moduli, n_samples: int, p, grid: Grid, seed: int = 0) -> 
         raise ValueError(f"lambda moduli must be positive and finite, got {lam_moduli}")
     op = grid.stokes
     psis = np.array([0.0, 0.5, 0.9]) * RESOLVENT_THETA
-    params, ratios, dz_ratios, skipped = [], [], [], 0
+    params, ratios, dz_ratios = [], [], []
     for i in range(n_samples):
         f = random_field(grid, seed=seed + i, solenoidal=True)
         fn = NodeValues(f).norm("u", np.inf, p)
         for mod in lam_moduli:
             for psi in psis:
                 lam = mod * np.exp(1j * psi)
-                try:
-                    nodes = NodeValues(op.resolvent_apply(lam, f))
-                except SingularityError:
-                    skipped += 1
-                    continue
+                nodes = NodeValues(op.resolvent_apply(lam, f))
                 root = np.sqrt(abs(lam))
                 lhs = abs(lam) * nodes.norm("u", np.inf, p) + root * nodes.norm("grad", np.inf, p)
                 ratios.append(lhs / fn)
                 dz_ratios.append(root * nodes.norm("dx", np.inf, p) / fn)
                 params.append((i, mod, psi))
     return {
-        "resolvent": ScanReport("resolvent", params, ratios, skipped=skipped),
-        "resolvent_dz": ScanReport("resolvent_dz", params, dz_ratios, skipped=skipped),
+        "resolvent": ScanReport("resolvent", params, ratios),
+        "resolvent_dz": ScanReport("resolvent_dz", params, dz_ratios),
     }
 
 
@@ -336,7 +305,7 @@ def interpolation_ratio(n_samples: int, p: float, r_grid, grid: Grid, seed: int 
     if not p > 2:
         raise ValueError(f"interpolation scan needs p > 2, got {p}")
     rng = np.random.default_rng(seed)
-    ratios, params, skipped = [], [], 0
+    ratios, params = [], []
     for i in range(n_samples):
         nodes = NodeValues(random_field(grid, seed=seed + i, decay=2.5))
         vcol = column_norms([nodes.u], grid, 2)
@@ -344,24 +313,17 @@ def interpolation_ratio(n_samples: int, p: float, r_grid, grid: Grid, seed: int 
         center = rng.random(2)
         for r in r_grid:
             mask = _disk_mask(grid, center, r)
-            if not mask.any():
-                skipped += 1
+            if not mask.any():  # a small disk can hold no node
                 continue
             lhs = vcol[mask].max()
             vp = weighted_lp(vcol[mask], p, 1.0 / grid.N**2)
             gp = weighted_lp(gcol[mask], p, 1.0 / grid.N**2)
             ratios.append(lhs / (r ** (-2.0 / p) * (vp + r * gp)))
             params.append((i, r))
-    return ScanReport("interpolation", params, ratios, skipped=skipped)
+    return ScanReport("interpolation", params, ratios)
 
 
 # -- nonlinear estimate scans ----------------------------------------------
-
-
-def _sup_norms(v: SpectralField, p: float):
-    """(||v||, ||grad v||) in L^inf_H L^p_z, from one NodeValues."""
-    nodes = NodeValues(v)
-    return nodes.norm("u", np.inf, p), nodes.norm("grad", np.inf, p)
 
 
 def nonlinear_estimate_scan(

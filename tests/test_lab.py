@@ -9,6 +9,7 @@ from hydrostokes.lab import (
     RESOLVENT_THETA,
     SEMIGROUP_COMBOS,
     ScanReport,
+    _boundary_flat_sample,
     _disk_mask,
     _draw_2d,
     _phys2d,
@@ -23,9 +24,10 @@ from hydrostokes.lab import (
     semigroup_decay_scan,
     young_anisotropic_test,
 )
-from hydrostokes.projection import helmholtz_2d
+from hydrostokes.projection import helmholtz_2d, project_hydrostatic
 from hydrostokes.sampling import random_field
-from hydrostokes.semigroup import StokesOperator
+from hydrostokes.semigroup import StokesOperator, spectral_bound
+from hydrostokes.solver import grad_mixed_norm, mixed_norm
 from oracles import horizontal_derivative, log_riesz_ratio, q_linfty_growth, smoothing_trend
 
 
@@ -81,7 +83,7 @@ def test_kernel_gradient_bound():
 def test_young_convolution_bound(q, p):
     rep = young_anisotropic_test(20, q, p, seed=1)
     assert rep.sup_ratio <= 1 + 1e-10
-    assert rep.skipped == 0
+    assert len(rep.ratios) == 20
 
 
 def test_scan_report_rows():
@@ -142,7 +144,7 @@ def test_semigroup_decay_scan_keys_follow_combos(grid8):
 
 
 def test_semigroup_decay_scan_one_apply_per_family_sample_and_time(monkeypatch):
-    # the four combos share two data: one semigroup sweep per sample family
+    # the four combos share two data: one semigroup sweep per sample and datum
     times = []
     apply = StokesOperator.semigroup_apply
 
@@ -158,6 +160,29 @@ def test_semigroup_decay_scan_one_apply_per_family_sample_and_time(monkeypatch):
         reports = semigroup_decay_scan(t_grid, 2, 4.0, g)
         assert len(times) == 2 * 2 * len(t_grid)
         assert all(len(rep.ratios) == 2 * len(t_grid) for rep in reports.values())
+
+
+def test_semigroup_decay_scan_ratios_follow_their_formulas():
+    # each combo's numerator over its own denominator, bit for bit
+    grid, p, seed, t_grid = Grid(8, 4, 1.0), 4.0, 3, np.array([0.01, 0.3])
+    reports = semigroup_decay_scan(t_grid, 2, p, grid, seed=seed)
+    params = [(i, t) for i in range(2) for t in t_grid]
+    want = {c: [] for c in SEMIGROUP_COMBOS}
+    beta, sg = spectral_bound(grid)[0], grid.stokes.semigroup_apply
+    for i, t in params:
+        f0 = random_field(grid, seed=seed + i)
+        pf0 = project_hydrostatic(f0)
+        grad = np.sqrt(t) * grad_mixed_norm(sg(t, pf0), p)
+        want["grad_sg"].append(grad / (np.exp(beta * t) * mixed_norm(pf0, p)))
+        want["grad_sg_proj"].append(grad / (np.exp(beta * t) * mixed_norm(f0, p)))
+        f, dzf = _boundary_flat_sample(grid, seed + i)
+        nodes = NodeValues(sg(t, project_hydrostatic(dzf)))
+        fn = mixed_norm(f, p)
+        want["sg_proj_dz"].append(np.sqrt(t) * nodes.norm("u", np.inf, p) / (np.exp(beta * t) * fn))
+        want["grad_sg_proj_dz"].append(t * nodes.norm("grad", np.inf, p) / (np.exp(beta * t) * fn))
+    for combo, rep in reports.items():
+        assert rep.params == params
+        assert list(rep.ratios) == want[combo]
 
 
 def test_smoothing_trend_decreasing(grid8):
@@ -181,13 +206,13 @@ def test_decay_scan_resolution_stability(grid8):
 def test_resolvent_scan_finite(grid8):
     rep = resolvent_scan(np.geomspace(0.1, 10, 4), 3, 4.0, grid8, seed=0)["resolvent"]
     assert np.isfinite(rep.sup_ratio)
-    assert rep.skipped == 0
+    assert len(rep.ratios) == 3 * 4 * 3  # samples x moduli x psi
 
 
 def test_resolvent_scan_derivative_datum(grid8):
     rep = resolvent_scan(np.geomspace(0.1, 10, 4), 3, 4.0, grid8, seed=0)["resolvent_dz"]
     assert np.isfinite(rep.sup_ratio)
-    assert rep.skipped == 0
+    assert len(rep.ratios) == 3 * 4 * 3  # samples x moduli x psi
 
 
 def test_resolvent_scan_solves_each_conjugate_pair_once(grid8, monkeypatch):
@@ -254,7 +279,7 @@ def test_resolvent_scan_one_solve_feeds_both_reports(grid8, monkeypatch):
 
 @pytest.mark.parametrize("bad", [-1.0, 0.0, np.inf, np.nan])
 def test_resolvent_scan_rejects_bad_modulus(grid8, bad):
-    # a point off the sector or on the spectrum is not scanned, nor skipped
+    # a modulus that is not positive and finite is rejected before any solve
     with pytest.raises(ValueError, match="positive and finite"):
         resolvent_scan([0.1, bad], 2, 4.0, grid8)
 
@@ -329,7 +354,6 @@ def test_log_riesz_ratio_sums_by_weighted_lp():
             lhs = (np.sum(gphys[_disk_mask(grid, center, r)] ** p) / N**2) ** (1.0 / p)
             want.append(lhs / (r ** (2.0 / p) * (1.0 + abs(np.log(r))) * finf))
     rep = log_riesz_ratio(5, p, r_grid, N=N, seed=0)
-    assert rep.skipped == 0
     assert np.array_equal(rep.ratios, want)
 
 
@@ -357,7 +381,6 @@ def test_scans_keep_every_sample_at_tiny_depth():
     assert len(nl.ratios) == 16 and np.all(np.isfinite(nl.ratios))
     for rep in res.values():
         assert len(rep.ratios) == 12 and np.all(np.isfinite(rep.ratios))
-        assert rep.skipped == 0
     assert list(sg) == list(SEMIGROUP_COMBOS)
     for rep in sg.values():
         assert len(rep.ratios) == len(rep.params) == 4

@@ -1,4 +1,5 @@
-"""The package's surface: every public function of src/ has a caller in src/."""
+"""The package's surface: every public function of src/ has a caller in src/,
+and every dataclass field of src/ is read there."""
 
 import ast
 import pathlib
@@ -15,6 +16,13 @@ EXCEPTIONS = {
     "nonlinear.pad_coeffs",
     # the benchmark's worker reads the Picard count of a solve through it
     "solver.IterationReport.iterations",
+}
+
+# the dataclass fields that no src/ code reads outside their class, each with its reason
+FIELD_EXCEPTIONS = {
+    # the benchmark's worker reads the semigroup suite's stable flags into
+    # its correctness fingerprint
+    "lab.ScanReport.stable",
 }
 
 
@@ -73,3 +81,42 @@ def test_package_init_holds_only_its_docstring():
     # no re-export layer: callers import the modules the commands use
     tree = ast.parse((SRC / "__init__.py").read_text())
     assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
+def _dataclass_fields(tree):
+    """(qualified field name, class node) of each annotated field of the
+    module's dataclasses."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield f"{node.name}.{item.target.id}", node
+
+
+def _loads(tree):
+    """Counts of the attributes read (not assigned or deleted) in ``tree``."""
+    return Counter(
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_every_dataclass_field_is_read_in_src():
+    # a field that only its own class reads is state nothing consumes
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    loads = Counter()
+    for tree in trees.values():
+        loads.update(_loads(tree))
+    unread = set()
+    for mod, tree in trees.items():
+        for qual, cls in _dataclass_fields(tree):
+            name = qual.rsplit(".", 1)[1]
+            if not loads[name] - _loads(cls)[name]:
+                unread.add(f"{mod}.{qual}")
+    # an exception that src/ has come to read is dropped from the list
+    assert sorted(unread) == sorted(FIELD_EXCEPTIONS)
