@@ -19,12 +19,12 @@ class Grid:
     collocation at the DST-IV midpoints, so the discrete sine transform is
     exactly orthogonal and vertical quadrature is the midpoint rule.
 
-    The spectral tables ``basis``, ``xi``, ``xi2`` and ``xi_hat``, the Stokes
-    operator ``stokes`` and the grids ``doubled`` and ``padded`` depend only
-    on the grid; each is built on first use, then shared by every caller
-    holding this grid.  The tables' arrays are read-only: copy before
-    modifying.  ``xi2`` and ``xi_hat`` cover the half plane n <= N/2 that a
-    SpectralField stores.
+    The spectral tables ``basis``, ``columns``, ``padded_columns``, ``xi``,
+    ``xi2`` and ``xi_hat``, the Stokes operator ``stokes`` and the grids
+    ``doubled`` and ``padded`` depend only on the grid; each is built on
+    first use, then shared by every caller holding this grid.  The tables'
+    arrays are read-only: copy before modifying.  ``xi2`` and ``xi_hat``
+    cover the half plane n <= N/2 that a SpectralField stores.
     """
 
     N: int
@@ -64,6 +64,16 @@ class Grid:
     @cached_property
     def basis(self) -> "VerticalBasis":
         return VerticalBasis(self)
+
+    @cached_property
+    def columns(self) -> "ColumnTables":
+        """The real DFT along n between the stored columns and this grid's nodes."""
+        return ColumnTables(self.N, self)
+
+    @cached_property
+    def padded_columns(self) -> "ColumnTables":
+        """The real DFT along n between the stored columns and the padded grid's nodes."""
+        return ColumnTables(self.N, self.padded)
 
     @cached_property
     def stokes(self) -> "StokesOperator":
@@ -118,6 +128,47 @@ def _sin_pi(p: np.ndarray, q: int) -> np.ndarray:
     sign = np.where(p >= q, -1.0, 1.0)
     p = p % q
     return sign * np.sin(np.pi * np.minimum(p, q - p) / q)
+
+
+class ColumnTables:
+    """The real DFT along n between the N/2+1 stored columns of a grid of N
+    and the M >= N nodes of ``target``, as real tables applied along the
+    last axis.
+
+    Complex lanes a[..., n] are read as their (re, im) pairs, a.view(float),
+    so each table has 2(N/2+1) rows (or columns), the pair of column n at
+    2n and 2n+1.  With theta = 2 pi n j / M:
+
+      inverse  [2n, j], [2n+1, j] = w_n cos theta, -w_n sin theta
+               (irfft(a, n=M, norm="forward") of the stored columns)
+      dy       [2n, j], [2n+1, j] = -w_n xi_n sin theta, -w_n xi_n cos theta
+               (the same of i xi_n a_n, xi the target's wavenumbers)
+      forward  [j, 2n], [j, 2n+1] = cos theta / M, -sin theta / M
+               (rfft(f, norm="forward") cut to the stored columns)
+
+    w_n is 1 for column 0 and for the Nyquist column n = M/2 of a grid's
+    own nodes, and 2 for every column that stands for its mirror too.  On a
+    finer grid the Nyquist column N/2 is such a column, weight 2, because
+    ``fields._pad_half_spectrum`` has halved it.  The phases come from the
+    integer n j mod M, as in :func:`_sin_pi`, so the sines of column 0 and
+    of an own-grid Nyquist column are exact zeros: like irfft, ``inverse``
+    ignores the imaginary parts of those columns.
+    """
+
+    def __init__(self, N: int, target: "Grid"):
+        M, L = target.N, N // 2 + 1
+        n = np.arange(L)[:, None]
+        p = n * np.arange(M) % M  # theta = 2 pi p / M
+        cos, sin = _sin_pi(M - 4 * p, 2 * M), _sin_pi(4 * p, 2 * M)
+        w = np.where((n == 0) | (2 * n == M), 1.0, 2.0)
+        xi = target.xi[:L, None]
+
+        def pairs(re, im):
+            return np.stack([re, im], axis=1).reshape(2 * L, M)
+
+        self.inverse = _read_only(pairs(w * cos, -w * sin))
+        self.dy = _read_only(pairs(-w * xi * sin, -w * xi * cos))
+        self.forward = _read_only(np.ascontiguousarray(pairs(cos, -sin).T) / M)
 
 
 class VerticalBasis:

@@ -1,10 +1,13 @@
 """Spectral and collocation fields, transforms and calculus on the layer.
 
-Normalization table (tested in tests/test_basis_fields.py); the horizontal
-transforms are numpy.fft's:
+Normalization table (tested in tests/test_basis_fields.py); along m the
+transforms are numpy.fft's, along n and z they are matmuls against tables:
 
-  horizontal forward   rfft along n, then fft along m, / N^2 -> classical Fourier coefficients
-  horizontal inverse   ifft along m, then irfft along n of the half spectrum, both * N
+  horizontal forward   @ columns.forward along n (rfft / N), then fft along m / N
+                                             -> classical Fourier coefficients
+  horizontal inverse   ifft along m * N, then @ columns.inverse along n of the
+                       half spectrum (irfft * N)
+  y derivative         @ columns.dy in place of columns.inverse (irfft of i xi_n c, * N)
   vertical forward     @ basis.analysis      -> coefficients of phi_k      (DST-IV / K)
   vertical inverse     @ basis.sine          -> node values                (DST-IV / 2)
   vertical derivative  @ basis.dsine         -> sum a_k lambda_k cos(lambda_k (z_j+h))
@@ -12,25 +15,29 @@ transforms are numpy.fft's:
                                                 (NodeValues.w only)
 
 The vertical transforms are matmuls against K x K tables on Grid.basis (see
-VerticalBasis).  With these scalings coefficients are independent of the
-grid size, so padding/truncation for dealiasing is plain index embedding,
-and in z it is a table slice: K modes go to a finer grid's nodes through
-the first K rows of its tables.
+VerticalBasis), and the real DFT along n is one against the 2(N/2+1) x M
+tables of Grid.columns (own nodes) or Grid.padded_columns (see
+ColumnTables), which read the complex lanes as (re, im) pairs with no copy.
+With these scalings coefficients are independent of the grid size, so
+padding/truncation for dealiasing is plain index embedding, and in z it is
+a table slice: K modes go to a finer grid's nodes through the first K rows
+of its tables.
 
-The horizontal inverse is two 1-D passes: a row pass (inverse DFT along m)
-and a column pass (inverse real DFT along n, zero-padding the N/2+1 stored
-columns onto the target grid).  NodeValues is the one path to several node
-quantities of a field (u, its first derivatives and w), sharing the
-passes between them: the products, the S(T)-norms and the lab scans read it;
-inverse_transform and vertical_derivative give one quantity through the same
-passes.  Every mixed norm L^q_H L^p_z of node values goes through
-column_norms, which takes the components as a list of node arrays (grad =
-[dx, dy, dz]), sums their squares one at a time and raises the sum to p/2
-(the max at p = inf).  Only the columns whose squares or powers leave the
-normal floats are formed again, from their components divided by the
-column's max |c|.  A column norm is non-finite only for a non-finite node
-value or a norm beyond the float range, and then raises
-NonFiniteFieldError, the norm's breakdown check.
+The horizontal inverse is two 1-D passes: a row pass (np.fft's inverse DFT
+along m) and a column pass (the table's inverse real DFT along n, which
+zero-pads the N/2+1 stored columns onto the target grid).  NodeValues is
+the one path to several node quantities of a field (u, its first
+derivatives and w), sharing the passes between them: the products, the
+S(T)-norms and the lab scans read it; inverse_transform and
+vertical_derivative give one quantity through the same passes.  Every
+mixed norm L^q_H L^p_z of node values goes through column_norms, which
+takes the components as a list of node arrays (grad = [dx, dy, dz]), sums
+their squares one at a time and raises the sum to p/2 (the max at
+p = inf).  Only the columns whose squares or powers leave the normal
+floats are formed again, from their components divided by the column's
+max |c|.  A column norm is non-finite only for a non-finite node value or a
+norm beyond the float range, and then raises NonFiniteFieldError, the
+norm's breakdown check.
 
 Layout: every field is real, c(-m,-n) = conj c(m,n), so a SpectralField
 stores only the columns n = 0..N/2, as real-data FFTs do, and reality holds
@@ -40,8 +47,8 @@ Coefficients are c[comp, m, n, k] and node values f[comp, i, j, j_z].
 Between the horizontal and the vertical transforms (inside NodeValues,
 forward_transform and the products' truncation) the lanes are laid out
 (comp, m, k, n), m and n standing for the node indices i and j once their
-pass has run, so every real DFT runs on the last axis, where numpy's is
-fastest.  The z tables reach the lanes through a swapaxes(-1, -2) view,
+pass has run, so every real DFT runs on the last axis, one contiguous
+matmul.  The z tables reach the lanes through a swapaxes(-1, -2) view,
 which BLAS reads as a transpose without a copy.
 """
 
@@ -50,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import Grid, VerticalBasis
+from .basis import ColumnTables, Grid, VerticalBasis
 
 REALITY_TOL = 1e-12
 # smallest normal float: a sum of powers below it has lost precision
@@ -167,11 +174,11 @@ def forward_transform(f: PhysicalField) -> SpectralField:
     """Horizontal real DFT composed with the vertical DST-IV projection.
 
     The analysis table makes lanes [comp, i, k, j], so the real DFT along n
-    runs on the last axis; the DFT along m follows, and the coefficients are
-    swapped back to [comp, m, n, k] once."""
+    is one matmul on the last axis (``Grid.columns.forward``); the DFT along
+    m follows, and the coefficients are swapped back to [comp, m, n, k] once."""
     g = f.grid
     lanes = g.basis.analysis.T @ f.values.swapaxes(-1, -2)
-    coeffs = np.fft.fft(np.fft.rfft(lanes, axis=-1), axis=1) / g.N**2
+    coeffs = np.fft.fft(_forward_columns(lanes, g.columns.forward), axis=1, norm="forward")
     return SpectralField(coeffs.swapaxes(-1, -2).copy(), g)
 
 
@@ -199,17 +206,38 @@ def _row_pass(a: np.ndarray) -> np.ndarray:
     return np.fft.ifft(a, axis=1, norm="forward")
 
 
-def _column_pass(a: np.ndarray, N: int) -> np.ndarray:
-    """Unscaled inverse real DFT along n (the last axis) onto N nodes; the
-    columns past those stored count as zero."""
-    return np.fft.irfft(a, n=N, axis=-1, norm="forward")
+def _columns(grid: Grid, M: int) -> ColumnTables:
+    """The column tables between grid's stored columns and M nodes along n:
+    those of its own grid or of its padded grid (ValueError otherwise)."""
+    if M == grid.N:
+        return grid.columns
+    if M == grid.padded.N:
+        return grid.padded_columns
+    raise ValueError(
+        f"a grid of N = {grid.N} has column tables for {grid.N} and {grid.padded.N} nodes, not {M}"
+    )
+
+
+def _column_pass(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Unscaled inverse real DFT along n (the last axis) of the stored
+    columns: their (re, im) pairs @ ``table`` (a ``ColumnTables.inverse``
+    or ``.dy``), whose columns are the nodes."""
+    return a.view(float) @ table
+
+
+def _forward_columns(lanes: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Real DFT along n (the last axis) of real lanes, / M, cut to the
+    stored columns: lanes @ a ``ColumnTables.forward``, whose (re, im)
+    pairs are the complex columns, with no copy."""
+    return (lanes @ table).view(complex)
 
 
 def _inverse_lanes(c: SpectralField) -> np.ndarray:
     """Node values along x and y of c's K modes on its own grid, [comp, i, j, k]:
     a transposed view of the column pass's lanes, which BLAS reads as they lie."""
     N = c.grid.N
-    return _column_pass(_row_pass(_pad_half_spectrum(c.coeffs, N, N)), N).swapaxes(-1, -2)
+    rows = _row_pass(_pad_half_spectrum(c.coeffs, N, N))
+    return _column_pass(rows, c.grid.columns.inverse).swapaxes(-1, -2)
 
 
 def inverse_transform(c: SpectralField) -> PhysicalField:
@@ -241,16 +269,18 @@ class NodeValues:
     c's K modes go to the nodes of basis.grid as lanes [comp, m, k, n], in
     two 1-D passes: an inverse DFT along m of the rows, padded as pad_coeffs
     pads them, then an inverse real DFT along n, on the last axis, of the
-    N/2+1 stored columns, which zero-pads them onto the target grid.  The
-    first K rows of the basis's tables take the lanes to the nodes in z,
-    through a ``swapaxes(-1, -2)`` view that BLAS reads as it lies.  u, dz
-    and dy share the row pass of c (dy multiplies its columns by i xi_n), dx
-    has the row pass of i xi_m c, with the target grid's wavenumbers, and
-    the lanes of div_H c are (dx lanes)_0 + (dy lanes)_1: for a
-    two-component field, two row passes and three column passes give all
-    five quantities.  Each quantity is formed on first use.  An intermediate
-    is cached only until every quantity or intermediate that reads it
-    (``_READERS``) has read it.  The products pass the padded grid's basis.
+    N/2+1 stored columns, a matmul against c's column tables for the target
+    grid (``columns``), which zero-pads them onto it.  basis.grid must have
+    c's N or its padded grid's.  The first K rows of the basis's tables take
+    the lanes to the nodes in z, through a ``swapaxes(-1, -2)`` view that
+    BLAS reads as it lies.  u, dz and dy share the row pass of c (dy's table
+    multiplies the columns by i xi_n), dx has the row pass of i xi_m c, with
+    the target grid's wavenumbers, and the lanes of div_H c are
+    (dx lanes)_0 + (dy lanes)_1: for a two-component field, two row passes
+    and three column passes give all five quantities.  Each quantity is
+    formed on first use.  An intermediate is cached only until every
+    quantity or intermediate that reads it (``_READERS``) has read it.  The
+    products pass the padded grid's basis.
     """
 
     _READERS = {
@@ -266,6 +296,7 @@ class NodeValues:
         basis = c.grid.basis if basis is None else basis
         K = c.grid.K
         self.c, self.grid = c, basis.grid
+        self.columns = _columns(c.grid, basis.grid.N)
         self.sine, self.dsine, self.antideriv = (
             t[:K] for t in (basis.sine, basis.dsine, basis.antideriv)
         )
@@ -290,18 +321,17 @@ class NodeValues:
 
     @cached_property
     def _lanes(self):
-        return _column_pass(self._read("_rows", "_lanes"), self.grid.N)
+        return _column_pass(self._read("_rows", "_lanes"), self.columns.inverse)
 
     @cached_property
     def _dx_lanes(self):
         xi = self.grid.xi[:, None, None]
         rows = _row_pass(self._read("_padded", "_dx_lanes") * (1j * xi))
-        return _column_pass(rows, self.grid.N)
+        return _column_pass(rows, self.columns.inverse)
 
     @cached_property
     def _dy_lanes(self):
-        xi = self.grid.xi[: self.c.grid.N // 2 + 1]
-        return _column_pass(self._read("_rows", "_dy_lanes") * (1j * xi), self.grid.N)
+        return _column_pass(self._read("_rows", "_dy_lanes"), self.columns.dy)
 
     @cached_property
     def _div_lanes(self):

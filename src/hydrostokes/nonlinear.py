@@ -7,12 +7,12 @@ grid's basis takes each working-grid field to the padded nodes: its passes
 pad along m and n by transform length, and the first K rows of the padded
 grid's tables pad in z.  Back, the first K columns of the padded grid's
 analysis table truncate in z first, into lanes [comp, i, k, j], so the real
-DFT along n runs on the last axis and keeps the working columns; a DFT
-along m runs on those alone.  Like every transform of the package, these
-are numpy.fft's.  The vertical velocity w lives in the
-cosine/constant span and is carried as node values only.  The solver forms
-every transport term, the Picard forcing F(v_ref + V) - F(v_ref) included,
-from one :func:`advection` product per field.  pad_coeffs embeds
+DFT along n runs on the last axis, a matmul against the working grid's
+``padded_columns.forward`` table that forms only the working columns; a
+DFT along m, numpy.fft's, runs on those alone.  The vertical velocity w
+lives in the cosine/constant span and is carried as node values only.  The
+solver forms every transport term, the Picard forcing F(v_ref + V) - F(v_ref)
+included, from one :func:`advection` product per field.  pad_coeffs embeds
 coefficients in a finer grid; the tests check the products' passes against
 it.
 """
@@ -24,6 +24,8 @@ from .fields import (
     NodeValues,
     PhysicalField,
     SpectralField,
+    _columns,
+    _forward_columns,
     _pad_half_spectrum,
     zero_nyquist,
 )
@@ -78,15 +80,15 @@ def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
     """Coefficients of product node values on gp, truncated to grid.
 
     The first K columns of gp's analysis table give the K modes kept, as
-    lanes [comp, i, k, j]; the real DFT along n, on the last axis, keeps the
-    N/2+1 columns of grid, so the DFT along m runs on those alone.  The
+    lanes [comp, i, k, j]; the real DFT along n, a matmul on the last axis
+    against grid's forward column table for gp's nodes, forms only the N/2+1
+    columns of grid, so the DFT along m runs on those alone.  The
     truncated rows are swapped back to [comp, m, n, k] once.  Raises
     ValueError on non-finite products.
     """
     nodes = PhysicalField(prod, gp).values.swapaxes(-1, -2)
     lanes = gp.basis.analysis[:, : grid.K].T @ nodes
-    # the kept columns are copied whole, so the DFT along m reads contiguous lanes
-    cols = np.fft.rfft(lanes, axis=-1, norm="forward")[..., : grid.N // 2 + 1].copy()
+    cols = _forward_columns(lanes, _columns(grid, gp.N).forward)
     rows = _truncate_rows(np.fft.fft(cols, axis=1, norm="forward"), gp.N, grid.N)
     return zero_nyquist(SpectralField(rows.swapaxes(-1, -2).copy(), grid))
 

@@ -229,22 +229,28 @@ def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, F
     recurrence with zero forcing, so the whole iteration applies only
     e^{dt A}.  ``F_ref`` is F(v_ref) at every node, formed after the first
     iterate when None.  Each iteration forms the totals F(v_ref + V_m), one
-    :func:`advection` per node, kept in ``diagnostics["F"]``, streams their
-    differences from F_ref into :func:`_duhamel` and takes one S(T)-norm, of
-    V_{m+1} - V_m.  Stopping at ``config.max_picard`` returns the report
-    with ``converged`` False; :func:`full_solve` treats that as a failure.
+    :func:`advection` per node past t = 0 (V_m(0) = a_0 in every iteration,
+    so the total there is formed once), kept in ``diagnostics["F"]``,
+    streams their differences from F_ref into :func:`_duhamel` and takes one
+    S(T)-norm, of V_{m+1} - V_m over the nodes t > 0 (it is 0 at t = 0).
+    Stopping at ``config.max_picard`` returns the report with ``converged``
+    False; :func:`full_solve` treats that as a failure.
     """
     times, refs, grid = v_ref.times, v_ref.snapshots, a0.grid
     V = list(_duhamel(a0, [SpectralField.zeros(grid)] * len(times), times))
     F_ref = _forcings(refs, F_ref)
     report = IterationReport()
+    # every iterate starts at V_m(0) = a_0, bit for bit, so F(v_ref(0) + V_m(0))
+    # is one field and each difference V_{m+1} - V_m is exactly 0 at t = 0
+    F0 = _forcing(advection(SpectralField(refs[0].coeffs + a0.coeffs, grid)))
 
     for _ in range(config.max_picard):
-        F = _forcings(SpectralField(r.coeffs + v.coeffs, grid) for r, v in zip(refs, V))
+        totals = (SpectralField(r.coeffs + v.coeffs, grid) for r, v in zip(refs[1:], V[1:]))
+        F = [F0] + _forcings(totals)
         diffs = (SpectralField(t.coeffs - f.coeffs, grid) for t, f in zip(F, F_ref))
         Vnew = list(_duhamel(a0, diffs, times))
-        diff = (SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew, V))
-        dS = _s_norm(diff, times, config.p)
+        diff = (SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew[1:], V[1:]))
+        dS = _s_norm(diff, times[1:], config.p)
         report.diff_S.append(dS)
         V = Vnew
         if dS < config.picard_tol:

@@ -21,6 +21,7 @@ from hydrostokes.fields import (
     vertical_derivative,
     vertical_mean,
     zero_nyquist,
+    _columns,
 )
 from hydrostokes.projection import project_hydrostatic
 from hydrostokes.sampling import random_field
@@ -78,9 +79,13 @@ def test_grid_tables_built_once_and_read_only(monkeypatch):
     assert g.xi is g.xi
     assert g.padded is g.padded
     assert g.doubled is g.doubled and g.doubled == Grid(16, 8, 1.0)
+    assert g.columns is g.columns and g.padded_columns is g.padded_columns
     b = g.basis
     tables = (g.xi, g.xi2, g.xi_hat, b.lambdas, b.betas, b.betas_t)
-    for table in tables + (b.sine, b.dsine, b.antideriv, b.analysis):
+    tables += (b.sine, b.dsine, b.antideriv, b.analysis)
+    for cols in (g.columns, g.padded_columns):
+        tables += (cols.inverse, cols.dy, cols.forward)
+    for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0.0
 
@@ -187,6 +192,41 @@ def test_half_spectrum_transforms_match_complex_oracle(N):
         vertical_integral_from_bottom(SpectralField(f.coeffs[:1], grid)).values,
         _oracle_horizontal(prof, N),
     )
+
+
+@pytest.mark.parametrize(
+    "N, M", [(4, 4), (4, 6), (8, 8), (8, 12), (12, 18), (16, 24), (32, 32), (32, 48)]
+)
+def test_column_tables_match_numpy_real_dft(N, M):
+    # a grid's column tables onto its own (M = N) or its padded nodes against
+    # np.fft's real DFTs; every column of the lanes, column 0 and the Nyquist
+    # column N/2 included, carries an imaginary part
+    grid, L = Grid(N, 3, 1.0), N // 2 + 1
+    target = grid if M == N else grid.padded
+    assert target.N == M
+    tables = _columns(grid, M)
+    rng = np.random.default_rng(N + M)
+    a = rng.standard_normal((2, 5, L)) + 1j * rng.standard_normal((2, 5, L))
+    assert np.abs(a.imag[..., [0, -1]]).min() > 0
+    f = rng.standard_normal((2, 5, M))
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    # irfft ignores Im of column 0, and of column M/2 on a grid's own nodes
+    close(a.view(float) @ tables.inverse, np.fft.irfft(a, n=M, norm="forward"))
+    close(a.view(float) @ tables.dy, np.fft.irfft(1j * target.xi[:L] * a, n=M, norm="forward"))
+    close((f @ tables.forward).view(complex), np.fft.rfft(f, norm="forward")[..., :L])
+    # the sines of those columns are exact zeros, not round-off
+    ignored = [1, 2 * L - 1] if M == N else [1]
+    assert not tables.inverse[ignored].any() and not tables.forward[:, ignored].any()
+
+
+def test_node_values_only_on_own_or_padded_nodes(grid8):
+    # the column tables cover a grid's own nodes and its padded grid's
+    v = random_field(grid8, ncomp=2, seed=1)
+    with pytest.raises(ValueError):
+        NodeValues(v, grid8.doubled.basis)
 
 
 def _embedded(c, target):

@@ -120,3 +120,12 @@ def test_every_dataclass_field_is_read_in_src():
                 unread.add(f"{mod}.{qual}")
     # an exception that src/ has come to read is dropped from the list
     assert sorted(unread) == sorted(FIELD_EXCEPTIONS)
+
+
+def test_fields_and_nonlinear_call_no_real_fft():
+    # the real DFTs along n are the grid's column tables (basis.ColumnTables);
+    # a call of numpy's real FFTs there would be a second path beside them
+    real_ffts = {"rfft", "irfft", "rfft2", "irfft2", "rfftn", "irfftn"}
+    for mod in ("fields", "nonlinear"):
+        names, attrs = _reads(ast.parse((SRC / f"{mod}.py").read_text()))
+        assert not real_ffts & (set(names) | set(attrs)), mod

@@ -314,8 +314,8 @@ def test_reference_solve_keeps_the_forcing_at_every_node():
 
 @pytest.mark.parametrize("given", [False, True], ids=["formed", "given"])
 def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, given):
-    # F(v_ref) at every node unless it is given, then one product
-    # F(v_ref + V) per node and iteration
+    # F(v_ref) at every node unless it is given, F(v_ref(0) + a_0) once,
+    # then one product F(v_ref + V) per node past t = 0 and iteration
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=3, picard_tol=0.0)
     a0, vref = _small_rough_split(cfg)
     F_ref = vref.diagnostics["F"] if given else None
@@ -330,13 +330,14 @@ def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, given):
     _, report = picard_iterate(a0, vref, cfg, F_ref)
     nodes = len(vref.times)
     assert report.iterations == 3
-    assert len(calls) == report.iterations * nodes + (0 if given else nodes)
+    assert len(calls) == 1 + report.iterations * (nodes - 1) + (0 if given else nodes)
     # each is the self-product B(v, v) of one field
     assert set(calls) == {1}
 
 
 def test_picard_takes_one_s_norm_per_iteration(monkeypatch):
-    # the S(T)-norm of each difference, and of nothing else
+    # the S(T)-norm of each difference, and of nothing else; every
+    # difference is exactly 0 at t = 0, so it is taken over the n - 1 later nodes
     op = StokesOperator(Grid(8, 8, 1.0))
     calls = []
     s_norm = hydrostokes.solver._s_norm
@@ -353,7 +354,7 @@ def test_picard_takes_one_s_norm_per_iteration(monkeypatch):
     vref = Trajectory(np.arange(n) * 0.01, [SpectralField.zeros(op.grid)] * n)
     _, report = picard_iterate(a0, vref, cfg)
     assert report.iterations == 3
-    assert calls == [n] * report.iterations
+    assert calls == [n - 1] * report.iterations
 
 
 def test_iteration_report_derives_count_and_ratios():
@@ -590,7 +591,8 @@ def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
 def test_rough_full_solve_forms_each_nonlinearity_once(monkeypatch):
     # the reference solve's F(v_ref), then the totals F(v_ref + V_m) of
     # each Picard iteration, the last of which the residual reuses; the
-    # rough benchmark's data and time grid, at 8^3
+    # total at t = 0 is F(v_ref(0) + a_0) in every iteration and is formed
+    # once; the rough benchmark's data and time grid, at 8^3
     cfg = SolverConfig(N=8, K=8, dt=0.0025, T=0.05)
     a = random_field(
         cfg.grid(), seed=3, decay=2.0, rough_amplitude=1.0, solenoidal=True, amplitude=0.02
@@ -606,7 +608,7 @@ def test_rough_full_solve_forms_each_nonlinearity_once(monkeypatch):
     traj = full_solve(a, cfg)
     m, nodes = traj.diagnostics["picard"].iterations, len(traj.times)
     assert m >= 2
-    assert len(calls) == (m + 1) * nodes
+    assert len(calls) == nodes + 1 + m * (nodes - 1)
     assert "F" not in traj.diagnostics
     # against F(v_ref + V_{m+1}) formed from the snapshots: a Picard lag
     # below the tolerance
