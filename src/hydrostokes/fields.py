@@ -202,7 +202,10 @@ def _pad_half_spectrum(a: np.ndarray, N: int, Np: int) -> np.ndarray:
 
 
 def _row_pass(a: np.ndarray) -> np.ndarray:
-    """Unscaled inverse DFT along m (axis 1) of half-spectrum coefficients."""
+    """Unscaled inverse DFT along m (axis 1) of half-spectrum coefficients,
+    as a new array laid out as its C-contiguous input (numpy >= 2; numpy 1
+    returned a strided view), whose last axis :func:`_column_pass` reads as
+    (re, im) pairs."""
     return np.fft.ifft(a, axis=1, norm="forward")
 
 
