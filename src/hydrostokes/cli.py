@@ -122,9 +122,18 @@ def _exponent(text: str) -> float:
 YOUNG_BOUND = 1 + 1e-10
 
 
+def _param_text(p) -> str:
+    """repr of a scan's sample point, numpy scalars written as Python ones: (0, 0.1, 0.0)."""
+    if isinstance(p, tuple):
+        return repr(tuple(x.item() if isinstance(x, np.generic) else x for x in p))
+    return repr(p.item() if isinstance(p, np.generic) else p)
+
+
 def _scan(csv_name: str, report: ScanReport, bound: float = np.inf):
     """A scan report's CSV; it fails when its sup ratio is not finite or above bound."""
-    rows = [(report.estimate, repr(p), f"{r:.12e}") for p, r in zip(report.params, report.ratios)]
+    rows = [
+        (report.estimate, _param_text(p), f"{r:.12e}") for p, r in zip(report.params, report.ratios)
+    ]
     sup = report.sup_ratio
     failure = ""
     if not np.isfinite(sup):
@@ -245,10 +254,9 @@ def cmd_simulate(args) -> int:
         ["t", "energy", "sol_drift", "norm_inf_p", "t_sqrt_grad_norm", "residual"],
         rows,
     )
-    every = sc.snapshot_every
-    for n, t in enumerate(traj.times):
-        if n % every == 0 or n == len(traj.times) - 1:
-            write_snapshot(os.path.join(outdir, f"snapshot_{n:05d}.hstk"), traj.snapshots[n], t)
+    for n, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
+        if snap is not None:  # the solve keeps the snapshots that snapshot.every asks for
+            write_snapshot(os.path.join(outdir, f"snapshot_{n:05d}.hstk"), snap, t)
     return EXIT_OK
 
 

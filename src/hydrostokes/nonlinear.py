@@ -51,13 +51,19 @@ def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
 
 def _advective_product(a: NodeValues, b: NodeValues) -> np.ndarray:
     """Node values of (u_a . grad_H) v_b + w_a dz v_b, summed in place term by
-    term; each quantity is dropped from a and b once it is used."""
+    term; dx and dy are multiplied in their own buffers, and each quantity is
+    dropped from a and b once it is used."""
     out = b.dz * a.w
     del b.dz, a.w
-    out += b.dx * a.u[0]
+    term = b.dx
     del b.dx
-    out += b.dy * a.u[1]
-    del b.dy, a.u
+    term *= a.u[0]
+    out += term
+    term = b.dy
+    del b.dy
+    term *= a.u[1]
+    out += term
+    del term, a.u
     return out
 
 

@@ -4,17 +4,24 @@ Rough initial data a is split as a = a_ref + a_0 with a_ref = e^{delta A} a
 smooth and a_0 small.  The reference part is advanced by an exponential-Euler
 integrator; the remainder V = v - v_ref is constructed by Picard iteration on
 the Duhamel integral with forcing F(v_ref + V) - F(v_ref), starting from e^{tA} a_0
-and applying only e^{dt A}.  Each F(v) is formed once per solve and passed along
-as a list over the time nodes.  The iteration is monitored through the S(T)-norm
+and applying only e^{dt A}.  Each F(v) is formed once per solve.  The
+iteration is monitored through the S(T)-norm
 max(sup ||D||, sup t^{1/2} ||grad D||) of each difference D = V_{m+1} - V_m,
 with mixed L^inf_H L^p_z norms; :class:`IterationReport` keeps those norms
 and nothing else.  Every nonlinear term is dealiased (2/3 rule) and every
 forcing and reference step is re-projected.  :class:`SolverConfig` is the
-one source of parameters: the grid, the uniform time grid (dt, T) and the
-split and Picard settings.  Each function takes the Stokes operator from the
-grid of the field it is given (``Grid.stokes``).
+one source of parameters: the grid, the uniform time grid (dt, T), the
+split and Picard settings and the snapshot interval.  Each function takes
+the Stokes operator from the grid of the field it is given (``Grid.stokes``).
+
+:func:`full_solve` forms each node's diagnostics as soon as the node exists
+and keeps a snapshot only where one is due.  With no rough part it steps the
+reference solve one node at a time and drops each F(v_n) once the residual's
+recurrence has read it, so its memory does not grow with the horizon; the
+Picard branch holds v_ref, V and F over every node.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,9 +31,9 @@ from .fields import NodeValues, SpectralField
 from .nonlinear import advection
 from .projection import check_solenoidal, project_hydrostatic
 
-# Most time steps round(T/dt) a solve may take.  The trajectory keeps every
-# node's snapshot; at 16^3 (74 kB each, half a spectrum) this many already
-# take 7.4 GB.
+# Most time steps round(T/dt) a solve may take.  The Picard branch holds
+# every node's fields; at 16^3 (74 kB each, half a spectrum) this many
+# snapshots alone already take 7.4 GB.
 MAX_TIME_STEPS = 100_000
 
 
@@ -83,7 +90,7 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    snapshots: list  # SpectralField per node
+    snapshots: list  # per node: a SpectralField, or None where full_solve keeps none
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -123,16 +130,10 @@ def grad_mixed_norm(v: SpectralField, p: float) -> float:
     return NodeValues(v).norm("grad", np.inf, p)
 
 
-def _node_norms(v_list, times, p):
-    """(||v_n||, t_n^{1/2} ||grad v_n||) per node, one NodeValues each; the second is 0 at t = 0."""
-    out = []
-    for v, t in zip(v_list, times):
-        nodes = NodeValues(v)
-        out.append((
-            nodes.norm("u", np.inf, p),
-            np.sqrt(t) * nodes.norm("grad", np.inf, p) if t > 0 else 0.0,
-        ))
-    return out
+def _node_norms(v, t, p):
+    """(||v||, t^{1/2} ||grad v||) of one node from one NodeValues; the second is 0 at t = 0."""
+    nodes = NodeValues(v)
+    return nodes.norm("u", np.inf, p), np.sqrt(t) * nodes.norm("grad", np.inf, p) if t > 0 else 0.0
 
 
 def _s_norm(v_list, times, p):
@@ -141,8 +142,8 @@ def _s_norm(v_list, times, p):
     ``v_list`` may be a generator: it is read once, in node order.
     """
     s = 0.0
-    for norm, grad in _node_norms(v_list, times, p):
-        s = max(s, norm, grad)
+    for v, t in zip(v_list, times):
+        s = max(s, *_node_norms(v, t, p))
     return s
 
 
@@ -191,6 +192,36 @@ def _duhamel(a: SpectralField, F, times):
         yield SpectralField(G + 0.5 * dt * f.coeffs, grid)
 
 
+def _time_nodes(config: SolverConfig) -> np.ndarray:
+    """The multiples of ``config.dt`` up to ``config.T``."""
+    return config.dt * np.arange(int(round(config.T / config.dt)) + 1)
+
+
+def _reference_nodes(a_ref: SpectralField, config: SolverConfig):
+    """(v_n, F(v_n)) of the exponential-Euler solve from a_ref, node by node.
+
+    Raises SolverDivergenceError, when it reaches the node, once ||v_n|| is
+    non-finite or above 1e6 ||a_ref||.
+    """
+    dt, op = config.dt, a_ref.grid.stokes
+    v = a_ref.copy()
+    e0 = v.norm2()
+    guard = max(e0, 1e-300) * 1e6
+    F = _forcing(advection(v))
+    yield v, F
+    for _ in _time_nodes(config)[1:]:
+        v = project_hydrostatic(SpectralField(
+            op.semigroup_apply(dt, v).coeffs + dt * op.phi1_apply(dt, F).coeffs, op.grid
+        ))
+        e = v.norm2()
+        if not np.isfinite(e) or e > guard:
+            raise SolverDivergenceError(
+                f"reference solve blew up: ||v|| = {e:.3e} vs initial {e0:.3e}"
+            )
+        F = _forcing(advection(v))
+        yield v, F
+
+
 def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     """Exponential-Euler integration v_{n+1} = P(e^{dtA} v_n + dt phi1(dtA) F(v_n)).
 
@@ -198,25 +229,11 @@ def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
     ``config.T``.  ``diagnostics["F"]`` keeps F(v_n) at every node, the last one
     included, which :func:`picard_iterate` and :func:`mild_residual` reuse.
     """
-    dt, op = config.dt, a_ref.grid.stokes
-    nsteps = int(round(config.T / dt))
-    times = dt * np.arange(nsteps + 1)
-    v = a_ref.copy()
-    snaps = [v]
-    e0 = v.norm2()
-    guard = max(e0, 1e-300) * 1e6
-    F_list = [_forcing(advection(v))]
-    for _ in range(nsteps):
-        stepped = op.semigroup_apply(dt, v).coeffs + dt * op.phi1_apply(dt, F_list[-1]).coeffs
-        v = project_hydrostatic(SpectralField(stepped, op.grid))
-        e = v.norm2()
-        if not np.isfinite(e) or e > guard:
-            raise SolverDivergenceError(
-                f"reference solve blew up: ||v|| = {e:.3e} vs initial {e0:.3e}"
-            )
+    snaps, F = [], []
+    for v, f in _reference_nodes(a_ref, config):
         snaps.append(v)
-        F_list.append(_forcing(advection(v)))
-    return Trajectory(times, snaps, {"F": F_list})
+        F.append(f)
+    return Trajectory(_time_nodes(config), snaps, {"F": F})
 
 
 def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, F_ref=None):
@@ -288,6 +305,10 @@ def _shrink_delta(a, config):
 def full_solve(a: SpectralField, config: SolverConfig):
     """Reference solve plus Picard remainder: v = v_ref + V on [0, T].
 
+    Every node's diagnostics are formed; ``snapshots[n]`` is v(t_n) where a
+    snapshot is due (node 0, every ``config.snapshot_every``-th node and the
+    last) and None elsewhere.  With no rough part (a_0 = 0 exactly)
+    v = v_ref, stepped one node at a time.
     ``diagnostics["step_number"]`` is the step-size number dt * max|a| * k_max
     of the data, with k_max = pi N the largest horizontal wavenumber.  Raises
     SolverDivergenceError, carrying the report and naming that number, when
@@ -298,15 +319,15 @@ def full_solve(a: SpectralField, config: SolverConfig):
         raise ValueError(f"initial data on {a.grid}, but the config is for {config.grid()}")
     step_number = config.dt * NodeValues(a).norm("u", np.inf, np.inf) * np.pi * config.N
     a_ref, a0, delta = _shrink_delta(a, config)
+    times = _time_nodes(config)
     try:
-        vref = reference_solve(a_ref, config)
-        snaps, F = vref.snapshots, vref.diagnostics.pop("F")
         if float(np.abs(a0.coeffs).max()) == 0.0:
             # no rough part: v = v_ref
             report = IterationReport(converged=True)
+            nodes = _defects(_reference_nodes(a_ref, config), times)
         else:
-            V, report = picard_iterate(a0, vref, config, F)
-            F = V.diagnostics.pop("F")  # F(v_ref + V_m), the last iteration's totals
+            vref = reference_solve(a_ref, config)
+            V, report = picard_iterate(a0, vref, config, vref.diagnostics.pop("F"))
             if not report.converged:
                 raise SolverDivergenceError(
                     f"Picard iteration stopped at its cap of {config.max_picard} iterations: "
@@ -314,26 +335,59 @@ def full_solve(a: SpectralField, config: SolverConfig):
                     f"{config.picard_tol:.3e}",
                     report=report,
                 )
-            snaps = [SpectralField(r.coeffs + s.coeffs, a.grid) for r, s in zip(snaps, V.snapshots)]
+            snaps = [
+                SpectralField(r.coeffs + s.coeffs, a.grid)
+                for r, s in zip(vref.snapshots, V.snapshots)
+            ]
+            # held at every node anyway: the defect against F(v_ref + V_m), the
+            # last iteration's totals, in one mild_residual
+            nodes = zip(snaps, mild_residual(Trajectory(times, snaps), V.diagnostics["F"]))
+        traj = _diagnosed(nodes, times, config)
     except SolverDivergenceError as exc:
         raise SolverDivergenceError(
             f"{exc} (step-size number dt*max|u|*k_max = {step_number:.3e})", report=exc.report
         ) from exc
-    traj = Trajectory(vref.times, snaps)
-    norm_inf_p, t_sqrt_grad_norm = np.array(_node_norms(snaps, traj.times, config.p)).T
-    energy = np.array([s.norm2() for s in snaps])
-    traj.diagnostics = {
+    traj.diagnostics.update(delta=delta, step_number=step_number, picard=report)
+    return traj
+
+
+def _diagnosed(nodes, times, config: SolverConfig) -> Trajectory:
+    """The trajectory of (v_n, residual_n), read once in node order.
+
+    Each node's energy, solenoidality defect and two node norms are formed
+    as it arrives, and v_n is held only where a snapshot is due.
+    """
+    last = len(times) - 1
+    snaps, rows = [], []
+    for n, (v, residual) in enumerate(nodes):
+        rows.append((v.norm2(), check_solenoidal(v), *_node_norms(v, times[n], config.p), residual))
+        snaps.append(v if n % config.snapshot_every == 0 or n == last else None)
+    energy, drift, norm_inf_p, t_sqrt_grad_norm, residual = map(np.array, zip(*rows))
+    return Trajectory(times, snaps, {
         "energy": energy,
         # each node's defect relative to the data, not to a field decayed to round-off
-        "sol_drift": np.array([check_solenoidal(s) for s in snaps]) * energy / (energy[0] or 1.0),
+        "sol_drift": drift * energy / (energy[0] or 1.0),
         "norm_inf_p": norm_inf_p,
         "t_sqrt_grad_norm": t_sqrt_grad_norm,
-        "residual": mild_residual(traj, F),
-        "delta": delta,
-        "step_number": step_number,
-        "picard": report,
-    }
-    return traj
+        "residual": residual,
+    })
+
+
+def _defects(nodes, times):
+    """(v_n, ||v_n - S_n||) for the pairs (v_n, F(v_n)) of ``nodes``, node by node.
+
+    S_n are the Duhamel sums of :func:`_duhamel` from v_0 with forcing F(v_n).
+    The pair of node n is yielded once node n has been read, no further; the
+    deque holds each F until the recurrence reads it (F_0 and F_1 for S_1,
+    F_n for S_n), and the recurrence drops it after the next step.
+    """
+    forcing = deque()
+    sums = None
+    for v, f in nodes:
+        forcing.append(f)
+        if sums is None:
+            sums = _duhamel(v, iter(forcing.popleft, None), times)
+        yield v, SpectralField(v.coeffs - next(sums).coeffs, v.grid).norm2()
 
 
 def mild_residual(traj: Trajectory, F=None) -> np.ndarray:
@@ -341,12 +395,12 @@ def mild_residual(traj: Trajectory, F=None) -> np.ndarray:
 
     Uses the same trapezoidal quadrature, and the same O(n) recurrence, as
     the Picard iteration, with F(v) = -P (u . grad) v at every node, formed
-    when None.  The time nodes must be uniform; residual[0] is 0.  On the
-    rough branch :func:`full_solve` passes F(v_ref + V_m) for v_ref + V_{m+1}:
-    by linearity that residual is v_ref's own defect (to 4e-16 relative), the
-    exponential-Euler step against the trapezoid sums, blind to the Picard lag
-    (bounded through ``diff_S[-1]``); it still catches a wrong v_ref + V sum.
+    when None.  The time nodes must be uniform and every snapshot held;
+    residual[0] is 0.  On the rough branch :func:`full_solve` passes
+    F(v_ref + V_m) for v_ref + V_{m+1}: by linearity that residual is v_ref's
+    own defect (to 4e-16 relative), the exponential-Euler step against the
+    trapezoid sums, blind to the Picard lag (bounded through ``diff_S[-1]``);
+    it still catches a wrong v_ref + V sum.
     """
     snaps = traj.snapshots
-    S = _duhamel(snaps[0], _forcings(snaps, F), traj.times)
-    return np.array([SpectralField(v.coeffs - s.coeffs, v.grid).norm2() for v, s in zip(snaps, S)])
+    return np.array([r for _, r in _defects(zip(snaps, _forcings(snaps, F)), traj.times)])

@@ -1,5 +1,7 @@
 """Data splitting, reference integrator, Picard iteration, full solve."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -449,6 +451,60 @@ def test_full_solve_rough_diagnostics(op16):
     assert np.all(np.isfinite(diag["residual"]))
 
 
+@pytest.mark.parametrize("branch", ["smooth", "rough"])
+def test_full_solve_holds_only_the_due_snapshots(branch):
+    # the held snapshots and every diagnostic are the same nodes, bit for
+    # bit, whatever the interval; the slots in between are None
+    grid = Grid(8, 8, 1.0)
+    if branch == "smooth":
+        a, delta = random_field(grid, ncomp=2, seed=4, solenoidal=True, amplitude=0.05), 0.0
+    else:
+        a = random_field(
+            grid, seed=3, decay=2.0, rough_amplitude=1.0, solenoidal=True, amplitude=0.02
+        )
+        delta = 0.01
+    every_node, thinned = (
+        full_solve(a, SolverConfig(N=8, K=8, dt=0.0025, T=0.02, delta=delta, snapshot_every=k))
+        for k in (1, 3)
+    )
+    assert (thinned.diagnostics["picard"].iterations >= 2) == (branch == "rough")
+    assert np.array_equal(thinned.times, every_node.times) and len(thinned.times) == 9
+    assert all(s is not None for s in every_node.snapshots)
+    held = [n for n, s in enumerate(thinned.snapshots) if s is not None]
+    assert held == [0, 3, 6, 8]
+    for n in held:
+        assert np.array_equal(thinned.snapshots[n].coeffs, every_node.snapshots[n].coeffs)
+    for key in ("energy", "sol_drift", "norm_inf_p", "t_sqrt_grad_norm", "residual"):
+        assert np.array_equal(thinned.diagnostics[key], every_node.diagnostics[key]), key
+    assert thinned.diagnostics["picard"].diff_S == every_node.diagnostics["picard"].diff_S
+
+
+def test_smooth_full_solve_memory_does_not_grow_with_the_horizon():
+    # one snapshot per end, so what a longer smooth solve holds more is
+    # one row of diagnostics per node: its traced peak stays put
+    a = random_field(Grid(16, 16, 1.0), ncomp=2, seed=3, solenoidal=True, amplitude=0.05)
+    peaks = []
+    for steps in (10, 40):
+        cfg = SolverConfig(dt=0.005, T=0.005 * steps, delta=0.0, snapshot_every=steps)
+        full_solve(a, cfg)  # the grid's tables and exponential blocks, built once
+        tracemalloc.start()
+        try:
+            full_solve(a, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_smooth_full_solve_blow_up_names_step_size_number():
+    # the smooth branch steps as its diagnostics are formed: a blow-up there
+    # is still passed on with the step-size number appended
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.2, delta=0.0)
+    a = random_field(cfg.grid(), ncomp=2, seed=4, solenoidal=True, amplitude=50.0)
+    with pytest.raises(SolverDivergenceError, match=r"^reference solve blew up.*step-size number"):
+        full_solve(a, cfg)
+
+
 def test_full_solve_rejects_data_on_another_grid():
     # same N and K, other depth: the config's operator would not be the data's
     a = random_field(Grid(16, 16, 0.5), ncomp=2, seed=7, solenoidal=True, amplitude=0.01)
@@ -533,7 +589,7 @@ def test_node_norms_equal_mixed_norms(op16):
         (mixed_norm(v, 4.0), np.sqrt(t) * grad_mixed_norm(v, 4.0) if t > 0 else 0.0)
         for v, t in zip(vs, times)
     ]
-    assert _node_norms(vs, times, 4.0) == want
+    assert [_node_norms(v, t, 4.0) for v, t in zip(vs, times)] == want
 
 
 def test_node_norms_transform_passes_per_node(monkeypatch):
@@ -549,10 +605,11 @@ def test_node_norms_transform_passes_per_node(monkeypatch):
         monkeypatch.setattr(hydrostokes.fields, name, counted)
     grid = Grid(8, 8, 1.0)
     vs = [random_field(grid, ncomp=2, seed=s) for s in (17, 18, 19)]
-    _node_norms(vs[:1], [0.0], 4.0)
+    _node_norms(vs[0], 0.0, 4.0)
     assert sorted(calls) == ["_column_pass", "_row_pass"]
     calls.clear()
-    _node_norms(vs, [0.0, 0.01, 0.02], 4.0)
+    for v, t in zip(vs, [0.0, 0.01, 0.02]):
+        _node_norms(v, t, 4.0)
     assert calls.count("_row_pass") == 1 + 2 + 2
     assert calls.count("_column_pass") == 1 + 3 + 3
 

@@ -1,5 +1,6 @@
 """Config parsing, snapshot I/O, and the command-line interface."""
 
+import ast
 import csv
 import ctypes
 import os
@@ -318,6 +319,56 @@ def test_cli_simulate_outputs_share_the_umask_mode(tmp_path, monkeypatch):
     assert "diagnostics.csv" in modes and "snapshot_00000.hstk" in modes
     assert set(modes.values()) == {0o666 & ~0o027}
     assert not [n for n in modes if n.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("every, kept", [(3, (0, 3, 6, 7)), (1, (1, 2, 5))], ids=["due", "any"])
+def test_cli_simulate_writes_exactly_the_held_snapshots(tmp_path, monkeypatch, every, kept):
+    # one file per snapshot the solve holds, whichever slots those are, and
+    # none for a None slot: the due rule is the solver's alone
+    monkeypatch.chdir(tmp_path)
+    solves = []
+
+    def solve(a, config):
+        traj = full_solve(a, config)
+        if every == 1:  # slots that no interval keeps
+            traj.snapshots = [s if n in kept else None for n, s in enumerate(traj.snapshots)]
+        solves.append(traj)
+        return traj
+
+    monkeypatch.setattr(hydrostokes.cli, "full_solve", solve)
+    cfg = write(
+        tmp_path,
+        "grid.n = 8\ngrid.k = 8\ntime.dt = 0.01\ntime.horizon = 0.07\nsplit.delta = 0\n"
+        "data.kind = random-decay\ndata.amplitude = 0.05\noutput.dir = out\n"
+        f"snapshot.every = {every}\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    (traj,) = solves
+    assert [n for n, s in enumerate(traj.snapshots) if s is not None] == list(kept)
+    written = sorted(p.name for p in (tmp_path / "out").glob("snapshot_*"))
+    assert written == [f"snapshot_{n:05d}.hstk" for n in kept]
+    for n in kept:
+        field, t = read_snapshot(str(tmp_path / "out" / f"snapshot_{n:05d}.hstk"))
+        assert t == traj.times[n]
+        assert np.array_equal(field.coeffs, traj.snapshots[n].coeffs)
+    with open(tmp_path / "out" / "diagnostics.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == len(traj.times) == 8
+
+
+def test_cli_verify_all_writes_params_as_python_literals(tmp_path, monkeypatch):
+    # each sample point reads back as the tuple or scalar it was, with no
+    # numpy scalar repr such as np.float64(0.1) in it
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, "grid.n = 8\ngrid.k = 8\noutput.dir = out\n")
+    assert run_cli(["verify", "all", "--config", cfg]) == 0
+    cells = []
+    for path in sorted((tmp_path / "out").glob("*.csv")):
+        with open(path) as fh:
+            cells += [row["params"] for row in csv.DictReader(fh) if "params" in row]
+    assert len(cells) > 100
+    for cell in cells:
+        assert "np." not in cell
+        ast.literal_eval(cell)
 
 
 def test_atomic_open_names_its_temp_file_by_pid(tmp_path):
