@@ -29,11 +29,14 @@ zero-pads the N/2+1 stored columns onto the target grid).  NodeValues is
 the one path to several node quantities of a field (u, its first
 derivatives and w), sharing the passes between them: the products, the
 S(T)-norms and the lab scans read it; inverse_transform and
-vertical_derivative give one quantity through the same passes.  Every
-mixed norm L^q_H L^p_z of node values goes through column_norms, which
-takes the components as a list of node arrays (grad = [dx, dy, dz]), sums
-their squares one at a time and raises the sum to p/2 (the max at
-p = inf).  Only the columns whose squares or powers leave the normal
+vertical_derivative give one quantity through the same passes.  NodeValues
+holds its row passes whole and runs every pass after them slab by slab
+over the node rows m (_SLAB_BYTES of a quantity at a time), so a norm
+gathers its column norms, and a product its truncated columns, one slab
+at a time.  Every mixed norm L^q_H L^p_z of node values goes through
+column_norms, which takes the components as a list of node arrays
+(grad = [dx, dy, dz]), sums their squares one at a time and raises the sum
+to p/2 (the max at p = inf).  Only the columns whose squares or powers leave the normal
 floats are formed again, from their components divided by the column's
 max |c|.  A column norm is non-finite only for a non-finite node value or a
 norm beyond the float range, and then raises NonFiniteFieldError, the
@@ -60,6 +63,10 @@ import numpy as np
 from .basis import ColumnTables, Grid, VerticalBasis
 
 REALITY_TOL = 1e-12
+# bytes of one node quantity in a slab: NodeValues runs every pass after its
+# row passes on this many bytes of node rows at a time, a share of a 2 MiB
+# per-core L2 cache (a 16^3 field on its own grid is one slab)
+_SLAB_BYTES = 128 * 1024
 # smallest normal float: a sum of powers below it has lost precision
 _TINY = np.finfo(float).tiny
 
@@ -201,12 +208,12 @@ def _pad_half_spectrum(a: np.ndarray, N: int, Np: int) -> np.ndarray:
     return out
 
 
-def _row_pass(a: np.ndarray) -> np.ndarray:
+def _row_pass(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Unscaled inverse DFT along m (axis 1) of half-spectrum coefficients,
-    as a new array laid out as its C-contiguous input (numpy >= 2; numpy 1
-    returned a strided view), whose last axis :func:`_column_pass` reads as
-    (re, im) pairs."""
-    return np.fft.ifft(a, axis=1, norm="forward")
+    into ``out`` (which may be a) or a new array laid out as its C-contiguous
+    input (numpy >= 2; numpy 1 returned a strided view), whose last axis
+    :func:`_column_pass` reads as (re, im) pairs."""
+    return np.fft.ifft(a, axis=1, norm="forward", out=out)
 
 
 def _columns(grid: Grid, M: int) -> ColumnTables:
@@ -278,22 +285,21 @@ class NodeValues:
     the lanes to the nodes in z, through a ``swapaxes(-1, -2)`` view that
     BLAS reads as it lies.  u, dz and dy share the row pass of c (dy's table
     multiplies the columns by i xi_n), dx has the row pass of i xi_m c, with
-    the target grid's wavenumbers, and the lanes of div_H c are
+    the target grid's wavenumbers, formed in the padded rows' own buffer once
+    c's row pass has read them, and the lanes of div_H c are
     (dx lanes)_0 + (dy lanes)_1: for a two-component field, two row passes
-    and three column passes give all five quantities.  Each quantity is
-    formed on first use.  An intermediate is cached only until every
-    quantity or intermediate that reads it (``_READERS``) has read it.  The
-    products pass the padded grid's basis.
-    """
+    and three column passes give all five quantities.
 
-    _READERS = {
-        "_padded": ("_rows", "_dx_lanes"),
-        "_rows": ("_lanes", "_dy_lanes"),
-        "_lanes": ("u", "dz"),
-        "_dx_lanes": ("dx", "_div_lanes"),
-        "_dy_lanes": ("dy", "_div_lanes"),
-        "_div_lanes": ("w",),
-    }
+    The two row passes are held whole.  Every pass after them runs slab by
+    slab over the target grid's node rows m (:meth:`slabs`), _SLAB_BYTES of
+    a quantity at a time, so the column passes, the z tables and what a
+    caller forms from a slab stay in a cache-sized working set: the norms
+    gather their column norms slab by slab (:meth:`norm_columns`), and the
+    products truncate each slab of theirs as it is formed.  The attributes
+    u, dx, dy, dz and w are whole quantities, each formed as one slab on
+    first use; a slab of a quantity already formed whole is a slice of it.
+    The products pass the padded grid's basis.
+    """
 
     def __init__(self, c: SpectralField, basis: VerticalBasis | None = None):
         basis = c.grid.basis if basis is None else basis
@@ -303,16 +309,6 @@ class NodeValues:
         self.sine, self.dsine, self.antideriv = (
             t[:K] for t in (basis.sine, basis.dsine, basis.antideriv)
         )
-        self._unread = {name: set(readers) for name, readers in self._READERS.items()}
-
-    def _read(self, name: str, reader: str):
-        """The intermediate ``name`` for ``reader``; dropped once its last reader has it."""
-        value = getattr(self, name)
-        unread = self._unread[name]
-        unread.discard(reader)
-        if not unread:
-            del self.__dict__[name]
-        return value
 
     @cached_property
     def _padded(self):
@@ -320,51 +316,81 @@ class NodeValues:
 
     @cached_property
     def _rows(self):
-        return _row_pass(self._read("_padded", "_rows"))
+        return _row_pass(self._padded)
 
     @cached_property
-    def _lanes(self):
-        return _column_pass(self._read("_rows", "_lanes"), self.columns.inverse)
+    def _dx_rows(self):
+        """The row pass of i xi_m c, formed in the padded rows' buffer."""
+        self._rows  # c's own row pass reads the padded rows before they change
+        rows = self.__dict__.pop("_padded")
+        rows *= 1j * self.grid.xi[:, None, None]
+        return _row_pass(rows, rows)
 
-    @cached_property
-    def _dx_lanes(self):
-        xi = self.grid.xi[:, None, None]
-        rows = _row_pass(self._read("_padded", "_dx_lanes") * (1j * xi))
-        return _column_pass(rows, self.columns.inverse)
+    def _slab(self, rows: slice, names) -> dict:
+        """{name: node values on the target grid's node rows ``rows``} for
+        each of ``names``: a slice of the quantity if it is formed whole, else
+        formed from the row passes, u and dz sharing one column pass, dx and
+        w one, dy and w one."""
+        out = {n: self.__dict__[n][..., rows, :, :] for n in names if n in self.__dict__}
+        need = set(names) - out.keys()
+        if need & {"u", "dz"}:
+            lanes = _column_pass(self._rows[:, rows], self.columns.inverse).swapaxes(-1, -2)
+            for name, table in (("u", self.sine), ("dz", self.dsine)):
+                if name in need:
+                    out[name] = lanes @ table
+        if need & {"dx", "w"}:
+            dx = _column_pass(self._dx_rows[:, rows], self.columns.inverse)
+        if need & {"dy", "w"}:
+            dy = _column_pass(self._rows[:, rows], self.columns.dy)
+        if "dx" in need:
+            out["dx"] = dx.swapaxes(-1, -2) @ self.sine
+        if "dy" in need:
+            out["dy"] = dy.swapaxes(-1, -2) @ self.sine
+        if "w" in need:
+            out["w"] = -((dx[0] + dy[1]).swapaxes(-1, -2) @ self.antideriv)
+        return out
 
-    @cached_property
-    def _dy_lanes(self):
-        return _column_pass(self._read("_rows", "_dy_lanes"), self.columns.dy)
+    def slabs(self, names):
+        """Yield (rows, {name: node values on rows}) for the quantities
+        ``names`` (of u, dx, dy, dz and w), slab by slab over the target
+        grid's node rows m, max(1, _SLAB_BYTES // bytes of one node row of
+        u) rows at a time, the last slab shorter where that does not divide
+        the rows.  A slab's arrays are dropped before the next is formed."""
+        M = self.grid.N
+        height = max(1, _SLAB_BYTES // (self.c.ncomp * M * self.grid.K * 8))
+        for start in range(0, M, height):
+            rows = slice(start, min(start + height, M))
+            values = self._slab(rows, names)
+            yield rows, values
+            values.clear()
 
-    @cached_property
-    def _div_lanes(self):
-        dx, dy = self._read("_dx_lanes", "_div_lanes"), self._read("_dy_lanes", "_div_lanes")
-        return dx[0] + dy[1]
+    # whole quantities, each formed as one slab on first use
+    u, dx, dy, dz, w = (
+        cached_property(lambda self, name=name: self._slab(slice(None), (name,))[name])
+        for name in ("u", "dx", "dy", "dz", "w")
+    )
 
-    @cached_property
-    def u(self):
-        return self._read("_lanes", "u").swapaxes(-1, -2) @ self.sine
+    def norm_columns(self, groups, p) -> list:
+        """:func:`column_norms` of each group of quantity names, e.g.
+        ("dx", "dy", "dz"): (N, N) arrays gathered slab by slab in one sweep,
+        whose slabs the groups share."""
+        N = self.grid.N
+        out = [np.empty((N, N)) for _ in groups]
+        for rows, values in self.slabs({name for group in groups for name in group}):
+            for cols, group in zip(out, groups):
+                cols[rows] = column_norms([values[name] for name in group], self.grid, p)
+        return out
 
-    @cached_property
-    def dz(self):
-        return self._read("_lanes", "dz").swapaxes(-1, -2) @ self.dsine
-
-    @cached_property
-    def dx(self):
-        return self._read("_dx_lanes", "dx").swapaxes(-1, -2) @ self.sine
-
-    @cached_property
-    def dy(self):
-        return self._read("_dy_lanes", "dy").swapaxes(-1, -2) @ self.sine
-
-    @cached_property
-    def w(self):
-        return -(self._read("_div_lanes", "w").swapaxes(-1, -2) @ self.antideriv)
+    def norms(self, names, q, p) -> list:
+        """Mixed norms L^q_H L^p_z of quantities, "grad" standing for
+        (dx, dy, dz), from one sweep over the slabs."""
+        groups = [("dx", "dy", "dz") if name == "grad" else (name,) for name in names]
+        weight = 1.0 / self.grid.N**2
+        return [float(weighted_lp(cols, q, weight)) for cols in self.norm_columns(groups, p)]
 
     def norm(self, name: str, q, p) -> float:
         """Mixed norm L^q_H L^p_z of one quantity, or of "grad" = (dx, dy, dz)."""
-        parts = [self.dx, self.dy, self.dz] if name == "grad" else [getattr(self, name)]
-        return float(weighted_lp(column_norms(parts, self.grid, p), q, 1.0 / self.grid.N**2))
+        return self.norms([name], q, p)[0]
 
 
 def _max_scaled_lp(a: np.ndarray, p, weight: float, axis=None):
@@ -412,18 +438,22 @@ def column_norms(parts, grid: Grid, p) -> np.ndarray:
     if p < 1:
         raise ValueError(f"exponents must be in [1, inf], got {p}")
     w = grid.h / grid.K
+    comps = [c for a in parts for c in a]
     with np.errstate(over="ignore"):
-        sq = sum(c**2 for a in parts for c in a)
+        sq = np.square(comps[0])
+        for c in comps[1:]:
+            sq += np.square(c)
         inner = sq.max(axis=2) if p == np.inf else np.sum(sq ** (p / 2), axis=2) * w
         cols = np.sqrt(inner) if p == np.inf else inner ** (1.0 / p)
+        if inner.min() >= _TINY and inner.max() < np.inf:
+            return cols
         redo = ~((inner >= _TINY) & (inner < np.inf))
-        if redo.any():
-            comps = [c[redo] for a in parts for c in a]
-            top = np.max([np.abs(c).max(axis=1) for c in comps], axis=0)
-            top[~((top > 0) & (top < np.inf))] = 1.0
-            mag = np.sqrt(sum((c / top[:, None]) ** 2 for c in comps))
-            scaled = mag.max(axis=1) if p == np.inf else _max_scaled_lp(mag, p, w, axis=1)
-            cols[redo] = top * scaled
+        comps = [c[redo] for c in comps]
+        top = np.max([np.abs(c).max(axis=1) for c in comps], axis=0)
+        top[~((top > 0) & (top < np.inf))] = 1.0
+        mag = np.sqrt(sum((c / top[:, None]) ** 2 for c in comps))
+        scaled = mag.max(axis=1) if p == np.inf else _max_scaled_lp(mag, p, w, axis=1)
+        cols[redo] = top * scaled
     if not np.all(np.isfinite(cols)):
         raise NonFiniteFieldError("a node value or a column norm is non-finite")
     return cols

@@ -29,7 +29,6 @@ from .fields import (
     NodeValues,
     PhysicalField,
     SpectralField,
-    column_norms,
     forward_transform,
     hermitian_part,
     inverse_transform,
@@ -157,9 +156,8 @@ def _boundary_flat_sample(grid: Grid, seed: int):
 
 
 def _sup_norms(v: SpectralField, p: float):
-    """(||v||, ||grad v||) in L^inf_H L^p_z, from one NodeValues."""
-    nodes = NodeValues(v)
-    return nodes.norm("u", np.inf, p), nodes.norm("grad", np.inf, p)
+    """(||v||, ||grad v||) in L^inf_H L^p_z, from one sweep over the slabs of one NodeValues."""
+    return tuple(NodeValues(v).norms(("u", "grad"), np.inf, p))
 
 
 def semigroup_decay_scan(t_grid, n_samples: int, p: float, grid: Grid, seed: int = 0) -> dict:
@@ -233,10 +231,10 @@ def resolvent_scan(lam_moduli, n_samples: int, p, grid: Grid, seed: int = 0) -> 
             for psi in psis:
                 lam = mod * np.exp(1j * psi)
                 nodes = NodeValues(op.resolvent_apply(lam, f))
+                norm, grad, dx = nodes.norms(("u", "grad", "dx"), np.inf, p)
                 root = np.sqrt(abs(lam))
-                lhs = abs(lam) * nodes.norm("u", np.inf, p) + root * nodes.norm("grad", np.inf, p)
-                ratios.append(lhs / fn)
-                dz_ratios.append(root * nodes.norm("dx", np.inf, p) / fn)
+                ratios.append((abs(lam) * norm + root * grad) / fn)
+                dz_ratios.append(root * dx / fn)
                 params.append((i, mod, psi))
     return {
         "resolvent": ScanReport("resolvent", params, ratios),
@@ -308,8 +306,7 @@ def interpolation_ratio(n_samples: int, p: float, r_grid, grid: Grid, seed: int 
     ratios, params = [], []
     for i in range(n_samples):
         nodes = NodeValues(random_field(grid, seed=seed + i, decay=2.5))
-        vcol = column_norms([nodes.u], grid, 2)
-        gcol = column_norms([nodes.dx, nodes.dy], grid, 2)
+        vcol, gcol = nodes.norm_columns([("u",), ("dx", "dy")], 2)
         center = rng.random(2)
         for r in r_grid:
             mask = _disk_mask(grid, center, r)

@@ -5,11 +5,13 @@ grid and truncated back to the working resolution (2/3 rule in all three
 directions); there is no aliased path.  fields.NodeValues with the padded
 grid's basis takes each working-grid field to the padded nodes: its passes
 pad along m and n by transform length, and the first K rows of the padded
-grid's tables pad in z.  Back, the first K columns of the padded grid's
-analysis table truncate in z first, into lanes [comp, i, k, j], so the real
-DFT along n runs on the last axis, a matmul against the working grid's
-``padded_columns.forward`` table that forms only the working columns; a
-DFT along m, numpy.fft's, runs on those alone.  The vertical velocity w
+grid's tables pad in z.  The product is formed and truncated slab by slab
+over the padded grid's node rows m (NodeValues.slabs): the first K columns
+of the padded grid's analysis table truncate each slab in z, into lanes
+[comp, i, k, j], so the real DFT along n runs on the last axis, a matmul
+against the working grid's ``padded_columns.forward`` table that forms
+only the working columns, into one array of every row's columns.  One DFT
+along m, numpy.fft's, then runs on those alone.  The vertical velocity w
 lives in the cosine/constant span and is carried as node values only.  The
 solver forms every transport term, the Picard forcing F(v_ref + V) - F(v_ref)
 included, from one :func:`advection` product per field.  pad_coeffs embeds
@@ -22,10 +24,8 @@ import numpy as np
 from .basis import Grid
 from .fields import (
     NodeValues,
-    PhysicalField,
+    NonFiniteFieldError,
     SpectralField,
-    _columns,
-    _forward_columns,
     _pad_half_spectrum,
     zero_nyquist,
 )
@@ -49,57 +49,57 @@ def pad_coeffs(c: SpectralField, target: Grid) -> SpectralField:
     return out
 
 
-def _advective_product(a: NodeValues, b: NodeValues) -> np.ndarray:
-    """Node values of (u_a . grad_H) v_b + w_a dz v_b, summed in place term by
-    term; dx and dy are multiplied in their own buffers, and each quantity is
-    dropped from a and b once it is used."""
-    out = b.dz * a.w
-    del b.dz, a.w
-    term = b.dx
-    del b.dx
-    term *= a.u[0]
+def _advective_product(a: dict, b: dict) -> np.ndarray:
+    """Node values of (u_a . grad_H) v_b + w_a dz v_b on one slab, from the
+    slabs a and b of NodeValues, summed in place term by term; dx and dy are
+    multiplied in their own buffers."""
+    out = b["dz"] * a["w"]
+    term = b["dx"]
+    term *= a["u"][0]
     out += term
-    term = b.dy
-    del b.dy
-    term *= a.u[1]
+    term = b["dy"]
+    term *= a["u"][1]
     out += term
-    del term, a.u
     return out
 
 
-def _node_sets(v1: SpectralField, v2: SpectralField | None):
-    """Product grid gp and the node values there of v1 and v2, shared when v2
-    is v1 or None.  NodeValues pads each field along m and n in its
-    transforms, and gp's tables take its K modes to gp's nodes in z."""
-    gp = v1.grid.padded
+def _slab_pairs(v1: SpectralField, v2: SpectralField | None, gp: Grid):
+    """(rows, a, b) slab by slab over gp's node rows: the slab of v1's node
+    values that the product reads (u, w) and that of v2's (dx, dy, dz), one
+    shared slab when v2 is v1 or None.  The row passes die with the
+    generator, before the caller's DFT along m."""
 
     def nodes(v):
         if v.ncomp != 2:
             raise ValueError(f"products need 2-component velocity fields, got ncomp={v.ncomp}")
         return NodeValues(v, gp.basis)
 
-    n1 = nodes(v1)
-    return gp, n1, n1 if v2 is None or v2 is v1 else nodes(v2)
-
-
-def _truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
-    """Coefficients of product node values on gp, truncated to grid.
-
-    The first K columns of gp's analysis table give the K modes kept, as
-    lanes [comp, i, k, j]; the real DFT along n, a matmul on the last axis
-    against grid's forward column table for gp's nodes, forms only the N/2+1
-    columns of grid, so the DFT along m runs on those alone.  The
-    truncated rows are swapped back to [comp, m, n, k] once.  Raises
-    ValueError on non-finite products.
-    """
-    nodes = PhysicalField(prod, gp).values.swapaxes(-1, -2)
-    lanes = gp.basis.analysis[:, : grid.K].T @ nodes
-    cols = _forward_columns(lanes, _columns(grid, gp.N).forward)
-    rows = _truncate_rows(np.fft.fft(cols, axis=1, norm="forward"), gp.N, grid.N)
-    return zero_nyquist(SpectralField(rows.swapaxes(-1, -2).copy(), grid))
+    a = nodes(v1)
+    if v2 is None or v2 is v1:
+        for rows, s in a.slabs(("u", "w", "dx", "dy", "dz")):
+            yield rows, s, s
+    else:
+        b = nodes(v2)
+        for (rows, sa), (_, sb) in zip(a.slabs(("u", "w")), b.slabs(("dx", "dy", "dz"))):
+            yield rows, sa, sb
 
 
 def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:
-    """Dealiased (u1 . grad) v2 in convective form; v2 defaults to v1."""
-    gp, n1, n2 = _node_sets(v1, v2)
-    return _truncated(_advective_product(n1, n2), gp, v1.grid)
+    """Dealiased (u1 . grad) v2 in convective form; v2 defaults to v1.
+
+    Each slab of the product is truncated in z and along n as it is formed,
+    into the (2, Np, K, N/2+1) columns of every padded row; one DFT along m
+    follows.  Raises NonFiniteFieldError on a slab that is not all finite.
+    """
+    grid = v1.grid
+    gp = grid.padded
+    analysis = gp.basis.analysis[:, : grid.K].T
+    forward = grid.padded_columns.forward
+    cols = np.empty((2, gp.N, grid.K, grid.N // 2 + 1), dtype=complex)
+    for rows, a, b in _slab_pairs(v1, v2, gp):
+        prod = _advective_product(a, b)
+        if not np.all(np.isfinite(prod)):
+            raise NonFiniteFieldError("field contains non-finite entries")
+        np.matmul(analysis @ prod.swapaxes(-1, -2), forward, out=cols[:, rows].view(float))
+    rows = _truncate_rows(np.fft.fft(cols, axis=1, norm="forward"), gp.N, grid.N)
+    return zero_nyquist(SpectralField(rows.swapaxes(-1, -2).copy(), grid))

@@ -131,9 +131,13 @@ def grad_mixed_norm(v: SpectralField, p: float) -> float:
 
 
 def _node_norms(v, t, p):
-    """(||v||, t^{1/2} ||grad v||) of one node from one NodeValues; the second is 0 at t = 0."""
+    """(||v||, t^{1/2} ||grad v||) of one node, from one sweep over the slabs
+    of one NodeValues; the second is 0 at t = 0."""
     nodes = NodeValues(v)
-    return nodes.norm("u", np.inf, p), np.sqrt(t) * nodes.norm("grad", np.inf, p) if t > 0 else 0.0
+    if not t > 0:
+        return nodes.norm("u", np.inf, p), 0.0
+    norm, grad = nodes.norms(("u", "grad"), np.inf, p)
+    return norm, np.sqrt(t) * grad
 
 
 def _s_norm(v_list, times, p):

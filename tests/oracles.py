@@ -3,9 +3,10 @@
 Each is a second path to something the package computes another way, or a
 trend the paper states but the commands do not check: the spectral calculus
 the product oracles are written in, the sine basis at arbitrary points, the
-surface-pressure recovery, coefficient truncation, the vertical velocity and
-the divergence form of the products, the Stokes operator A itself and its
-parallel block M_z, and the lab's small-time and L^inf trends.
+surface-pressure recovery, coefficient truncation, the vertical velocity,
+the products on whole node arrays with no slabs and their divergence form,
+the Stokes operator A itself and its parallel block M_z, and the lab's
+small-time and L^inf trends.
 """
 
 import numpy as np
@@ -13,15 +14,19 @@ import scipy.fft as sfft
 
 from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import (
+    NodeValues,
     PhysicalField,
     SpectralField,
+    _columns,
+    _forward_columns,
     _inverse_lanes,
+    column_norms,
     vertical_mean,
     weighted_lp,
     zero_nyquist,
 )
 from hydrostokes.lab import ScanReport, _disk_mask, _draw_2d, _phys2d, _sup_2d
-from hydrostokes.nonlinear import _node_sets, _truncate_rows, _truncated
+from hydrostokes.nonlinear import _truncate_rows
 from hydrostokes.projection import helmholtz_2d
 from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
@@ -93,6 +98,42 @@ def recover_pressure(v: SpectralField, f: SpectralField) -> np.ndarray:
 # -- products --------------------------------------------------------------
 
 
+def node_sets(v1: SpectralField, v2: SpectralField | None):
+    """Product grid gp and the whole node values there of v1 and v2, shared
+    when v2 is v1 or None."""
+    gp = v1.grid.padded
+    n1 = NodeValues(v1, gp.basis)
+    return gp, n1, n1 if v2 is None or v2 is v1 else NodeValues(v2, gp.basis)
+
+
+def advective_product(a: NodeValues, b: NodeValues) -> np.ndarray:
+    """Whole node values of (u_a . grad_H) v_b + w_a dz v_b, the terms summed
+    in the order ``nonlinear.advection`` sums each slab."""
+    out = b.dz * a.w
+    out += b.dx * a.u[0]
+    out += b.dy * a.u[1]
+    return out
+
+
+def truncated(prod: np.ndarray, gp: Grid, grid: Grid) -> SpectralField:
+    """Coefficients of whole product node values on gp, truncated to grid by
+    the passes ``nonlinear.advection`` runs slab by slab: gp's analysis table
+    cut to K columns, grid's forward column table for gp's nodes, then the
+    DFT along m.  Raises ValueError on non-finite products."""
+    nodes = PhysicalField(prod, gp).values.swapaxes(-1, -2)
+    lanes = gp.basis.analysis[:, : grid.K].T @ nodes
+    cols = _forward_columns(lanes, _columns(grid, gp.N).forward)
+    rows = _truncate_rows(np.fft.fft(cols, axis=1, norm="forward"), gp.N, grid.N)
+    return zero_nyquist(SpectralField(rows.swapaxes(-1, -2).copy(), grid))
+
+
+def whole_advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralField:
+    """``nonlinear.advection`` on whole node arrays, with no slabs: its
+    bitwise reference."""
+    gp, n1, n2 = node_sets(v1, v2)
+    return truncated(advective_product(n1, n2), gp, v1.grid)
+
+
 def truncate_coeffs(c: SpectralField, target: Grid) -> SpectralField:
     """Restrict coefficients to a coarser grid (drop high modes)."""
     out = _truncate_rows(c.coeffs[:, :, : target.N // 2 + 1, : target.K], c.grid.N, target.N)
@@ -119,6 +160,15 @@ def vertical_velocity_top(v: SpectralField) -> np.ndarray:
     return sfft.irfft2(top, s=(v.grid.N, v.grid.N), norm="forward")
 
 
+def whole_norm(v: SpectralField, name: str, q, p) -> float:
+    """``NodeValues.norm`` on whole node arrays, with no slabs: column_norms
+    of the whole quantity on v's own grid ("grad" = dx, dy, dz), then
+    weighted_lp."""
+    nodes = NodeValues(v)
+    parts = [nodes.dx, nodes.dy, nodes.dz] if name == "grad" else [getattr(nodes, name)]
+    return float(weighted_lp(column_norms(parts, v.grid, p), q, 1.0 / v.grid.N**2))
+
+
 def divergence_form(v: SpectralField) -> SpectralField:
     """Dealiased (u . grad) v assembled conservatively, the reference form
     that tests compare ``nonlinear.advection`` with.
@@ -128,10 +178,10 @@ def divergence_form(v: SpectralField) -> SpectralField:
     z-derivative of w is exactly -div_H v by construction (the product
     w v itself has no exact representation in the mixed basis).
     """
-    gp, n, _ = _node_sets(v, None)
-    out = _truncated(-(n.dx[0] + n.dy[1]) * n.u + n.w * n.dz, gp, v.grid)
+    gp, n, _ = node_sets(v, None)
+    out = truncated(-(n.dx[0] + n.dy[1]) * n.u + n.w * n.dz, gp, v.grid)
     for i, axis in enumerate(("x", "y")):
-        flux = _truncated(n.u[i] * n.u, gp, v.grid)
+        flux = truncated(n.u[i] * n.u, gp, v.grid)
         out.coeffs += horizontal_derivative(flux, axis).coeffs
     return out
 

@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hydrostokes.fields
 from conftest import continuum_energy_pairing
 from hydrostokes.basis import Grid, VerticalBasis
 from hydrostokes.fields import (
     NodeValues,
+    NonFiniteFieldError,
     PhysicalField,
     SpectralField,
     forward_transform,
@@ -16,14 +18,20 @@ from hydrostokes.fields import (
     inverse_transform,
     vertical_derivative,
 )
-from hydrostokes.nonlinear import _advective_product, _node_sets, _truncated, advection, pad_coeffs
+from hydrostokes.nonlinear import advection, pad_coeffs
 from hydrostokes.sampling import random_field, single_mode_field
+from hydrostokes.solver import _node_norms
 from oracles import (
+    advective_product,
     divergence_form,
     horizontal_derivative,
+    node_sets,
+    truncated,
     truncate_coeffs,
     vertical_velocity,
     vertical_velocity_top,
+    whole_advection,
+    whole_norm,
 )
 
 
@@ -103,7 +111,7 @@ def test_node_sets_match_padded_transforms(grid, padded):
     # nodes through table rows; the reference pads in z too and transforms on
     # the product grid.  Unpadded: NodeValues on the field's own grid.
     v = random_field(grid, ncomp=2, seed=6, solenoidal=True)
-    gp, nodes = _node_sets(v, None)[:2] if padded else (grid, NodeValues(v))
+    gp, nodes = node_sets(v, None)[:2] if padded else (grid, NodeValues(v))
     big = pad_coeffs(v, gp)
     ref = {
         "u": inverse_transform(big).values,
@@ -117,7 +125,7 @@ def test_node_sets_match_padded_transforms(grid, padded):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
     prod = nodes.u[0] * nodes.dx + nodes.w * nodes.dz
     want = truncate_coeffs(forward_transform(PhysicalField(prod, gp)), grid).coeffs
-    got = _truncated(prod, gp, grid).coeffs
+    got = truncated(prod, gp, grid).coeffs
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -158,11 +166,11 @@ def test_truncated_equals_truncated_full_transform(grid, gp):
     rng = np.random.default_rng(grid.N + grid.K)
     prod = rng.standard_normal((2, gp.N, gp.N, gp.K))
     want = truncate_coeffs(forward_transform(PhysicalField(prod, gp)), grid).coeffs
-    got = _truncated(prod, gp, grid).coeffs
+    got = truncated(prod, gp, grid).coeffs
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     prod[1, 2, 3, 0] = np.nan
     with pytest.raises(ValueError):
-        _truncated(prod, gp, grid)
+        truncated(prod, gp, grid)
 
 
 # -- vertical velocity ----------------------------------------------------
@@ -249,7 +257,8 @@ def test_advection_of_one_field_equals_two_field_form(grid16):
 
 
 def test_advection_transient_memory():
-    # each node quantity is dropped once the product has used it
+    # the product is formed and truncated slab by slab over the padded rows:
+    # what it holds whole is the two row passes and the truncated columns
     grid = Grid(32, 32, 1.0)
     v = random_field(grid, ncomp=2, seed=14, solenoidal=True)
     advection(v)  # the padded grid's tables, outside the measurement
@@ -259,7 +268,56 @@ def test_advection_transient_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10e6
+    assert peak <= 4 * 2**20
+
+
+# -- slabs ----------------------------------------------------------------
+
+
+def _slab_height(monkeypatch, height, grid):
+    """Budget the slabs of 2-component node values on grid's nodes to
+    ``height`` node rows each (None: one slab of every row)."""
+    row = 2 * grid.N * grid.K * 8
+    monkeypatch.setattr(hydrostokes.fields, "_SLAB_BYTES", row * (height or grid.N))
+
+
+@pytest.mark.parametrize("height", [1, 2, 3, 5, None])
+@pytest.mark.parametrize(
+    "grid", [Grid(8, 8, 1.0), Grid(12, 5, 0.7), Grid(16, 12, 0.3), Grid(32, 32, 1.0)]
+)
+def test_slabbed_products_and_norms_equal_whole_arrays(monkeypatch, grid, height):
+    # every pass after the row passes runs slab by slab, the last slab
+    # shorter where the height does not divide the rows: the products and
+    # the norms are those of whole node arrays, bit for bit
+    v = random_field(grid, ncomp=2, seed=grid.N + grid.K, solenoidal=True)
+    u = random_field(grid, ncomp=2, seed=grid.N + grid.K + 1)
+    gp = grid.padded
+    _slab_height(monkeypatch, height, gp)
+    slabs = [rows for rows, _ in NodeValues(v, gp.basis).slabs(("u",))]
+    assert len(slabs) == -(-gp.N // (height or gp.N))
+    assert np.array_equal(advection(v).coeffs, whole_advection(v).coeffs)
+    assert np.array_equal(advection(u, v).coeffs, whole_advection(u, v).coeffs)
+    _slab_height(monkeypatch, height, grid)
+    for name in ("u", "grad", "dx"):
+        for q in (np.inf, 2):
+            assert NodeValues(u).norm(name, q, 4.0) == whole_norm(u, name, q, 4.0), (name, q)
+    want = (whole_norm(u, "u", np.inf, 4.0), np.sqrt(0.01) * whole_norm(u, "grad", np.inf, 4.0))
+    assert _node_norms(u, 0.01, 4.0) == want
+
+
+def test_product_finiteness_is_checked_on_every_slab(monkeypatch):
+    # u = A cos(2 pi x) phi_0: on node row 0 dx u and w vanish, so the
+    # product is 0 there, and it overflows on later rows; at one row per
+    # slab, a check of the first slab alone would pass it
+    grid = Grid(8, 4, 1.0)
+    v = single_mode_field(grid, m=1, amplitude=1.3e154)
+    gp, a, b = node_sets(v, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = advective_product(a, b)
+    assert np.isfinite(prod[:, 0]).all() and not np.isfinite(prod).all()
+    _slab_height(monkeypatch, 1, gp)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteFieldError):
+        advection(v)
 
 
 def test_advection_bilinear_consistency(grid8):
@@ -279,7 +337,7 @@ def test_dealiasing_reduces_error(grid16):
     with_da = advection(v)
     # the aliased product: formed at the working nodes, no padding
     n = NodeValues(v)
-    without = _truncated(_advective_product(n, n), grid16, grid16)
+    without = truncated(advective_product(n, n), grid16, grid16)
     den = np.abs(ref.coeffs).max()
     err_da = np.abs(with_da.coeffs - ref.coeffs).max() / den
     err_no = np.abs(without.coeffs - ref.coeffs).max() / den

@@ -592,6 +592,20 @@ def test_node_norms_equal_mixed_norms(op16):
     assert [_node_norms(v, t, 4.0) for v, t in zip(vs, times)] == want
 
 
+def test_node_norms_transient_memory():
+    # the column norms are gathered slab by slab: what one node's norms
+    # hold whole is the two row passes and the (N, N) column norms
+    v = random_field(Grid(32, 32, 1.0), ncomp=2, seed=14, solenoidal=True)
+    _node_norms(v, 0.1, 4.0)  # the grid's tables, outside the measurement
+    tracemalloc.start()
+    try:
+        _node_norms(v, 0.1, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2**20
+
+
 def test_node_norms_transform_passes_per_node(monkeypatch):
     # t > 0: the row passes of v and dx v, and the column passes of v (for v
     # and dz v), dx v and dy v; t = 0: one row and one column pass for v

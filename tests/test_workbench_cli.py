@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import hydrostokes
 from hydrostokes.basis import Grid
 import hydrostokes.cli
+import hydrostokes.fields
 from hydrostokes.cli import main
 from hydrostokes.fields import NodeValues, PhysicalField, SpectralField, forward_transform
 from hydrostokes.lab import SEMIGROUP_COMBOS, ScanReport
@@ -697,6 +698,22 @@ def test_cli_picard_cap_reached_exit_3(tmp_path, monkeypatch, capsys):
     )
     assert run_cli(["simulate", "--config", cfg]) == 3
     assert "cap of 2 iterations" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def test_cli_product_overflow_on_a_later_slab_exit_3(tmp_path, monkeypatch, capsys):
+    # single-mode data whose first product is 0 on padded node row 0 and
+    # overflows on later rows: at one row per slab, a later slab's check
+    # stops the solve
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hydrostokes.fields, "_SLAB_BYTES", 1)
+    cfg = write(
+        tmp_path,
+        "grid.n = 8\ngrid.k = 4\ntime.dt = 0.0025\ntime.horizon = 0.005\n"
+        "split.delta = 0\ndata.kind = single-mode\ndata.amplitude = 2e154\noutput.dir = out\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "error: solver: field contains non-finite entries\n"
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
