@@ -28,8 +28,8 @@ along m) and a column pass (the table's inverse real DFT along n, which
 zero-pads the N/2+1 stored columns onto the target grid).  NodeValues is
 the one path to several node quantities of a field (u, its first
 derivatives and w), sharing the passes between them: the products, the
-S(T)-norms and the lab scans read it; inverse_transform and
-vertical_derivative give one quantity through the same passes.  NodeValues
+S(T)-norms and the lab scans read it, and inverse_transform and
+vertical_derivative are two of its quantities.  NodeValues
 holds its row passes whole and runs every pass after them slab by slab
 over the node rows m (_SLAB_BYTES of a quantity at a time), so a norm
 gathers its column norms, and a product its truncated columns, one slab
@@ -242,26 +242,18 @@ def _forward_columns(lanes: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (lanes @ table).view(complex)
 
 
-def _inverse_lanes(c: SpectralField) -> np.ndarray:
-    """Node values along x and y of c's K modes on its own grid, [comp, i, j, k]:
-    a transposed view of the column pass's lanes, which BLAS reads as they lie."""
-    N = c.grid.N
-    rows = _row_pass(_pad_half_spectrum(c.coeffs, N, N))
-    return _column_pass(rows, c.grid.columns.inverse).swapaxes(-1, -2)
-
-
 def inverse_transform(c: SpectralField) -> PhysicalField:
-    """Exact inverse of :func:`forward_transform`."""
-    return PhysicalField(_inverse_lanes(c) @ c.grid.basis.sine, c.grid)
+    """Exact inverse of :func:`forward_transform`: ``NodeValues(c).u``."""
+    return PhysicalField(NodeValues(c).u, c.grid)
 
 
 def vertical_derivative(c: SpectralField) -> PhysicalField:
-    """d/dz evaluated at the nodes via the cosine series.
+    """d/dz evaluated at the nodes via the cosine series: ``NodeValues(c).dz``.
 
     The derivative of a sine series lives in the cosine span, so the result
     is returned as node values, not re-projected.
     """
-    return PhysicalField(_inverse_lanes(c) @ c.grid.basis.dsine, c.grid)
+    return PhysicalField(NodeValues(c).dz, c.grid)
 
 
 def vertical_mean(c: SpectralField) -> np.ndarray:

@@ -89,7 +89,9 @@ def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralFie
 
     Each slab of the product is truncated in z and along n as it is formed,
     into the (2, Np, K, N/2+1) columns of every padded row; one DFT along m
-    follows.  Raises NonFiniteFieldError on a slab that is not all finite.
+    follows.  Raises NonFiniteFieldError on a slab that is not all finite,
+    and on output coefficients that are not: the sums of the truncation and
+    of the DFT along m can overflow on a finite product.
     """
     grid = v1.grid
     gp = grid.padded
@@ -102,4 +104,7 @@ def advection(v1: SpectralField, v2: SpectralField | None = None) -> SpectralFie
             raise NonFiniteFieldError("field contains non-finite entries")
         np.matmul(analysis @ prod.swapaxes(-1, -2), forward, out=cols[:, rows].view(float))
     rows = _truncate_rows(np.fft.fft(cols, axis=1, norm="forward"), gp.N, grid.N)
-    return zero_nyquist(SpectralField(rows.swapaxes(-1, -2).copy(), grid))
+    out = zero_nyquist(SpectralField(rows.swapaxes(-1, -2).copy(), grid))
+    if not np.all(np.isfinite(out.coeffs)):
+        raise NonFiniteFieldError("field contains non-finite entries")
+    return out

@@ -2,10 +2,11 @@
 
 Rough initial data a is split as a = a_ref + a_0 with a_ref = e^{delta A} a
 smooth and a_0 small.  The reference part is advanced by an exponential-Euler
-integrator; the remainder V = v - v_ref is constructed by Picard iteration on
-the Duhamel integral with forcing F(v_ref + V) - F(v_ref), starting from e^{tA} a_0
-and applying only e^{dt A}.  Each F(v) is formed once per solve.  The
-iteration is monitored through the S(T)-norm
+integrator whose nodes travel as pairs (v_n, F(v_n)); the remainder
+V = v - v_ref is constructed by Picard iteration on the Duhamel integral
+with forcing F(v_ref + V) - F(v_ref), starting from e^{tA} a_0, applying
+only e^{dt A} and streaming each iteration's totals F(v_ref + V) into the
+recurrence.  The iteration is monitored through the S(T)-norm
 max(sup ||D||, sup t^{1/2} ||grad D||) of each difference D = V_{m+1} - V_m,
 with mixed L^inf_H L^p_z norms; :class:`IterationReport` keeps those norms
 and nothing else.  Every nonlinear term is dealiased (2/3 rule) and every
@@ -14,15 +15,17 @@ one source of parameters: the grid, the uniform time grid (dt, T), the
 split and Picard settings and the snapshot interval.  Each function takes
 the Stokes operator from the grid of the field it is given (``Grid.stokes``).
 
-:func:`full_solve` forms each node's diagnostics as soon as the node exists
-and keeps a snapshot only where one is due.  With no rough part it steps the
-reference solve one node at a time and drops each F(v_n) once the residual's
-recurrence has read it, so its memory does not grow with the horizon; the
-Picard branch holds v_ref, V and F over every node.
+:func:`full_solve` is the reference solve plus V, and its residual is
+v_ref's own defect on both branches: the Duhamel sums are linear, so the
+defect of v_ref + V_{m+1} against F(v_ref + V_m) is v_ref's against
+F(v_ref).  With no rough part it steps v = v_ref one node at a time, so its
+memory does not grow with the horizon; the Picard branch holds v_ref,
+F(v_ref) and V over every node.
 """
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -163,13 +166,6 @@ def _forcing(f: SpectralField) -> SpectralField:
     return project_hydrostatic(SpectralField(-f.coeffs, f.grid))
 
 
-def _forcings(snaps, F=None):
-    """F(v) = -P (u . grad) v at every node: ``F``, one entry per node, or formed when None."""
-    if F is not None and len(F) != len(snaps):
-        raise ValueError(f"forcing list has {len(F)} entries for {len(snaps)} time nodes")
-    return [_forcing(advection(s)) for s in snaps] if F is None else F
-
-
 def _duhamel(a: SpectralField, F, times):
     """Trapezoidal Duhamel sums S_n = e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds.
 
@@ -202,7 +198,9 @@ def _time_nodes(config: SolverConfig) -> np.ndarray:
 
 
 def _reference_nodes(a_ref: SpectralField, config: SolverConfig):
-    """(v_n, F(v_n)) of the exponential-Euler solve from a_ref, node by node.
+    """Exponential-Euler integration v_{n+1} = P(e^{dtA} v_n + dt phi1(dtA) F(v_n))
+    from a_ref, with F(v) = -P (u . grad) v: the pairs (v_n, F(v_n)) on
+    :func:`_time_nodes`, node by node.
 
     Raises SolverDivergenceError, when it reaches the node, once ||v_n|| is
     non-finite or above 1e6 ||a_ref||.
@@ -226,49 +224,40 @@ def _reference_nodes(a_ref: SpectralField, config: SolverConfig):
         yield v, F
 
 
-def reference_solve(a_ref: SpectralField, config: SolverConfig) -> Trajectory:
-    """Exponential-Euler integration v_{n+1} = P(e^{dtA} v_n + dt phi1(dtA) F(v_n)).
-
-    F(v) = -P (u . grad) v; the nodes are the multiples of ``config.dt`` up to
-    ``config.T``.  ``diagnostics["F"]`` keeps F(v_n) at every node, the last one
-    included, which :func:`picard_iterate` and :func:`mild_residual` reuse.
-    """
-    snaps, F = [], []
-    for v, f in _reference_nodes(a_ref, config):
-        snaps.append(v)
-        F.append(f)
-    return Trajectory(_time_nodes(config), snaps, {"F": F})
+def reference_solve(a_ref: SpectralField, config: SolverConfig) -> list:
+    """Every pair (v_n, F(v_n)) of :func:`_reference_nodes`, the last one included."""
+    return list(_reference_nodes(a_ref, config))
 
 
-def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, F_ref=None):
+def picard_iterate(a0: SpectralField, ref: list, config: SolverConfig):
     """Duhamel fixed-point iteration for the rough remainder V.
 
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
-    F_m = F(v_ref + V_m) - F(v_ref) and F(v) = -P (u . grad) v,
-    the integral by trapezoidal quadrature on the time grid ``v_ref.times``,
-    which must be uniform.  The first iterate e^{t_n A} a_0 is the same
+    F_m = F(v_ref + V_m) - F(v_ref), the integral by trapezoidal quadrature
+    on :func:`_time_nodes`, where ``ref`` holds the pairs (v_ref, F(v_ref))
+    of :func:`reference_solve`.  The first iterate e^{t_n A} a_0 is the same
     recurrence with zero forcing, so the whole iteration applies only
-    e^{dt A}.  ``F_ref`` is F(v_ref) at every node, formed after the first
-    iterate when None.  Each iteration forms the totals F(v_ref + V_m), one
+    e^{dt A}.  Each iteration streams its totals F(v_ref + V_m), one
     :func:`advection` per node past t = 0 (V_m(0) = a_0 in every iteration,
-    so the total there is formed once), kept in ``diagnostics["F"]``,
-    streams their differences from F_ref into :func:`_duhamel` and takes one
+    so the total there is formed once), into :func:`_duhamel` and takes one
     S(T)-norm, of V_{m+1} - V_m over the nodes t > 0 (it is 0 at t = 0).
-    Stopping at ``config.max_picard`` returns the report with ``converged``
-    False; :func:`full_solve` treats that as a failure.
+    Returns (V, report), V the list of V(t_n).  Stopping at
+    ``config.max_picard`` returns the report with ``converged`` False;
+    :func:`full_solve` treats that as a failure.
     """
-    times, refs, grid = v_ref.times, v_ref.snapshots, a0.grid
-    V = list(_duhamel(a0, [SpectralField.zeros(grid)] * len(times), times))
-    F_ref = _forcings(refs, F_ref)
+    times, grid = _time_nodes(config), a0.grid
+    V = list(_duhamel(a0, repeat(SpectralField.zeros(grid)), times))
     report = IterationReport()
     # every iterate starts at V_m(0) = a_0, bit for bit, so F(v_ref(0) + V_m(0))
     # is one field and each difference V_{m+1} - V_m is exactly 0 at t = 0
-    F0 = _forcing(advection(SpectralField(refs[0].coeffs + a0.coeffs, grid)))
+    F0 = _forcing(advection(SpectralField(ref[0][0].coeffs + a0.coeffs, grid)))
 
     for _ in range(config.max_picard):
-        totals = (SpectralField(r.coeffs + v.coeffs, grid) for r, v in zip(refs[1:], V[1:]))
-        F = [F0] + _forcings(totals)
-        diffs = (SpectralField(t.coeffs - f.coeffs, grid) for t, f in zip(F, F_ref))
+        totals = chain([F0], (
+            _forcing(advection(SpectralField(r.coeffs + v.coeffs, grid)))
+            for (r, _), v in zip(ref[1:], V[1:])
+        ))
+        diffs = (SpectralField(t.coeffs - f.coeffs, grid) for t, (_, f) in zip(totals, ref))
         Vnew = list(_duhamel(a0, diffs, times))
         diff = (SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew[1:], V[1:]))
         dS = _s_norm(diff, times[1:], config.p)
@@ -284,7 +273,7 @@ def picard_iterate(a0: SpectralField, v_ref: Trajectory, config: SolverConfig, F
                 "Picard iteration diverging: S-norm of differences doubled twice",
                 report=report,
             )
-    return Trajectory(times, V, {"F": F}), report
+    return V, report
 
 
 def _shrink_delta(a, config):
@@ -330,8 +319,8 @@ def full_solve(a: SpectralField, config: SolverConfig):
             report = IterationReport(converged=True)
             nodes = _defects(_reference_nodes(a_ref, config), times)
         else:
-            vref = reference_solve(a_ref, config)
-            V, report = picard_iterate(a0, vref, config, vref.diagnostics.pop("F"))
+            ref = reference_solve(a_ref, config)
+            V, report = picard_iterate(a0, ref, config)
             if not report.converged:
                 raise SolverDivergenceError(
                     f"Picard iteration stopped at its cap of {config.max_picard} iterations: "
@@ -339,13 +328,9 @@ def full_solve(a: SpectralField, config: SolverConfig):
                     f"{config.picard_tol:.3e}",
                     report=report,
                 )
-            snaps = [
-                SpectralField(r.coeffs + s.coeffs, a.grid)
-                for r, s in zip(vref.snapshots, V.snapshots)
-            ]
-            # held at every node anyway: the defect against F(v_ref + V_m), the
-            # last iteration's totals, in one mild_residual
-            nodes = zip(snaps, mild_residual(Trajectory(times, snaps), V.diagnostics["F"]))
+            # v = v_ref + V, whose defect against the last totals is v_ref's own
+            v = (SpectralField(r.coeffs + s.coeffs, a.grid) for (r, _), s in zip(ref, V))
+            nodes = zip(v, mild_residual(ref, times))
         traj = _diagnosed(nodes, times, config)
     except SolverDivergenceError as exc:
         raise SolverDivergenceError(
@@ -394,17 +379,9 @@ def _defects(nodes, times):
         yield v, SpectralField(v.coeffs - next(sums).coeffs, v.grid).norm2()
 
 
-def mild_residual(traj: Trajectory, F=None) -> np.ndarray:
-    """Defect in the Duhamel identity per time node, in L^2.
-
-    Uses the same trapezoidal quadrature, and the same O(n) recurrence, as
-    the Picard iteration, with F(v) = -P (u . grad) v at every node, formed
-    when None.  The time nodes must be uniform and every snapshot held;
-    residual[0] is 0.  On the rough branch :func:`full_solve` passes
-    F(v_ref + V_m) for v_ref + V_{m+1}: by linearity that residual is v_ref's
-    own defect (to 4e-16 relative), the exponential-Euler step against the
-    trapezoid sums, blind to the Picard lag (bounded through ``diff_S[-1]``);
-    it still catches a wrong v_ref + V sum.
+def mild_residual(nodes, times) -> np.ndarray:
+    """Defect in the Duhamel identity per time node, in L^2, of the pairs
+    (v_n, F(v_n)) of ``nodes`` on the uniform grid ``times`` (:func:`_defects`,
+    the Picard iteration's quadrature and recurrence); residual[0] is 0.
     """
-    snaps = traj.snapshots
-    return np.array([r for _, r in _defects(zip(snaps, _forcings(snaps, F)), traj.times)])
+    return np.array([r for _, r in _defects(nodes, times)])

@@ -5,8 +5,9 @@ trend the paper states but the commands do not check: the spectral calculus
 the product oracles are written in, the sine basis at arbitrary points, the
 surface-pressure recovery, coefficient truncation, the vertical velocity,
 the products on whole node arrays with no slabs and their divergence form,
-the Stokes operator A itself and its parallel block M_z, and the lab's
-small-time and L^inf trends.
+the Stokes operator A itself and its parallel block M_z, the forcing
+F(v) formed afresh from a trajectory's snapshots, and the lab's small-time
+and L^inf trends.
 """
 
 import numpy as np
@@ -17,20 +18,22 @@ from hydrostokes.fields import (
     NodeValues,
     PhysicalField,
     SpectralField,
+    _column_pass,
     _columns,
     _forward_columns,
-    _inverse_lanes,
+    _pad_half_spectrum,
+    _row_pass,
     column_norms,
     vertical_mean,
     weighted_lp,
     zero_nyquist,
 )
 from hydrostokes.lab import ScanReport, _disk_mask, _draw_2d, _phys2d, _sup_2d
-from hydrostokes.nonlinear import _truncate_rows
+from hydrostokes.nonlinear import _truncate_rows, advection
 from hydrostokes.projection import helmholtz_2d
 from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
-from hydrostokes.solver import grad_mixed_norm
+from hydrostokes.solver import _forcing, grad_mixed_norm
 
 # -- spectral calculus -----------------------------------------------------
 
@@ -52,7 +55,10 @@ def vertical_integral_from_bottom(c: SpectralField) -> PhysicalField:
     """
     if c.ncomp != 1:
         raise ValueError(f"expected a scalar field, got ncomp={c.ncomp}")
-    return PhysicalField(_inverse_lanes(c) @ c.grid.basis.antideriv, c.grid)
+    g = c.grid
+    rows = _row_pass(_pad_half_spectrum(c.coeffs, g.N, g.N))
+    lanes = _column_pass(rows, g.columns.inverse).swapaxes(-1, -2)
+    return PhysicalField(lanes @ g.basis.antideriv, g)
 
 
 def divergence_h(v: SpectralField) -> SpectralField:
@@ -184,6 +190,15 @@ def divergence_form(v: SpectralField) -> SpectralField:
         flux = truncated(n.u[i] * n.u, gp, v.grid)
         out.coeffs += horizontal_derivative(flux, axis).coeffs
     return out
+
+
+# -- the mild residual -----------------------------------------------------
+
+
+def with_forcing(snapshots) -> list:
+    """The pairs (v, F(v)) that solver.mild_residual reads, each F(v) =
+    -P (u . grad) v formed afresh from its snapshot."""
+    return [(v, _forcing(advection(v))) for v in snapshots]
 
 
 # -- the Stokes operator ---------------------------------------------------

@@ -19,6 +19,7 @@ from hydrostokes.fields import (
     vertical_derivative,
 )
 from hydrostokes.nonlinear import advection, pad_coeffs
+from hydrostokes.projection import project_hydrostatic
 from hydrostokes.sampling import random_field, single_mode_field
 from hydrostokes.solver import _node_norms
 from oracles import (
@@ -318,6 +319,17 @@ def test_product_finiteness_is_checked_on_every_slab(monkeypatch):
     _slab_height(monkeypatch, 1, gp)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteFieldError):
         advection(v)
+
+
+def test_coefficient_overflow_of_a_finite_product_raises():
+    # the hydrostatic projection shrinks the node values of this mode, so
+    # its product is finite; the sums that take it to coefficients overflow
+    v = project_hydrostatic(single_mode_field(Grid(8, 4, 1.0), amplitude=1.3e154))
+    _, a, b = node_sets(v, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isfinite(advective_product(a, b)).all()
+        with pytest.raises(NonFiniteFieldError):
+            advection(v)
 
 
 def test_advection_bilinear_consistency(grid8):

@@ -1,6 +1,7 @@
 """Data splitting, reference integrator, Picard iteration, full solve."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +28,8 @@ from hydrostokes.solver import (
     reference_solve,
     split_data,
 )
+
+from oracles import with_forcing
 
 
 @pytest.fixture(scope="module")
@@ -143,8 +146,9 @@ def test_shrink_delta_measures_only_what_it_reads(monkeypatch, delta, eps0, norm
 def test_reference_solve_zero(op16):
     a = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    traj = reference_solve(a, cfg)
-    assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
+    ref = reference_solve(a, cfg)
+    assert len(ref) == 6
+    assert all(np.abs(v.coeffs).max() == 0.0 == np.abs(f.coeffs).max() for v, f in ref)
 
 
 def test_reference_solve_linear_regime(op16):
@@ -152,9 +156,9 @@ def test_reference_solve_linear_regime(op16):
     # trajectory reduces to the semigroup
     a = random_field(op16.grid, ncomp=2, seed=2, solenoidal=True, amplitude=1e-10)
     cfg = SolverConfig(dt=0.005, T=0.05)
-    traj = reference_solve(a, cfg)
+    end, _ = reference_solve(a, cfg)[-1]
     ref = op16.semigroup_apply(0.05, a)
-    err = np.abs(traj.snapshots[-1].coeffs - ref.coeffs).max()
+    err = np.abs(end.coeffs - ref.coeffs).max()
     assert err <= 1e-12 * np.abs(ref.coeffs).max()
 
 
@@ -164,7 +168,7 @@ def test_reference_solve_self_convergence(op16):
     end = {}
     for dt in (0.02, 0.01, 0.005):
         c = SolverConfig(dt=dt, T=0.08)
-        end[dt] = reference_solve(a, c).snapshots[-1].coeffs
+        end[dt] = reference_solve(a, c)[-1][0].coeffs
     e1 = np.abs(end[0.02] - end[0.005]).max()
     e2 = np.abs(end[0.01] - end[0.005]).max()
     order = np.log2(e1 / e2) - 0.0
@@ -174,7 +178,7 @@ def test_reference_solve_self_convergence(op16):
 def test_trajectory_times_strictly_increasing(op16):
     a = random_field(op16.grid, ncomp=2, seed=2, solenoidal=True, amplitude=0.01)
     cfg = SolverConfig(dt=0.01, T=0.05)
-    traj = reference_solve(a, cfg)
+    traj = full_solve(a, cfg)
     assert np.all(np.diff(traj.times) > 0)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.0, 0.0, 0.1]), traj.snapshots[:3])
@@ -183,18 +187,18 @@ def test_trajectory_times_strictly_increasing(op16):
 # -- Picard iteration -----------------------------------------------------
 
 
-def _zero_traj(op, times):
-    zero = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op.grid)
-    return Trajectory(np.asarray(times), [zero] * len(times))
+def _zero_ref(grid, n):
+    """The pairs (v_ref, F(v_ref)) of a zero reference solve over n nodes."""
+    zero = SpectralField.zeros(grid)
+    return [(zero, zero)] * n
 
 
 def test_picard_zero_data_zero_reference(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a0 = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
-    vref = _zero_traj(op16, np.arange(6) * 0.01)
-    traj, report = picard_iterate(a0, vref, cfg)
+    V, report = picard_iterate(a0, _zero_ref(op16.grid, 6), cfg)
     assert report.converged
-    assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
+    assert len(V) == 6 and all(np.abs(s.coeffs).max() == 0.0 for s in V)
 
 
 def test_picard_zero_data_nonzero_reference(op16):
@@ -202,11 +206,11 @@ def test_picard_zero_data_nonzero_reference(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a0 = SpectralField.from_full(np.zeros((2, 16, 16, 16), complex), op16.grid)
     avr = random_field(op16.grid, ncomp=2, seed=5, solenoidal=True, amplitude=0.1)
-    vref = reference_solve(avr, cfg)
-    traj, report = picard_iterate(a0, vref, cfg)
+    ref = reference_solve(avr, cfg)
+    V, report = picard_iterate(a0, ref, cfg)
     assert report.converged
     assert report.iterations <= 2
-    assert all(np.abs(s.coeffs).max() == 0.0 for s in traj.snapshots)
+    assert all(np.abs(s.coeffs).max() == 0.0 for s in V)
 
 
 def test_picard_contraction_small_data(op16):
@@ -216,31 +220,25 @@ def test_picard_contraction_small_data(op16):
     scale = 0.01 / mixed_norm(a0, cfg.p)
     a0 = SpectralField(a0.coeffs * scale, op16.grid)
     a_ref = SpectralField(a_ref.coeffs * scale, op16.grid)
-    vref = reference_solve(a_ref, cfg)
-    traj, report = picard_iterate(a0, vref, cfg)
+    ref = reference_solve(a_ref, cfg)
+    _, report = picard_iterate(a0, ref, cfg)
     assert report.converged
     assert all(r <= 0.5 for r in report.ratios[1:])
 
 
-def test_picard_rejects_non_uniform_reference(op16, monkeypatch):
+def test_picard_rejects_non_uniform_reference(op16):
     # the Duhamel recurrence assumes one step size; a non-uniform grid must
-    # raise rather than give silently wrong sums
-    cfg = SolverConfig(dt=0.01, T=0.05)
+    # raise rather than give silently wrong sums, before any forcing is read
     a0 = random_field(op16.grid, ncomp=2, seed=12, solenoidal=True, amplitude=0.01)
-    vref = _zero_traj(op16, [0.0, 0.01, 0.02, 0.035, 0.05])
-    advected = []
-    real_advection = hydrostokes.solver.advection
+    read = []
 
-    def counted(*args, **kwargs):
-        advected.append(1)
-        return real_advection(*args, **kwargs)
+    def forcing():
+        read.append(1)
+        yield from [SpectralField.zeros(op16.grid)] * 5
 
-    monkeypatch.setattr(hydrostokes.solver, "advection", counted)
     with pytest.raises(ValueError, match="uniformly spaced"):
-        picard_iterate(a0, vref, cfg)
-    # the first iterate is already a Duhamel recurrence: the check fires
-    # before any product is formed
-    assert advected == []
+        next(_duhamel(a0, forcing(), np.array([0.0, 0.01, 0.02, 0.035, 0.05])))
+    assert read == []
 
 
 def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
@@ -258,8 +256,7 @@ def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
     n = 11
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.1, max_picard=3, picard_tol=0.0)
     a0 = random_field(op.grid, ncomp=2, seed=13, solenoidal=True, amplitude=0.01)
-    vref = Trajectory(np.arange(n) * 0.01, [SpectralField.zeros(op.grid)] * n)
-    _, report = picard_iterate(a0, vref, cfg)
+    _, report = picard_iterate(a0, _zero_ref(op.grid, n), cfg)
     m = report.iterations
     assert m == 3
     assert len(calls) == (m + 1) * (n - 1)
@@ -275,52 +272,21 @@ def _small_rough_split(cfg, seed=13):
     return a0, reference_solve(a_ref, cfg)
 
 
-def test_picard_known_forcing_is_bitwise_equal():
-    # F(v_ref) handed over from the reference solve, or formed afresh
-    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=4, picard_tol=0.0)
-    a0, vref = _small_rough_split(cfg)
-    F_ref = vref.diagnostics["F"]
-    assert len(F_ref) == len(vref.times)
-    given, report_given = picard_iterate(a0, vref, cfg, F_ref)
-    afresh, report = picard_iterate(a0, vref, cfg)
-    assert report_given.diff_S == report.diff_S
-    for a, b in zip(given.snapshots, afresh.snapshots):
-        assert np.array_equal(a.coeffs, b.coeffs)
-    for a, b in zip(given.diagnostics["F"], afresh.diagnostics["F"]):
-        assert np.array_equal(a.coeffs, b.coeffs)
-
-
-@pytest.mark.parametrize("short", [True, False], ids=["short", "long"])
-def test_picard_rejects_forcing_of_wrong_length(short):
-    # F(v_ref) is a list over every node, or nothing
-    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=2, picard_tol=0.0)
-    a0, vref = _small_rough_split(cfg)
-    F_ref = vref.diagnostics["F"]
-    F_ref = F_ref[:-1] if short else F_ref + F_ref[-1:]
-    with pytest.raises(ValueError, match="forcing list"):
-        picard_iterate(a0, vref, cfg, F_ref)
-    with pytest.raises(ValueError, match="forcing list"):
-        mild_residual(vref, F_ref)
-
-
 def test_reference_solve_keeps_the_forcing_at_every_node():
     # the last node's F as well: no caller forms F(v_ref) again
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05)
-    _, vref = _small_rough_split(cfg)
-    F = vref.diagnostics["F"]
-    assert len(F) == len(vref.times)
-    last = hydrostokes.solver._forcings(vref.snapshots[-1:])[0]
-    assert np.array_equal(F[-1].coeffs, last.coeffs)
-    assert np.array_equal(mild_residual(vref, F), mild_residual(vref))
+    _, ref = _small_rough_split(cfg)
+    assert len(ref) == 6
+    for (_, F), (_, afresh) in zip(ref, with_forcing(v for v, _ in ref)):
+        assert np.array_equal(F.coeffs, afresh.coeffs)
 
 
-@pytest.mark.parametrize("given", [False, True], ids=["formed", "given"])
+@pytest.mark.parametrize("given", [True], ids=["given"])  # F(v_ref) comes with the pairs
 def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, given):
-    # F(v_ref) at every node unless it is given, F(v_ref(0) + a_0) once,
+    # F(v_ref) comes with the reference pairs: F(v_ref(0) + a_0) once,
     # then one product F(v_ref + V) per node past t = 0 and iteration
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=3, picard_tol=0.0)
-    a0, vref = _small_rough_split(cfg)
-    F_ref = vref.diagnostics["F"] if given else None
+    a0, ref = _small_rough_split(cfg)
     calls = []
     real_advection = hydrostokes.solver.advection
 
@@ -329,12 +295,33 @@ def test_picard_forms_one_product_per_node_per_iteration(monkeypatch, given):
         return real_advection(*args, **kwargs)
 
     monkeypatch.setattr(hydrostokes.solver, "advection", counted)
-    _, report = picard_iterate(a0, vref, cfg, F_ref)
-    nodes = len(vref.times)
+    _, report = picard_iterate(a0, ref, cfg)
+    nodes = len(ref)
     assert report.iterations == 3
-    assert len(calls) == 1 + report.iterations * (nodes - 1) + (0 if given else nodes)
+    assert len(calls) == 1 + report.iterations * (nodes - 1)
     # each is the self-product B(v, v) of one field
     assert set(calls) == {1}
+
+
+def test_picard_holds_a_few_totals_at_once(monkeypatch):
+    # each iteration streams its totals F(v_ref + V_m) into the Duhamel
+    # recurrence: alive are F(v_ref(0) + a_0), the total last read and the
+    # one being formed, not one per node
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.1, max_picard=2, picard_tol=0.0)
+    a0, ref = _small_rough_split(cfg)
+    totals, alive = [], []
+    real_forcing = hydrostokes.solver._forcing
+
+    def tracked(f):
+        out = real_forcing(f)
+        totals.append(weakref.ref(out))
+        alive.append(sum(r() is not None for r in totals))
+        return out
+
+    monkeypatch.setattr(hydrostokes.solver, "_forcing", tracked)
+    _, report = picard_iterate(a0, ref, cfg)
+    assert report.iterations == 2 and len(totals) == 1 + 2 * (len(ref) - 1)
+    assert max(alive) <= 3, alive
 
 
 def test_picard_takes_one_s_norm_per_iteration(monkeypatch):
@@ -353,8 +340,7 @@ def test_picard_takes_one_s_norm_per_iteration(monkeypatch):
     n = 6
     cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05, max_picard=3, picard_tol=0.0)
     a0 = random_field(op.grid, ncomp=2, seed=13, solenoidal=True, amplitude=0.01)
-    vref = Trajectory(np.arange(n) * 0.01, [SpectralField.zeros(op.grid)] * n)
-    _, report = picard_iterate(a0, vref, cfg)
+    _, report = picard_iterate(a0, _zero_ref(op.grid, n), cfg)
     assert report.iterations == 3
     assert calls == [n - 1] * report.iterations
 
@@ -371,9 +357,8 @@ def test_iteration_report_derives_count_and_ratios():
 def test_picard_divergence_raises(op16):
     cfg = SolverConfig(dt=0.02, T=0.4, max_picard=6)
     a0 = random_field(op16.grid, ncomp=2, seed=1, solenoidal=True, amplitude=50.0)
-    vref = _zero_traj(op16, np.arange(21) * 0.02)
     with pytest.raises(SolverDivergenceError):
-        picard_iterate(a0, vref, cfg)
+        picard_iterate(a0, _zero_ref(op16.grid, 21), cfg)
 
 
 # -- full solve and residual ----------------------------------------------
@@ -432,9 +417,9 @@ def test_full_solve_smooth_degenerate_split(op16):
     cfg = SolverConfig(dt=0.01, T=0.05, delta=0.0)
     a = random_field(op16.grid, ncomp=2, seed=7, solenoidal=True, amplitude=0.01)
     traj = full_solve(a, cfg)
-    ref = reference_solve(a, cfg)
-    err = np.abs(traj.snapshots[-1].coeffs - ref.snapshots[-1].coeffs).max()
-    assert err <= 1e-12 * np.abs(ref.snapshots[-1].coeffs).max()
+    end, _ = reference_solve(a, cfg)[-1]
+    err = np.abs(traj.snapshots[-1].coeffs - end.coeffs).max()
+    assert err <= 1e-12 * np.abs(end.coeffs).max()
 
 
 def test_full_solve_rough_diagnostics(op16):
@@ -555,9 +540,7 @@ def test_mild_residual_linear_trajectory(op16):
     a = random_field(op16.grid, ncomp=2, seed=9, solenoidal=True, amplitude=1e-8)
     times = np.arange(6) * 0.01
     snaps = [op16.semigroup_apply(t, a) for t in times]
-    traj = Trajectory(times, snaps)
-    cfg = SolverConfig(dt=0.01, T=0.05)
-    res = mild_residual(traj)
+    res = mild_residual(with_forcing(snaps), times)
     # the defect is quadratic in the amplitude: ~1e-10 relative at 1e-8
     assert res.max() <= 1e-9 * a.norm2()
 
@@ -565,12 +548,13 @@ def test_mild_residual_linear_trajectory(op16):
 def test_mild_residual_detects_corruption(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a = random_field(op16.grid, ncomp=2, seed=10, solenoidal=True, amplitude=0.05)
-    traj = reference_solve(a, cfg)
-    clean = mild_residual(traj)
+    times = np.arange(6) * 0.01
+    ref = reference_solve(a, cfg)
+    clean = mild_residual(ref, times)
     k = 3
-    snaps = list(traj.snapshots)
+    snaps = [v for v, _ in ref]
     snaps[k] = SpectralField(np.zeros_like(snaps[k].coeffs), op16.grid)
-    bad = mild_residual(Trajectory(traj.times, snaps))
+    bad = mild_residual(with_forcing(snaps), times)
     assert bad[k] > 100 * max(clean[k], 1e-30)
 
 
@@ -656,14 +640,15 @@ def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
     monkeypatch.setattr(hydrostokes.solver, "advection", counted)
     traj = full_solve(a, cfg)
     assert len(calls) == len(traj.times)
-    assert np.array_equal(traj.diagnostics["residual"], mild_residual(traj))
+    residual = mild_residual(with_forcing(traj.snapshots), traj.times)
+    assert np.array_equal(traj.diagnostics["residual"], residual)
 
 
 def test_rough_full_solve_forms_each_nonlinearity_once(monkeypatch):
-    # the reference solve's F(v_ref), then the totals F(v_ref + V_m) of
-    # each Picard iteration, the last of which the residual reuses; the
-    # total at t = 0 is F(v_ref(0) + a_0) in every iteration and is formed
-    # once; the rough benchmark's data and time grid, at 8^3
+    # the reference solve's F(v_ref), which the residual reuses, then the
+    # totals F(v_ref + V_m) of each Picard iteration; the total at t = 0 is
+    # F(v_ref(0) + a_0) in every iteration and is formed once; the rough
+    # benchmark's data and time grid, at 8^3
     cfg = SolverConfig(N=8, K=8, dt=0.0025, T=0.05)
     a = random_field(
         cfg.grid(), seed=3, decay=2.0, rough_amplitude=1.0, solenoidal=True, amplitude=0.02
@@ -683,6 +668,9 @@ def test_rough_full_solve_forms_each_nonlinearity_once(monkeypatch):
     assert "F" not in traj.diagnostics
     # against F(v_ref + V_{m+1}) formed from the snapshots: a Picard lag
     # below the tolerance
-    afresh = mild_residual(traj)
+    afresh = mild_residual(with_forcing(traj.snapshots), traj.times)
     res = traj.diagnostics["residual"]
     assert np.abs(res - afresh).max() <= 1e-10 * afresh.max()
+    # by linearity of the Duhamel sums it is v_ref's own defect, bit for bit
+    a_ref, _, _ = _shrink_delta(a, cfg)
+    assert np.array_equal(res, mild_residual(reference_solve(a_ref, cfg), traj.times))

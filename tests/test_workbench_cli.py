@@ -717,6 +717,20 @@ def test_cli_product_overflow_on_a_later_slab_exit_3(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
 
 
+def test_cli_coefficient_overflow_exit_3(tmp_path, monkeypatch, capsys):
+    # finite products whose truncated coefficients overflow: the product's
+    # message, not a blow-up of the reference solve one node later
+    monkeypatch.chdir(tmp_path)
+    cfg = write(
+        tmp_path,
+        "grid.n = 8\ngrid.k = 4\ntime.dt = 0.0025\ntime.horizon = 0.005\n"
+        "split.delta = 0\ndata.kind = single-mode\ndata.amplitude = 1.3e154\noutput.dir = out\n",
+    )
+    assert run_cli(["simulate", "--config", cfg]) == 3
+    assert capsys.readouterr().err == "error: solver: field contains non-finite entries\n"
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
 def test_cli_picard_cap_names_step_size_number(tmp_path, monkeypatch, capsys):
     # the exit-3 line carries dt * max|a| * k_max of the data, k_max = pi N
     monkeypatch.chdir(tmp_path)
