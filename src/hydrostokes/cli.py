@@ -42,7 +42,7 @@ from .lab import (
     young_anisotropic_test,
 )
 from .semigroup import spectral_bound
-from .solver import SolverConfig, SolverDivergenceError, full_solve
+from .solver import DIAGNOSTICS, SolverConfig, SolverDivergenceError, full_solve
 from .workbench import (
     ConfigError,
     _atomic_open,
@@ -237,23 +237,9 @@ def cmd_simulate(args) -> int:
     except (SolverDivergenceError, NonFiniteFieldError) as exc:
         _err(f"solver: {exc}")
         return EXIT_DIVERGED
-    d = traj.diagnostics
-    rows = [
-        (
-            f"{t:.10g}",
-            f"{d['energy'][n]:.12e}",
-            f"{d['sol_drift'][n]:.12e}",
-            f"{d['norm_inf_p'][n]:.12e}",
-            f"{d['t_sqrt_grad_norm'][n]:.12e}",
-            f"{d['residual'][n]:.12e}",
-        )
-        for n, t in enumerate(traj.times)
-    ]
-    _write_csv(
-        os.path.join(outdir, "diagnostics.csv"),
-        ["t", "energy", "sol_drift", "norm_inf_p", "t_sqrt_grad_norm", "residual"],
-        rows,
-    )
+    columns = [traj.diagnostics[name] for name in DIAGNOSTICS]
+    rows = [(f"{t:.10g}", *(f"{c[n]:.12e}" for c in columns)) for n, t in enumerate(traj.times)]
+    _write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", *DIAGNOSTICS], rows)
     for n, (t, snap) in enumerate(zip(traj.times, traj.snapshots)):
         if snap is not None:  # the solve keeps the snapshots that snapshot.every asks for
             write_snapshot(os.path.join(outdir, f"snapshot_{n:05d}.hstk"), snap, t)

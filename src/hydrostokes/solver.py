@@ -11,9 +11,11 @@ max(sup ||D||, sup t^{1/2} ||grad D||) of each difference D = V_{m+1} - V_m,
 with mixed L^inf_H L^p_z norms; :class:`IterationReport` keeps those norms
 and nothing else.  Every nonlinear term is dealiased (2/3 rule) and every
 forcing and reference step is re-projected.  :class:`SolverConfig` is the
-one source of parameters: the grid, the uniform time grid (dt, T), the
-split and Picard settings and the snapshot interval.  Each function takes
-the Stokes operator from the grid of the field it is given (``Grid.stokes``).
+one source of parameters: the grid, the step dt and horizon T, the split
+and Picard settings and the snapshot interval.  Each function takes the
+Stokes operator from the grid of the field it is given (``Grid.stokes``).
+The step dt is the time grid, t_n = n dt: the reference solve yields T/dt + 1
+nodes, and every Duhamel sum, defect and S(T)-norm runs as long as its stream.
 
 :func:`full_solve` is the reference solve plus V, and its residual is
 v_ref's own defect on both branches: the Duhamel sums are linear, so the
@@ -38,6 +40,9 @@ from .projection import check_solenoidal, project_hydrostatic
 # every node's fields; at 16^3 (74 kB each, half a spectrum) this many
 # snapshots alone already take 7.4 GB.
 MAX_TIME_STEPS = 100_000
+
+# The per-node columns of Trajectory.diagnostics, in the order simulate writes them
+DIAGNOSTICS = ("energy", "sol_drift", "norm_inf_p", "t_sqrt_grad_norm", "residual")
 
 
 class SolverDivergenceError(RuntimeError):
@@ -143,14 +148,15 @@ def _node_norms(v, t, p):
     return norm, np.sqrt(t) * grad
 
 
-def _s_norm(v_list, times, p):
-    """S(T)-norm max(sup ||v||, sup_{t>0} t^{1/2} ||grad v||) of a discrete trajectory.
+def _s_norm(diffs, dt, p):
+    """S(T)-norm max(sup ||v||, sup t^{1/2} ||grad v||) of a discrete trajectory
+    on the nodes t_n = n dt, n >= 1.
 
-    ``v_list`` may be a generator: it is read once, in node order.
+    ``diffs`` may be a generator: it is read once, in node order.
     """
     s = 0.0
-    for v, t in zip(v_list, times):
-        s = max(s, *_node_norms(v, t, p))
+    for n, v in enumerate(diffs, 1):
+        s = max(s, *_node_norms(v, n * dt, p))
     return s
 
 
@@ -166,29 +172,25 @@ def _forcing(f: SpectralField) -> SpectralField:
     return project_hydrostatic(SpectralField(-f.coeffs, f.grid))
 
 
-def _duhamel(a: SpectralField, F, times):
+def _duhamel(a: SpectralField, F, dt):
     """Trapezoidal Duhamel sums S_n = e^{t_n A} a + int_0^{t_n} e^{(t_n-s)A} F(s) ds.
 
-    F, one entry per node of the uniform grid ``times``, is read in node order;
-    yields S_n for every node in turn, S_0 = a.  The trapezoid weights obey the recurrence
+    F holds one entry per node t_n = n dt, read in node order; yields S_0 = a,
+    then one sum S_n for each further entry, reading F_n just before it
+    yields S_n.  The trapezoid weights obey the recurrence
 
         G_0 = a,  G_n = e^{dt A}(G_{n-1} + w_{n-1} F_{n-1}),  S_n = G_n + (dt/2) F_n
 
     with w_0 = dt/2 and w_j = dt for j >= 1, so all n sums together cost one
-    semigroup apply per node.  Raises ValueError, when iteration starts,
-    unless the steps agree to 1e-9 dt: on a non-uniform grid the recurrence
-    would be silently wrong.
+    semigroup apply per node.
     """
-    steps = np.diff(times)
-    dt = steps[0] if len(steps) else 0.0
-    if np.any(np.abs(steps - dt) > 1e-9 * dt):
-        raise ValueError("Duhamel sums need uniformly spaced time nodes")
-    yield a.copy()
-    grid, G, F = a.grid, a.coeffs, iter(F)
-    w, f = 0.5 * dt, next(F)
-    for _ in times[1:]:
-        G = grid.stokes.semigroup_apply(dt, SpectralField(G + w * f.coeffs, grid)).coeffs
-        w, f = dt, next(F)
+    grid, G, w, F = a.grid, a.coeffs, 0.5 * dt, iter(F)
+    prev = next(F, None)
+    if prev is not None:
+        yield a.copy()
+    for f in F:
+        G = grid.stokes.semigroup_apply(dt, SpectralField(G + w * prev.coeffs, grid)).coeffs
+        w, prev = dt, f
         yield SpectralField(G + 0.5 * dt * f.coeffs, grid)
 
 
@@ -233,20 +235,20 @@ def picard_iterate(a0: SpectralField, ref: list, config: SolverConfig):
     """Duhamel fixed-point iteration for the rough remainder V.
 
     V_{m+1}(t) = e^{tA} a_0 + int_0^t e^{(t-s)A} F_m(s) ds with
-    F_m = F(v_ref + V_m) - F(v_ref), the integral by trapezoidal quadrature
-    on :func:`_time_nodes`, where ``ref`` holds the pairs (v_ref, F(v_ref))
-    of :func:`reference_solve`.  The first iterate e^{t_n A} a_0 is the same
+    F_m = F(v_ref + V_m) - F(v_ref), the integral by trapezoidal quadrature at
+    step ``config.dt`` over the nodes of ``ref``, the pairs (v_ref, F(v_ref)) of
+    :func:`reference_solve`.  The first iterate e^{t_n A} a_0 is the same
     recurrence with zero forcing, so the whole iteration applies only
     e^{dt A}.  Each iteration streams its totals F(v_ref + V_m), one
     :func:`advection` per node past t = 0 (V_m(0) = a_0 in every iteration,
     so the total there is formed once), into :func:`_duhamel` and takes one
     S(T)-norm, of V_{m+1} - V_m over the nodes t > 0 (it is 0 at t = 0).
-    Returns (V, report), V the list of V(t_n).  Stopping at
+    Returns (V, report), V the list of V(t_n), one per pair of ``ref``.  Stopping at
     ``config.max_picard`` returns the report with ``converged`` False;
     :func:`full_solve` treats that as a failure.
     """
-    times, grid = _time_nodes(config), a0.grid
-    V = list(_duhamel(a0, repeat(SpectralField.zeros(grid)), times))
+    grid = a0.grid
+    V = list(_duhamel(a0, repeat(SpectralField.zeros(grid), len(ref)), config.dt))
     report = IterationReport()
     # every iterate starts at V_m(0) = a_0, bit for bit, so F(v_ref(0) + V_m(0))
     # is one field and each difference V_{m+1} - V_m is exactly 0 at t = 0
@@ -258,9 +260,9 @@ def picard_iterate(a0: SpectralField, ref: list, config: SolverConfig):
             for (r, _), v in zip(ref[1:], V[1:])
         ))
         diffs = (SpectralField(t.coeffs - f.coeffs, grid) for t, (_, f) in zip(totals, ref))
-        Vnew = list(_duhamel(a0, diffs, times))
+        Vnew = list(_duhamel(a0, diffs, config.dt))
         diff = (SpectralField(a.coeffs - b.coeffs, grid) for a, b in zip(Vnew[1:], V[1:]))
-        dS = _s_norm(diff, times[1:], config.p)
+        dS = _s_norm(diff, config.dt, config.p)
         report.diff_S.append(dS)
         V = Vnew
         if dS < config.picard_tol:
@@ -312,12 +314,11 @@ def full_solve(a: SpectralField, config: SolverConfig):
         raise ValueError(f"initial data on {a.grid}, but the config is for {config.grid()}")
     step_number = config.dt * NodeValues(a).norm("u", np.inf, np.inf) * np.pi * config.N
     a_ref, a0, delta = _shrink_delta(a, config)
-    times = _time_nodes(config)
     try:
         if float(np.abs(a0.coeffs).max()) == 0.0:
             # no rough part: v = v_ref
             report = IterationReport(converged=True)
-            nodes = _defects(_reference_nodes(a_ref, config), times)
+            nodes = _defects(_reference_nodes(a_ref, config), config.dt)
         else:
             ref = reference_solve(a_ref, config)
             V, report = picard_iterate(a0, ref, config)
@@ -330,8 +331,8 @@ def full_solve(a: SpectralField, config: SolverConfig):
                 )
             # v = v_ref + V, whose defect against the last totals is v_ref's own
             v = (SpectralField(r.coeffs + s.coeffs, a.grid) for (r, _), s in zip(ref, V))
-            nodes = zip(v, mild_residual(ref, times))
-        traj = _diagnosed(nodes, times, config)
+            nodes = zip(v, mild_residual(ref, config.dt))
+        traj = _diagnosed(nodes, config)
     except SolverDivergenceError as exc:
         raise SolverDivergenceError(
             f"{exc} (step-size number dt*max|u|*k_max = {step_number:.3e})", report=exc.report
@@ -340,48 +341,46 @@ def full_solve(a: SpectralField, config: SolverConfig):
     return traj
 
 
-def _diagnosed(nodes, times, config: SolverConfig) -> Trajectory:
-    """The trajectory of (v_n, residual_n), read once in node order.
+def _diagnosed(nodes, config: SolverConfig) -> Trajectory:
+    """The trajectory of (v_n, residual_n) on :func:`_time_nodes`, read once in node order.
 
-    Each node's energy, solenoidality defect and two node norms are formed
-    as it arrives, and v_n is held only where a snapshot is due.
+    Each node's :data:`DIAGNOSTICS` are formed as it arrives, and v_n is held
+    only where a snapshot is due.
     """
+    times = _time_nodes(config)
     last = len(times) - 1
     snaps, rows = [], []
     for n, (v, residual) in enumerate(nodes):
-        rows.append((v.norm2(), check_solenoidal(v), *_node_norms(v, times[n], config.p), residual))
-        snaps.append(v if n % config.snapshot_every == 0 or n == last else None)
-    energy, drift, norm_inf_p, t_sqrt_grad_norm, residual = map(np.array, zip(*rows))
-    return Trajectory(times, snaps, {
-        "energy": energy,
+        energy = v.norm2()
+        if n == 0:
+            e0 = energy or 1.0
         # each node's defect relative to the data, not to a field decayed to round-off
-        "sol_drift": drift * energy / (energy[0] or 1.0),
-        "norm_inf_p": norm_inf_p,
-        "t_sqrt_grad_norm": t_sqrt_grad_norm,
-        "residual": residual,
-    })
+        drift = check_solenoidal(v) * energy / e0
+        rows.append((energy, drift, *_node_norms(v, times[n], config.p), residual))
+        snaps.append(v if n % config.snapshot_every == 0 or n == last else None)
+    return Trajectory(times, snaps, dict(zip(DIAGNOSTICS, map(np.array, zip(*rows)))))
 
 
-def _defects(nodes, times):
+def _defects(nodes, dt):
     """(v_n, ||v_n - S_n||) for the pairs (v_n, F(v_n)) of ``nodes``, node by node.
 
-    S_n are the Duhamel sums of :func:`_duhamel` from v_0 with forcing F(v_n).
-    The pair of node n is yielded once node n has been read, no further; the
-    deque holds each F until the recurrence reads it (F_0 and F_1 for S_1,
-    F_n for S_n), and the recurrence drops it after the next step.
+    S_n are the Duhamel sums of :func:`_duhamel` from v_0 with forcing F(v_n)
+    and step ``dt``.  The pair of node n is yielded once node n has been
+    read, no further; the deque holds each F until the recurrence reads it,
+    and the recurrence drops it after the next step.
     """
     forcing = deque()
     sums = None
     for v, f in nodes:
         forcing.append(f)
         if sums is None:
-            sums = _duhamel(v, iter(forcing.popleft, None), times)
+            sums = _duhamel(v, iter(forcing.popleft, None), dt)
         yield v, SpectralField(v.coeffs - next(sums).coeffs, v.grid).norm2()
 
 
-def mild_residual(nodes, times) -> np.ndarray:
+def mild_residual(nodes, dt) -> np.ndarray:
     """Defect in the Duhamel identity per time node, in L^2, of the pairs
-    (v_n, F(v_n)) of ``nodes`` on the uniform grid ``times`` (:func:`_defects`,
-    the Picard iteration's quadrature and recurrence); residual[0] is 0.
+    (v_n, F(v_n)) of ``nodes`` at step ``dt`` (:func:`_defects`, the Picard
+    iteration's quadrature and recurrence); one entry per pair, residual[0] = 0.
     """
-    return np.array([r for _, r in _defects(nodes, times)])
+    return np.array([r for _, r in _defects(nodes, dt)])

@@ -197,7 +197,7 @@ def write_snapshot(path: str, field: SpectralField, time: float):
 
 
 def read_snapshot(path: str):
-    """Inverse of :func:`write_snapshot`; returns (field, time)."""
+    """Inverse of :func:`write_snapshot`; returns (field, time), time finite and >= 0."""
     with open(path, "rb") as fh:
         magic = fh.read(5)
         if magic != SNAPSHOT_MAGIC:
@@ -208,6 +208,8 @@ def read_snapshot(path: str):
         version, ncomp, N, K, h, time = SNAPSHOT_HEADER.unpack(header)
         if version != SNAPSHOT_VERSION:
             raise ConfigError(f"unsupported snapshot version {version}")
+        if not 0 <= time < np.inf:  # written so that NaN fails it
+            raise ConfigError(f"snapshot time must be finite and >= 0, got {time} in {path}")
         body = fh.read()
     try:
         grid = Grid(N, K, h)

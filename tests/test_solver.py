@@ -226,19 +226,20 @@ def test_picard_contraction_small_data(op16):
     assert all(r <= 0.5 for r in report.ratios[1:])
 
 
-def test_picard_rejects_non_uniform_reference(op16):
-    # the Duhamel recurrence assumes one step size; a non-uniform grid must
-    # raise rather than give silently wrong sums, before any forcing is read
-    a0 = random_field(op16.grid, ncomp=2, seed=12, solenoidal=True, amplitude=0.01)
-    read = []
-
-    def forcing():
-        read.append(1)
-        yield from [SpectralField.zeros(op16.grid)] * 5
-
-    with pytest.raises(ValueError, match="uniformly spaced"):
-        next(_duhamel(a0, forcing(), np.array([0.0, 0.01, 0.02, 0.035, 0.05])))
-    assert read == []
+@pytest.mark.parametrize("pairs", [5, 7])
+def test_picard_and_residual_run_over_the_given_pairs(pairs):
+    # the reference pairs alone set the node count, whatever T/dt says: a
+    # 6-node config given 5 or 7 pairs gives 5 or 7 nodes back
+    cfg = SolverConfig(N=8, K=8, dt=0.01, T=0.05)
+    a0, ref = _small_rough_split(SolverConfig(N=8, K=8, dt=0.01, T=0.01 * (pairs - 1)))
+    assert len(ref) == pairs
+    V, report = picard_iterate(a0, ref, cfg)
+    assert report.converged and len(V) == pairs
+    residual = mild_residual(ref, cfg.dt)
+    assert len(residual) == pairs
+    # each defect reads its nodes up to its own: the common nodes agree bit for bit
+    six = mild_residual(reference_solve(ref[0][0], cfg), cfg.dt)
+    assert np.array_equal(residual[:5], six[:5])
 
 
 def test_picard_semigroup_applies_linear_in_nodes(monkeypatch):
@@ -331,10 +332,10 @@ def test_picard_takes_one_s_norm_per_iteration(monkeypatch):
     calls = []
     s_norm = hydrostokes.solver._s_norm
 
-    def counted(v_list, times, p):
-        v_list = list(v_list)  # the differences may come as a generator
-        calls.append(len(v_list))
-        return s_norm(v_list, times, p)
+    def counted(diffs, dt, p):
+        diffs = list(diffs)  # the differences may come as a generator
+        calls.append(len(diffs))
+        return s_norm(diffs, dt, p)
 
     monkeypatch.setattr(hydrostokes.solver, "_s_norm", counted)
     n = 6
@@ -498,10 +499,9 @@ def test_full_solve_rejects_data_on_another_grid():
 
 
 def test_duhamel_reads_the_forcing_in_node_order(op16):
-    # a generator gives the list's sums bit for bit, and S_n is yielded
-    # once F has been read up to node n, no further
+    # a generator gives the list's sums bit for bit, and F_n is read just
+    # before S_n is yielded: F up to node n, no further
     n, dt = 5, 0.0125
-    times = dt * np.arange(n)
     a = random_field(op16.grid, ncomp=2, seed=14, solenoidal=True)
     F = [random_field(op16.grid, ncomp=2, seed=20 + j, solenoidal=True) for j in range(n)]
     read = []
@@ -511,10 +511,21 @@ def test_duhamel_reads_the_forcing_in_node_order(op16):
             read.append(j)
             yield f
 
-    for k, (s, t) in enumerate(zip(_duhamel(a, stream(), times), _duhamel(a, F, times))):
+    for k, (s, t) in enumerate(zip(_duhamel(a, stream(), dt), _duhamel(a, F, dt))):
         assert np.array_equal(s.coeffs, t.coeffs)
-        assert read == list(range(k + 1)) if k else read == []
+        assert read == list(range(k + 1))
     assert read == list(range(n))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 7])
+def test_duhamel_yields_one_sum_per_forcing_entry(k):
+    # the forcing stream alone sets the number of sums: S_0 = a, then one per further entry
+    grid = Grid(8, 8, 1.0)
+    a = random_field(grid, ncomp=2, seed=14, solenoidal=True)
+    F = [random_field(grid, ncomp=2, seed=20 + j, solenoidal=True) for j in range(k)]
+    sums = list(_duhamel(a, iter(F), 0.01))
+    assert len(sums) == k
+    assert all(np.array_equal(s.coeffs, a.coeffs) for s in sums[:1])
 
 
 def test_duhamel_recurrence_matches_direct_sum(op16):
@@ -523,7 +534,7 @@ def test_duhamel_recurrence_matches_direct_sum(op16):
     times = dt * np.arange(n)
     a = random_field(op16.grid, ncomp=2, seed=14, solenoidal=True)
     F = [random_field(op16.grid, ncomp=2, seed=20 + j, solenoidal=True) for j in range(n)]
-    sums = list(_duhamel(a, F, times))
+    sums = list(_duhamel(a, F, dt))
     assert len(sums) == n
     assert np.array_equal(sums[0].coeffs, a.coeffs)
     for k in range(1, n):
@@ -540,7 +551,7 @@ def test_mild_residual_linear_trajectory(op16):
     a = random_field(op16.grid, ncomp=2, seed=9, solenoidal=True, amplitude=1e-8)
     times = np.arange(6) * 0.01
     snaps = [op16.semigroup_apply(t, a) for t in times]
-    res = mild_residual(with_forcing(snaps), times)
+    res = mild_residual(with_forcing(snaps), 0.01)
     # the defect is quadratic in the amplitude: ~1e-10 relative at 1e-8
     assert res.max() <= 1e-9 * a.norm2()
 
@@ -548,13 +559,12 @@ def test_mild_residual_linear_trajectory(op16):
 def test_mild_residual_detects_corruption(op16):
     cfg = SolverConfig(dt=0.01, T=0.05)
     a = random_field(op16.grid, ncomp=2, seed=10, solenoidal=True, amplitude=0.05)
-    times = np.arange(6) * 0.01
     ref = reference_solve(a, cfg)
-    clean = mild_residual(ref, times)
+    clean = mild_residual(ref, cfg.dt)
     k = 3
     snaps = [v for v, _ in ref]
     snaps[k] = SpectralField(np.zeros_like(snaps[k].coeffs), op16.grid)
-    bad = mild_residual(with_forcing(snaps), times)
+    bad = mild_residual(with_forcing(snaps), cfg.dt)
     assert bad[k] > 100 * max(clean[k], 1e-30)
 
 
@@ -640,7 +650,7 @@ def test_smooth_full_solve_forms_each_nonlinearity_once(monkeypatch):
     monkeypatch.setattr(hydrostokes.solver, "advection", counted)
     traj = full_solve(a, cfg)
     assert len(calls) == len(traj.times)
-    residual = mild_residual(with_forcing(traj.snapshots), traj.times)
+    residual = mild_residual(with_forcing(traj.snapshots), cfg.dt)
     assert np.array_equal(traj.diagnostics["residual"], residual)
 
 
@@ -668,9 +678,9 @@ def test_rough_full_solve_forms_each_nonlinearity_once(monkeypatch):
     assert "F" not in traj.diagnostics
     # against F(v_ref + V_{m+1}) formed from the snapshots: a Picard lag
     # below the tolerance
-    afresh = mild_residual(with_forcing(traj.snapshots), traj.times)
+    afresh = mild_residual(with_forcing(traj.snapshots), cfg.dt)
     res = traj.diagnostics["residual"]
     assert np.abs(res - afresh).max() <= 1e-10 * afresh.max()
     # by linearity of the Duhamel sums it is v_ref's own defect, bit for bit
     a_ref, _, _ = _shrink_delta(a, cfg)
-    assert np.array_equal(res, mild_residual(reference_solve(a_ref, cfg), traj.times))
+    assert np.array_equal(res, mild_residual(reference_solve(a_ref, cfg), cfg.dt))

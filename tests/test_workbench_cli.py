@@ -24,7 +24,7 @@ from hydrostokes.cli import main
 from hydrostokes.fields import NodeValues, PhysicalField, SpectralField, forward_transform
 from hydrostokes.lab import SEMIGROUP_COMBOS, ScanReport
 from hydrostokes.sampling import random_field
-from hydrostokes.solver import full_solve
+from hydrostokes.solver import DIAGNOSTICS, full_solve
 from hydrostokes.workbench import (
     CONFIG_KEYS,
     SNAPSHOT_HEADER,
@@ -292,6 +292,19 @@ def test_cli_simulate_and_norms(tmp_path, capsys, monkeypatch):
     assert "L^2" in out
 
 
+@pytest.mark.parametrize("rough", [False, True], ids=["smooth", "rough"])
+def test_cli_simulate_diagnostics_header(tmp_path, monkeypatch, rough):
+    # one tuple names the per-node columns of the solve and of the CSV, on both branches
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, ROUGH_8 + ("" if rough else "split.delta = 0\n"))
+    assert run_cli(["simulate", "--config", cfg]) == 0
+    with open(tmp_path / "out" / "diagnostics.csv") as fh:
+        table = list(csv.reader(fh))
+    assert DIAGNOSTICS == ("energy", "sol_drift", "norm_inf_p", "t_sqrt_grad_norm", "residual")
+    assert table[0] == ["t", *DIAGNOSTICS]
+    assert [len(row) for row in table] == [1 + len(DIAGNOSTICS)] * 4
+
+
 def test_cli_simulate_zero_data(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write(
@@ -426,6 +439,18 @@ def test_cli_norms_bad_coefficients_exit_2(tmp_path, capsys, defect):
         fh.write(c.astype("<c16").tobytes())
     assert run_cli(["norms", snap]) == 2
     assert "error: snapshot:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("time", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_cli_norms_bad_snapshot_time_exit_2(tmp_path, capsys, time):
+    # a snapshot's time is a node time t_n = n dt: finite and >= 0
+    snap = str(tmp_path / "a.hstk")
+    write_snapshot(snap, random_field(Grid(8, 4, 1.0), seed=0), time)
+    assert run_cli(["norms", snap]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: snapshot:") and out.err.count("\n") == 1
+    assert "Traceback" not in out.err
 
 
 @pytest.mark.parametrize("modes,value", [("origin", 1e308), ("one", 1e200)])
