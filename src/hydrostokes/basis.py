@@ -42,6 +42,13 @@ class Grid:
         lam = (2 * self.K - 1) * np.pi / (2 * self.h)  # the largest lambda_k
         if not (lam * lam < np.inf and 0 < self.h * self.h < np.inf):
             raise ValueError(f"h = {self.h} puts the vertical tables out of floating-point range")
+        # numpy indexes arrays of at most intp-max bytes.  The largest arrays of
+        # a grid are the spectrum's eigenvalue report, 2 N^2 K records of 40
+        # bytes, and the K x K vertical tables; counted in Python ints, which
+        # do not overflow
+        N, K = int(self.N), int(self.K)
+        if max(80 * N * N * K, 8 * K * K) > np.iinfo(np.intp).max:
+            raise ValueError(f"grid N = {self.N}, K = {self.K} is too large for numpy to index")
 
     @property
     def x(self):

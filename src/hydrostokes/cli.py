@@ -5,12 +5,19 @@
 ratio or one above its closed-form bound (``young`` only), ``kernel`` on an
 error above 1e-6, ``recursion`` on a violated or invalid case; any suite
 fails when one of its fields turns non-finite.  A failed suite first prints
-its reasons on one ``error: verify <suite>:`` line to stderr.
+its reasons on one ``error: verify <suite>:`` line to stderr; exit 1.
 
-A computation that breaks down (a scan whose ratios are all inf at a tiny
-depth, say) shows up as a non-finite field or sup, which each command maps
-to its exit code, so numpy's floating-point warnings are switched off.  An
-output file that cannot be written exits 2 with one ``error: output:`` line.
+The commands only read their config, compute and write.  :func:`main` maps
+what they raise to an exit code and one ``error: <label>: ...`` line, in order:
+
+  ConfigError                                 2  config:  bad or unreadable config, bad grid
+  SolverDivergenceError, NonFiniteFieldError  3  solver:  the solve blew up or diverged
+  MemoryError                                 2  memory:  an array that does not fit
+  OSError                                     2  output:  an output file not written
+
+``norms`` maps its own failures, to 2 with ``snapshot:``.  A breakdown (a scan
+whose ratios are all inf at a tiny depth, say) shows up as a non-finite field
+or sup, so numpy's floating-point warnings are switched off.
 
 On glibc, :func:`main` first raises the allocator's mmap and trim thresholds
 to 32 MiB, so the 0.1-2 MB node arrays that every product and norm frees stay
@@ -223,20 +230,11 @@ VERIFY_SUITES = {
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        sc = solver_config(cfg)
-        grid = sc.grid()
-        a = initial_data(cfg, grid)
-        outdir = _output_dir(cfg)
-    except (ConfigError, ValueError, OSError) as exc:
-        _err(f"config: {exc}")
-        return EXIT_CONFIG
-    try:
-        traj = full_solve(a, sc)
-    except (SolverDivergenceError, NonFiniteFieldError) as exc:
-        _err(f"solver: {exc}")
-        return EXIT_DIVERGED
+    cfg = parse_config(args.config)
+    sc = solver_config(cfg)
+    a = initial_data(cfg, sc.grid())
+    outdir = _output_dir(cfg)
+    traj = full_solve(a, sc)
     columns = [traj.diagnostics[name] for name in DIAGNOSTICS]
     rows = [(f"{t:.10g}", *(f"{c[n]:.12e}" for c in columns)) for n, t in enumerate(traj.times)]
     _write_csv(os.path.join(outdir, "diagnostics.csv"), ["t", *DIAGNOSTICS], rows)
@@ -247,16 +245,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        cfg = parse_config(args.config) if args.config else {}
-        grid = config_grid(cfg)
-        p = cfg.get("norm.p", SolverConfig.p)
-        if not p >= 1:
-            raise ConfigError(f"norm.p must be >= 1, got {p}")
-        outdir = _output_dir(cfg)
-    except (ConfigError, OSError) as exc:
-        _err(f"config: {exc}")
-        return EXIT_CONFIG
+    cfg = parse_config(args.config) if args.config else {}
+    grid = config_grid(cfg)
+    p = cfg.get("norm.p", SolverConfig.p)
+    if not p >= 1:
+        raise ConfigError(f"norm.p must be >= 1, got {p}")
+    outdir = _output_dir(cfg)
     seed = cfg.get("seed", 0)
     failed = False
     for name in VERIFY_SUITES if args.suite == "all" else [args.suite]:
@@ -295,13 +289,9 @@ def cmd_norms(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        cfg = parse_config(args.config) if args.config else {}
-        grid = config_grid(cfg)
-        outdir = _output_dir(cfg)
-    except (ConfigError, OSError) as exc:
-        _err(f"config: {exc}")
-        return EXIT_CONFIG
+    cfg = parse_config(args.config) if args.config else {}
+    grid = config_grid(cfg)
+    outdir = _output_dir(cfg)
     rows = []
     for subspace in ("full", "solenoidal"):
         bound, report = spectral_bound(grid, subspace)
@@ -343,8 +333,16 @@ def main(argv=None) -> int:
     with np.errstate(all="ignore"):
         try:
             return args.fn(args)
-        except OSError as exc:
-            # each command maps its own input errors; what is left is an output file
+        except ConfigError as exc:
+            _err(f"config: {exc}")
+            return EXIT_CONFIG
+        except (SolverDivergenceError, NonFiniteFieldError) as exc:
+            _err(f"solver: {exc}")
+            return EXIT_DIVERGED
+        except MemoryError as exc:
+            _err(f"memory: {str(exc) or 'out of memory'}")  # a bare MemoryError has no text
+            return EXIT_CONFIG
+        except OSError as exc:  # config and output.dir raise ConfigError: an output file
             _err(f"output: {exc}")
             return EXIT_CONFIG
 

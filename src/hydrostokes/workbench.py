@@ -57,6 +57,8 @@ def parse_config(path: str) -> dict:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+    except OSError as exc:  # a missing file or a directory, say
+        raise ConfigError(str(exc)) from exc
     out = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -184,7 +186,10 @@ def _atomic_open(path: str, mode: str, **kwargs):
 
 
 def write_snapshot(path: str, field: SpectralField, time: float):
-    """Binary snapshot, written to a temp file then renamed (no partial files)."""
+    """Binary snapshot, written to a temp file then renamed (no partial files);
+    ValueError, before any file is opened, for a time read_snapshot refuses."""
+    if not 0 <= time < np.inf:  # written so that NaN fails it
+        raise ValueError(f"snapshot time must be finite and >= 0, got {time}")
     g = field.grid
     header = SNAPSHOT_MAGIC + SNAPSHOT_HEADER.pack(
         SNAPSHOT_VERSION, field.ncomp, g.N, g.K, g.h, time

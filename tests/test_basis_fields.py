@@ -53,6 +53,25 @@ def test_grid_rejects_bad_parameters(bad):
         Grid(**kw)
 
 
+@pytest.mark.parametrize(
+    "N,K,ok",
+    [
+        (2**28, 1, True),  # eigenvalue report: 80 N^2 K = 5.8e18 bytes
+        (2**29, 1, False),  # 2.3e19 bytes, past intp max
+        (2**62, 16, False),
+        (4, 2**30 - 1, True),  # K x K tables: 8 K^2 just below 2^63 bytes
+        (4, 2**30, False),
+    ],
+)
+def test_grid_refuses_arrays_numpy_cannot_index(N, K, ok):
+    # the check is arithmetic: making a Grid allocates none of its arrays
+    if ok:
+        assert Grid(N, K, 1.0).N == N
+    else:
+        with pytest.raises(ValueError, match="too large for numpy to index"):
+            Grid(N, K, 1.0)
+
+
 def test_grid_nodes(grid8):
     assert np.allclose(grid8.x, np.arange(8) / 8)
     # vertical midpoints: z_j = -h + (2j+1)h/(2K)

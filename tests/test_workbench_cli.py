@@ -220,6 +220,14 @@ def test_snapshot_fixture_reads_and_rewrites_equal(tmp_path):
     assert np.array_equal(np.frombuffer(old[head:], "<c16"), np.frombuffer(new[head:], "<c16"))
 
 
+@pytest.mark.parametrize("time", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+def test_write_snapshot_refuses_a_time_read_snapshot_refuses(tmp_path, time):
+    # refused before any file is opened: no snapshot, no temp file
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        write_snapshot(str(tmp_path / "a.hstk"), random_field(Grid(8, 4, 1.0), seed=0), time)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     path = str(tmp_path / "bad.hstk")
     with open(path, "wb") as fh:
@@ -445,7 +453,13 @@ def test_cli_norms_bad_coefficients_exit_2(tmp_path, capsys, defect):
 def test_cli_norms_bad_snapshot_time_exit_2(tmp_path, capsys, time):
     # a snapshot's time is a node time t_n = n dt: finite and >= 0
     snap = str(tmp_path / "a.hstk")
-    write_snapshot(snap, random_field(Grid(8, 4, 1.0), seed=0), time)
+    write_snapshot(snap, random_field(Grid(8, 4, 1.0), seed=0), 0.0)
+    # the time patched in by hand: write_snapshot refuses it
+    raw = open(snap, "rb").read()
+    head = len(SNAPSHOT_MAGIC) + SNAPSHOT_HEADER.size
+    with open(snap, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC + SNAPSHOT_HEADER.pack(SNAPSHOT_VERSION, 2, 8, 4, 1.0, time))
+        fh.write(raw[head:])
     assert run_cli(["norms", snap]) == 2
     out = capsys.readouterr()
     assert out.out == ""
@@ -616,6 +630,62 @@ def test_cli_depth_out_of_float_range_exit_2(tmp_path, monkeypatch, capsys, comm
     cfg = write(tmp_path, f"grid.n = 8\ngrid.k = 8\ngrid.h = {h}\ntime.horizon = 0.01\n")
     assert run_cli(command + ["--config", cfg]) == 2
     assert "floating-point range" in capsys.readouterr().err
+
+
+def one_error_line(capsys, label):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {label}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "semigroup"], ["spectrum"]])
+def test_cli_grid_too_large_to_index_exit_2(tmp_path, monkeypatch, capsys, command):
+    # refused by the grid's arithmetic check: nothing of that size is allocated
+    monkeypatch.chdir(tmp_path)
+    cfg = write(tmp_path, f"grid.n = {2**62}\n")
+    assert run_cli(command + ["--config", cfg]) == 2
+    assert "too large for numpy to index" in one_error_line(capsys, "config")
+
+
+def out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (["simulate"], "full_solve"),
+        (["verify", "semigroup"], "semigroup_decay_scan"),
+        (["spectrum"], "spectral_bound"),
+    ],
+)
+def test_cli_memory_error_exit_2(tmp_path, monkeypatch, capsys, command, name):
+    # an allocation that fails mid-command, injected: no real oversize array
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hydrostokes.cli, name, out_of_memory)
+    cfg = write(tmp_path, "grid.n = 8\ngrid.k = 4\ntime.dt = 0.01\ntime.horizon = 0.02\n")
+    assert run_cli(command + ["--config", cfg]) == 2
+    assert "Unable to allocate 74.5 GiB" in one_error_line(capsys, "memory")
+
+
+def bare_out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def test_cli_bare_memory_error_still_says_why(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hydrostokes.cli, "spectral_bound", bare_out_of_memory)
+    assert run_cli(["spectrum"]) == 2
+    assert one_error_line(capsys, "memory") == "error: memory: out of memory\n"
+
+
+@pytest.mark.parametrize("path", ["missing.cfg", "."], ids=["missing", "directory"])
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "kernel"], ["spectrum"]])
+def test_cli_unreadable_config_exit_2(tmp_path, monkeypatch, capsys, command, path):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(command + ["--config", path]) == 2
+    assert one_error_line(capsys, "config").startswith("error: config: [Errno")
 
 
 # the rough config of the CI smoke run
