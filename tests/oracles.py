@@ -6,8 +6,8 @@ the product oracles are written in, the sine basis at arbitrary points, the
 surface-pressure recovery, coefficient truncation, the vertical velocity,
 the products on whole node arrays with no slabs and their divergence form,
 the Stokes operator A itself and its parallel block M_z, the forcing
-F(v) formed afresh from a trajectory's snapshots, and the lab's small-time
-and L^inf trends.
+F(v) formed afresh from a trajectory's snapshots, the S(T)-norm swept at
+every node, and the lab's small-time and L^inf trends.
 """
 
 import numpy as np
@@ -33,7 +33,7 @@ from hydrostokes.nonlinear import _truncate_rows, advection
 from hydrostokes.projection import helmholtz_2d
 from hydrostokes.sampling import random_field
 from hydrostokes.semigroup import StokesOperator
-from hydrostokes.solver import _forcing, grad_mixed_norm
+from hydrostokes.solver import _forcing, _node_norms, grad_mixed_norm
 
 # -- spectral calculus -----------------------------------------------------
 
@@ -199,6 +199,18 @@ def with_forcing(snapshots) -> list:
     """The pairs (v, F(v)) that solver.mild_residual reads, each F(v) =
     -P (u . grad) v formed afresh from its snapshot."""
     return [(v, _forcing(advection(v))) for v in snapshots]
+
+
+# -- the S(T)-norm ---------------------------------------------------------
+
+
+def s_norm_every_node(diffs, dt, p):
+    """``solver._s_norm`` with no node settled by its coefficient bound: the
+    norms of every node t_n = n dt, n >= 1, swept, and their max."""
+    s = 0.0
+    for n, v in enumerate(diffs, 1):
+        s = max(s, *_node_norms(v, n * dt, p))
+    return s
 
 
 # -- the Stokes operator ---------------------------------------------------

@@ -9,7 +9,12 @@ import pytest
 import hydrostokes.fields
 import hydrostokes.solver
 from hydrostokes.basis import Grid
-from hydrostokes.fields import SpectralField, inverse_transform
+from hydrostokes.fields import (
+    NonFiniteFieldError,
+    SpectralField,
+    hermitian_part,
+    inverse_transform,
+)
 from hydrostokes.sampling import random_field, single_mode_field
 from hydrostokes.semigroup import StokesOperator
 from hydrostokes.solver import (
@@ -17,8 +22,11 @@ from hydrostokes.solver import (
     SolverConfig,
     SolverDivergenceError,
     Trajectory,
+    _bound_weights,
     _duhamel,
+    _node_bound,
     _node_norms,
+    _s_norm,
     _shrink_delta,
     full_solve,
     grad_mixed_norm,
@@ -29,7 +37,7 @@ from hydrostokes.solver import (
     split_data,
 )
 
-from oracles import with_forcing
+from oracles import s_norm_every_node, with_forcing
 
 
 @pytest.fixture(scope="module")
@@ -620,6 +628,98 @@ def test_node_norms_transform_passes_per_node(monkeypatch):
         _node_norms(v, t, 4.0)
     assert calls.count("_row_pass") == 1 + 2 + 2
     assert calls.count("_column_pass") == 1 + 3 + 3
+
+
+def _nyquist_fields(grid, amplitude):
+    """Fields of largest |coefficient| ``amplitude`` that keep their Nyquist
+    modes: a random Hermitian one, and the single modes (0, 0, K-1) and
+    (N/2, N/2, K-1), the one near sup |phi_k|, the other at the largest |xi|."""
+    rng = np.random.default_rng(7)
+    shape = (2, grid.N, grid.N, grid.K)
+    full = hermitian_part(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    fields = [SpectralField(full[:, :, : grid.N // 2 + 1].copy(), grid)]
+    fields += [single_mode_field(grid, m=m, n=m, k=grid.K - 1) for m in (0, grid.N // 2)]
+    for f in fields:
+        f.coeffs *= amplitude / np.abs(f.coeffs).max()
+    return fields
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-300, 1e300])
+@pytest.mark.parametrize("p", [4.0, 1000.0, np.inf])
+@pytest.mark.parametrize("N, K, h", [(8, 8, 1.0), (12, 5, 0.7), (16, 12, 0.3), (32, 32, 1.0)])
+def test_node_bound_dominates_node_norms(N, K, h, p, amplitude):
+    grid = Grid(N, K, h)
+    weights = _bound_weights(grid)
+    fields = _nyquist_fields(grid, amplitude)
+    assert np.abs(fields[0].coeffs[:, N // 2]).max() > 0  # the Nyquist row is kept
+    for v in fields:
+        for t in (1e-6, 0.01, 1.0):
+            assert _node_bound(v, t, p, weights) >= max(_node_norms(v, t, p))
+
+
+def _scaled_diffs(scales, seed=20):
+    grid = Grid(8, 8, 1.0)
+    v = random_field(grid, ncomp=2, seed=seed)
+    return [SpectralField(scale * v.coeffs, grid) for scale in scales]
+
+
+@pytest.mark.parametrize(
+    "scales",
+    [
+        np.exp(-np.arange(12.0)),  # decaying: settled after the first nodes
+        np.linspace(0.1, 1.0, 12),  # increasing: the max at the last node
+        np.zeros(6),
+        np.full(6, 1e-310),  # subnormal: the bound has lost its precision
+        np.array([1e-310, 1.0, 0.5, 1e-310]),
+    ],
+    ids=["decaying", "increasing", "zero", "subnormal", "mixed"],
+)
+def test_s_norm_equals_every_node_sweep(scales):
+    diffs = _scaled_diffs(scales)
+    s = _s_norm(iter(diffs), 0.01, 4.0)
+    assert type(s) is float
+    assert s == s_norm_every_node(diffs, 0.01, 4.0)
+
+
+def test_s_norm_raises_at_a_non_finite_node_after_the_max():
+    # a NaN node's bound is NaN: it is swept, and raises as the full sweep does
+    diffs = _scaled_diffs(np.exp(-np.arange(6.0)))
+    diffs[4].coeffs[0, 1, 1, 1] = np.nan
+    for s_norm in (_s_norm, s_norm_every_node):
+        with pytest.raises(NonFiniteFieldError):
+            s_norm(iter(diffs), 0.01, 4.0)
+
+
+@pytest.mark.parametrize(
+    "N, amplitude, most_s_norm_sweeps",
+    [(8, 0.2, None), (16, 0.02, 16)],
+    ids=["8^3-amplitude-0.2", "rough-benchmark-16^3"],
+)
+def test_rough_solve_sweeps_fewer_nodes(monkeypatch, N, amplitude, most_s_norm_sweeps):
+    # the rough benchmark's data and time grid: the diagnostics sweep every
+    # node, and the S(T)-norms only the nodes whose bound exceeds their
+    # running max; every node would make (iterations + 1) * steps + 1 sweeps
+    cfg = SolverConfig(N=N, K=N, dt=0.0025, T=0.05)
+    a = random_field(
+        cfg.grid(), seed=12, decay=2.0, rough_amplitude=1.0, solenoidal=True, amplitude=amplitude
+    )
+    calls = []
+    real_node_norms = hydrostokes.solver._node_norms
+
+    def counted(*args):
+        calls.append(1)
+        return real_node_norms(*args)
+
+    monkeypatch.setattr(hydrostokes.solver, "_node_norms", counted)
+    diff_S = full_solve(a, cfg).diagnostics["picard"].diff_S
+    steps, m = round(cfg.T / cfg.dt), len(diff_S)
+    assert m >= 4
+    assert len(calls) < (m + 1) * steps
+    if most_s_norm_sweeps is not None:
+        assert len(calls) - (steps + 1) <= most_s_norm_sweeps
+    monkeypatch.setattr(hydrostokes.solver, "_node_norms", real_node_norms)
+    monkeypatch.setattr(hydrostokes.solver, "_s_norm", s_norm_every_node)
+    assert full_solve(a, cfg).diagnostics["picard"].diff_S == diff_S
 
 
 def test_smooth_full_solve_is_first_order_in_time():
